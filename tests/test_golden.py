@@ -1,0 +1,131 @@
+"""Golden outputs: fixed-seed campaigns must reproduce committed bytes.
+
+Each case pins a campaign's `trials.csv` and, in `golden/ledgers.json`,
+what the CSV does not record: each trial's result, its full ledger
+snapshot (the `scratch` source included) and its stage counters
+(`verify_calls` included). A refactor of the pipeline must leave every
+file byte-identical.
+
+Regenerate the files (only when a change of output is intended and
+recorded) with:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from mvamp.field import PrimeField
+from mvamp.harness import (
+    _trial_input,
+    build_reduction_config,
+    build_solver,
+    experiment_config_from_values,
+    run_campaign,
+    trial_rng,
+    write_trials_csv,
+)
+from mvamp.oracle import QueryLedger, wrap_matrix, wrap_vector
+from mvamp.reduction import worst_case_matvec
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+LEDGERS = "ledgers.json"
+
+CASES = {
+    # the criterion-8 planted campaign
+    "criterion8": {
+        "modulus": 5,
+        "n": 6,
+        "trials": 40,
+        "alpha": 0.25,
+        "profile": "planted",
+        "bad_fraction": 0.5,
+        "input_mode": "planted-bad",
+        "pipeline": "full",
+        "k": 2,
+        "seed": 123,
+        "workers": 1,
+    },
+    # one criterion-7 style trial: uniform, desk k (k = 23), d = 1
+    "uniform_desk": {
+        "modulus": 5,
+        "n": 8,
+        "trials": 1,
+        "alpha": 0.25,
+        "profile": "uniform",
+        "pipeline": "full",
+        "k_mode": "desk",
+        "c0": 8.0,
+        "seed": 0,
+    },
+    # goodbad solver with stage-3 retries, actual accounting, n = 6 padded to 8
+    "goodbad_actual_padded": {
+        "modulus": 7,
+        "n": 6,
+        "trials": 6,
+        "alpha": 0.5,
+        "profile": "goodbad",
+        "predicate": "v_first_even",
+        "alpha_good": 0.9,
+        "alpha_bad": 0.2,
+        "pipeline": "full",
+        "k": 4,
+        "c1": 2.0,
+        "accounting": "actual",
+        "seed": 5,
+    },
+}
+
+
+def trial_fingerprint(config, trial: int) -> dict:
+    """One trial as harness.run_trial runs it, keeping what the CSV drops."""
+    rng = trial_rng(config.seed, trial)
+    field = PrimeField(config.modulus)
+    matrix, vector = _trial_input(config, field, trial, rng)
+    ledger = QueryLedger()
+    outcome = worst_case_matvec(
+        wrap_matrix(matrix, ledger),
+        wrap_vector(vector, ledger),
+        build_solver(config),
+        build_reduction_config(config),
+        rng,
+    )
+    return {
+        "trial": trial,
+        "result": None if outcome.result is None else [int(x) for x in outcome.result.values],
+        "ledger": ledger.snapshot(),
+        "stats": asdict(outcome.stats),
+    }
+
+
+def render_csv(name: str, tmp_dir: Path) -> bytes:
+    path = tmp_dir / f"{name}_trials.csv"
+    write_trials_csv(run_campaign(experiment_config_from_values(dict(CASES[name]))).rows, str(path))
+    return path.read_bytes()
+
+
+def render_ledgers() -> bytes:
+    out = {}
+    for name, values in CASES.items():
+        config = experiment_config_from_values(dict(values))
+        out[name] = [trial_fingerprint(config, t) for t in range(config.trials)]
+    return (json.dumps(out, indent=1, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trials_csv_matches_golden(name, tmp_path):
+    assert render_csv(name, tmp_path) == (GOLDEN / f"{name}_trials.csv").read_bytes()
+
+
+def test_ledgers_and_stage_counters_match_golden():
+    assert render_ledgers() == (GOLDEN / LEDGERS).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in CASES:
+        (GOLDEN / f"{case}_trials.csv").write_bytes(render_csv(case, GOLDEN))
+    (GOLDEN / LEDGERS).write_bytes(render_ledgers())

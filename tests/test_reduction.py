@@ -20,7 +20,21 @@ from mvamp.linalg import (
     random_matrix,
     random_vector,
 )
-from mvamp.oracle import SOURCE_ALG, SOURCE_MATRIX, SOURCE_VECTOR, QueryLedger, wrap_matrix, wrap_vector
+from mvamp.oracle import (
+    SOURCE_ALG,
+    SOURCE_MATRIX,
+    SOURCE_SCRATCH,
+    SOURCE_VECTOR,
+    SOURCE_VERIFIER,
+    QueryLedger,
+    extract_block,
+    extract_submatrix,
+    extract_subvector,
+    pad_square_matrix,
+    pad_vector,
+    wrap_matrix,
+    wrap_vector,
+)
 from mvamp.reduction import (
     ReductionConfig,
     ReductionOutcome,
@@ -38,7 +52,7 @@ from mvamp.reduction import (
     worst_case_matvec,
 )
 from mvamp.solver import GoodBadProfile, NoisySolver, UniformProfile
-from mvamp.verify import VerifierConfig
+from mvamp.verify import VerifierConfig, charged_queries
 
 F5 = PrimeField(5)
 
@@ -274,6 +288,112 @@ def test_solve_block_any_input_perfect():
         assert out == matvec(m, v)
         # v = r1 + r2 split reads the input vector once in full
         assert led.get(SOURCE_VECTOR) >= d
+
+
+# ------------------------------------- live input handles outside the pipeline
+#
+# The pipeline only hands solve_strip and solve_block scratch-wrapped
+# halves of its additive splits. Called directly, the live strip, block and
+# vector are the caller's handles: their reads charge their own sources,
+# and structural zeros of a padded input charge nothing.
+
+
+def _live_inputs(kind: str, shape: str, rng):
+    """Live (matrix, vector) handles on a fresh ledger, and the number of
+    input entries one full read of each reaches.
+
+    shape "strip" is a 3x6 strip with a length-6 vector; "block" is a 3x3
+    block with a length-3 vector. kind "plain" wraps them as U_M / U_v;
+    "padded" takes them as windows of a 5x5 instance padded to 6, so only
+    entries inside the 5x5 corner are charged.
+    """
+    led = QueryLedger()
+    cols = 6 if shape == "strip" else 3
+    if kind == "plain":
+        m = random_matrix(3, cols, F5, rng)
+        v = random_vector(cols, F5, rng)
+        return led, wrap_matrix(m, led), wrap_vector(v, led), 3 * cols, cols
+    padded_m = pad_square_matrix(wrap_matrix(random_matrix(5, 5, F5, rng), led), 6)
+    padded_v = pad_vector(wrap_vector(random_vector(5, F5, rng), led), 6)
+    if shape == "strip":  # rows 3..5: 2 real rows of 5 real entries
+        return led, extract_submatrix(padded_m, 3, 3), padded_v, 2 * 5, 5
+    # the (1, 1) block of the 3-tiling and its segment: a 2x2 real corner
+    return led, extract_block(padded_m, 1, 1, 3), extract_subvector(padded_v, 3, 3), 2 * 2, 2
+
+
+def _nonzero(counts: dict) -> dict:
+    return {k: v for k, v in counts.items() if v}
+
+
+@pytest.mark.parametrize("accounting", ["paper", "actual"])
+@pytest.mark.parametrize("kind", ["plain", "padded"])
+def test_solve_strip_charges_live_handles_to_their_sources(accounting, kind):
+    rng = np.random.default_rng(41)
+    d, n = 3, 6
+    led, mat, vec, live_m, live_v = _live_inputs(kind, "strip", rng)
+    k = n // d
+    eps = 1e-4
+    cfg = ReductionConfig(alpha=0.5, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
+    solver = NoisySolver(UniformProfile(0.5))
+    stats = fresh_stats()
+    out = solve_strip(mat, vec, solver, cfg, rng, stats)
+    assert out == matvec(mat.to_matrix(), vec.to_vector())
+    a = stats.stage1_iters
+    assert a >= 1 and stats.verify_calls == a
+    # per attempt: one ALG call billed n^2 matrix and n vector queries;
+    # the accepted product's d-entry window is read from scratch
+    want = {SOURCE_ALG: a, SOURCE_MATRIX: a * n * n, SOURCE_VECTOR: a * n, SOURCE_SCRATCH: d}
+    if accounting == "paper":
+        want[SOURCE_VERIFIER] = a * charged_queries(k * d, eps)
+    else:
+        # each verification reads the live strip and the vector through their
+        # own handles, and the k-1 co-strips from scratch
+        want[SOURCE_MATRIX] += a * live_m
+        want[SOURCE_VECTOR] += a * live_v
+        want[SOURCE_SCRATCH] += a * (k - 1) * d * n
+    # the to_matrix/to_vector reads above are part of the ledger too
+    want[SOURCE_MATRIX] += live_m
+    want[SOURCE_VECTOR] += live_v
+    assert _nonzero(led.snapshot()) == want
+
+
+@pytest.mark.parametrize("accounting", ["paper", "actual"])
+@pytest.mark.parametrize("kind", ["plain", "padded"])
+def test_solve_block_charges_live_handles_to_their_sources(accounting, kind):
+    # a perfect solver makes the run fixed: one stage-3 iteration whose
+    # strip split makes two stage-1 attempts, each accepted at once
+    rng = np.random.default_rng(42)
+    d, k = 3, 2
+    led, mat, vec, live_m, live_v = _live_inputs(kind, "block", rng)
+    n = k * d
+    eps = 1e-4
+    cfg = ReductionConfig(alpha=1.0, k=k, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
+    stats = fresh_stats()
+    out = solve_block(mat, vec, PERFECT, cfg, rng, stats)
+    assert (stats.stage1_iters, stats.stage3_iters, stats.verify_calls) == (2, 1, 3)
+    want = {
+        SOURCE_ALG: 2,
+        # two calls on the n x n planted instance, plus the strip split's
+        # read of the widened block (only the live block is charged)
+        SOURCE_MATRIX: 2 * n * n + live_m,
+        SOURCE_VECTOR: 2 * n,
+        # two accepted d-windows, then the sum of the split halves reads both
+        SOURCE_SCRATCH: 2 * d + 2 * d,
+    }
+    if accounting == "paper":
+        want[SOURCE_VERIFIER] = 2 * charged_queries(n, eps) + charged_queries(d, eps)
+    else:
+        # stage-1 verifications read a scratch half strip, k-1 scratch
+        # co-strips and the widened vector (live segment plus k-1 scratch
+        # co-vectors); the stage-3 verification reads the widened block and
+        # the widened vector
+        want[SOURCE_SCRATCH] += 2 * (d * n + (k - 1) * d * n + (k - 1) * d) + (k - 1) * d
+        want[SOURCE_MATRIX] += live_m
+        want[SOURCE_VECTOR] += 3 * live_v
+    assert out == matvec(mat.to_matrix(), vec.to_vector())
+    want[SOURCE_MATRIX] += live_m
+    want[SOURCE_VECTOR] += live_v
+    assert _nonzero(led.snapshot()) == want
 
 
 def test_solve_block_any_input_never_solver():
