@@ -30,7 +30,6 @@ from .harness import (
     write_trials_csv,
 )
 from .linalg import matvec, random_matrix, random_vector
-from .oracle import QueryLedger, wrap_matrix, wrap_vector
 from .sampler import (
     BaseDomain,
     DenseSet,
@@ -40,8 +39,8 @@ from .sampler import (
     theorem_condition,
     violation_fraction_exact,
 )
-from .solver import NoisySolver, UniformProfile, invoke
-from .verify import VerifierConfig, charged_queries, verify_product
+from .solver import NoisySolver, UniformProfile, invoke_values
+from .verify import VerifierConfig, charged_queries, verify_values
 
 
 def _ensure_out(path: str):
@@ -179,7 +178,6 @@ def _cmd_verify_bench(args) -> int:
     field = PrimeField(args.modulus)
     config = VerifierConfig(epsilon=args.eps)
     rng = trial_rng(args.seed, 0)
-    ledger = QueryLedger()
     print(
         f"verify-bench: {args.rows}x{args.cols} mod {args.modulus} eps={args.eps} "
         f"trials={args.trials}"
@@ -190,7 +188,7 @@ def _cmd_verify_bench(args) -> int:
         m = random_matrix(args.rows, args.cols, field, rng)
         v = random_vector(args.cols, field, rng)
         w = matvec(m, v)
-        if not verify_product(wrap_matrix(m, ledger), wrap_vector(v, ledger), w, config, rng):
+        if not verify_values(m.values, v.values, w.values, field.modulus, config, rng):
             completeness_failures += 1
 
     false_accepts = {}
@@ -201,9 +199,8 @@ def _cmd_verify_bench(args) -> int:
         for _ in range(args.trials):
             m = random_matrix(args.rows, args.rows, field, rng)
             v = random_vector(args.rows, field, rng)
-            mh, vh = wrap_matrix(m, ledger), wrap_vector(v, ledger)
-            w = invoke(wrong_solver, mh, vh, rng)
-            if verify_product(mh, vh, w, config, rng):
+            w = invoke_values(wrong_solver, field, m.values, v.values, rng)
+            if verify_values(m.values, v.values, w.values, field.modulus, config, rng):
                 accepted += 1
         false_accepts[mode] = accepted / args.trials
 

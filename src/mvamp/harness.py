@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .field import MAX_MODULUS, PrimeField, is_prime
+from .field import PrimeField, check_modulus
 from .linalg import (
     FpMatrix,
     FpVector,
@@ -53,7 +53,7 @@ from .solver import (
     SolverProfile,
     UniformProfile,
 )
-from .verify import VerifierConfig, verified_call
+from .verify import ACCOUNTING_MODES, VERIFY_MODES, VerifierConfig, verified_call
 
 CSV_HEADER = (
     "trial,success,alg_queries,um_queries,uv_queries,verifier_charged,"
@@ -64,8 +64,6 @@ PROFILES = ("uniform", "goodbad", "planted")
 INPUT_MODES = ("random", "planted-bad", "exhaustive-tiny")
 PIPELINES = ("full", "baseline")
 FAILURE_MODES = ("uniform", "perturb")
-VERIFIER_MODES = ("probabilistic", "exact")
-ACCOUNTING_MODES = ("paper", "actual")
 
 # Named predicates for goodbad profiles, so configs stay picklable text.
 PREDICATES = {
@@ -113,8 +111,10 @@ class ExperimentConfig:
     min_success_rate: Optional[float] = None
 
     def __post_init__(self):
-        if not is_prime(self.modulus) or self.modulus >= MAX_MODULUS:
-            raise ConfigError(f"config key 'modulus' must be a supported prime, got {self.modulus}")
+        try:
+            check_modulus(self.modulus)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"config key 'modulus' must be a supported prime: {err}") from None
         if self.n < 1:
             raise ConfigError(f"config key 'n' must be positive, got {self.n}")
         if self.trials < 1:
@@ -139,9 +139,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"config key 'failure_mode' must be one of {FAILURE_MODES}, got {self.failure_mode!r}"
             )
-        if self.verifier_mode not in VERIFIER_MODES:
+        if self.verifier_mode not in VERIFY_MODES:
             raise ConfigError(
-                f"config key 'verifier_mode' must be one of {VERIFIER_MODES}, got {self.verifier_mode!r}"
+                f"config key 'verifier_mode' must be one of {VERIFY_MODES}, got {self.verifier_mode!r}"
             )
         if self.accounting not in ACCOUNTING_MODES:
             raise ConfigError(

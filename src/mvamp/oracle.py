@@ -2,12 +2,14 @@
 
 A handle answers entry queries against an underlying matrix or vector,
 possibly through a composition tree (concatenation, windowing, block
-embedding, padding, pointwise sum). Handles never copy data at
-construction; every structural transformer is lazy. Each query that
-reaches a wrapped leaf charges that leaf's source in the shared
-QueryLedger. Structural entries synthesized by a transformer (zeros of an
-embedding, the 0/1 border of padding) cost nothing, matching the model in
-which those values are known without consulting the input.
+embedding, padding, pointwise sum), or as a planted view of a flat array
+that holds one live strip or segment among scratch ones. Handles never
+copy data at construction; every structural transformer is lazy. Each
+query that reaches a wrapped leaf charges that leaf's source in the shared
+QueryLedger; a planted view charges its scratch entries to scratch.
+Structural entries synthesized by a transformer (zeros of an embedding,
+the 0/1 border of padding) cost nothing, matching the model in which
+those values are known without consulting the input.
 
 Bulk reads (`read_block`, `read_all`, `to_matrix`, `to_vector`) charge
 exactly what the equivalent entry-by-entry loop would, so vectorized code
@@ -16,7 +18,6 @@ paths cannot distort the accounting.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -64,13 +65,29 @@ class QueryLedger:
     def snapshot(self) -> dict[str, int]:
         return dict(self.counts)
 
-    @contextmanager
-    def paused(self):
-        self._pause_depth += 1
-        try:
-            yield self
-        finally:
-            self._pause_depth -= 1
+    def paused(self) -> "_Paused":
+        return _Paused(self)
+
+
+class _Paused:
+    """The context manager QueryLedger.paused returns; pauses nest.
+
+    A plain class rather than a contextlib generator: the solver and the
+    verifier enter it on every stage-1 attempt, and this costs a fraction
+    of the generator's set-up.
+    """
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: QueryLedger):
+        self._ledger = ledger
+
+    def __enter__(self) -> QueryLedger:
+        self._ledger._pause_depth += 1
+        return self._ledger
+
+    def __exit__(self, *exc_info):
+        self._ledger._pause_depth -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +289,33 @@ class _PaddedMatrix(MatrixOracleHandle):
         return out
 
 
+class _PlantedMatrix(MatrixOracleHandle):
+    """Strips stacked in one array, one of them a live strip (see plant_rows)."""
+
+    __slots__ = ("_values", "_live", "_lo")
+
+    def __init__(self, values: np.ndarray, live: MatrixOracleHandle, slot: int):
+        super().__init__(values.shape[0], values.shape[1], live.field, live.ledger)
+        self._values = values
+        self._live = live
+        self._lo = slot * live.rows
+
+    def _value_at(self, i, j):
+        if self._lo <= i < self._lo + self._live.rows:
+            return self._live._value_at(i - self._lo, j)
+        self.ledger.charge(SOURCE_SCRATCH, 1)
+        return int(self._values[i, j])
+
+    def _read_values(self, r0, nr, c0, nc):
+        lo = max(r0, self._lo)
+        hi = min(r0 + nr, self._lo + self._live.rows)
+        live_rows = max(0, hi - lo)
+        if live_rows:
+            self._live._read_values(lo - self._lo, live_rows, c0, nc)
+        self.ledger.charge(SOURCE_SCRATCH, (nr - live_rows) * nc)
+        return self._values[r0 : r0 + nr, c0 : c0 + nc]
+
+
 # ---------------------------------------------------------------------------
 # vector handles
 # ---------------------------------------------------------------------------
@@ -391,6 +435,33 @@ class _SumVector(VectorOracleHandle):
         return acc
 
 
+class _PlantedVector(VectorOracleHandle):
+    """Segments laid end to end in one array, one of them live (see plant_vector)."""
+
+    __slots__ = ("_values", "_live", "_lo")
+
+    def __init__(self, values: np.ndarray, live: VectorOracleHandle, slot: int):
+        super().__init__(values.shape[0], live.field, live.ledger)
+        self._values = values
+        self._live = live
+        self._lo = slot * live.length
+
+    def _value_at(self, i):
+        if self._lo <= i < self._lo + self._live.length:
+            return self._live._value_at(i - self._lo)
+        self.ledger.charge(SOURCE_SCRATCH, 1)
+        return int(self._values[i])
+
+    def _read_values(self, off, n):
+        lo = max(off, self._lo)
+        hi = min(off + n, self._lo + self._live.length)
+        live_n = max(0, hi - lo)
+        if live_n:
+            self._live._read_values(lo - self._lo, live_n)
+        self.ledger.charge(SOURCE_SCRATCH, n - live_n)
+        return self._values[off : off + n]
+
+
 class _PaddedVector(VectorOracleHandle):
     __slots__ = ("_parent",)
 
@@ -467,6 +538,38 @@ def concat_vectors(handles: Sequence[VectorOracleHandle]) -> VectorOracleHandle:
         if h.length != d:
             raise ValueError("concat_vectors: all handles must share one length")
     return _ConcatVector(handles)
+
+
+def plant_rows(values: np.ndarray, live: MatrixOracleHandle, slot: int) -> MatrixOracleHandle:
+    """View a (k*d) x n array of k stacked d x n strips as one oracle, where
+    strip `slot` is the live d x n oracle and the rest are scratch.
+
+    The caller has already written the live strip's values into rows
+    [slot*d, (slot+1)*d) of `values`; reads return views of `values`. A
+    query in the live rows is charged through the live handle, as reading
+    it would be, and any other query charges one scratch query, as a row
+    concatenation of scratch-wrapped co-strips around the live strip would.
+    """
+    d = live.rows
+    if values.ndim != 2 or values.shape[1] != live.cols or values.shape[0] % d != 0:
+        raise ValueError(f"buffer shape {values.shape} does not stack {live.rows}x{live.cols} strips")
+    if not 0 <= slot < values.shape[0] // d:
+        raise IndexError(f"slot {slot} out of range for {values.shape[0] // d} strips")
+    return _PlantedMatrix(values, live, slot)
+
+
+def plant_vector(values: np.ndarray, live: VectorOracleHandle, slot: int) -> VectorOracleHandle:
+    """View a length-(k*d) array of k segments as one oracle, where segment
+    `slot` is the live length-d oracle and the rest are scratch.
+
+    The vector counterpart of plant_rows, with the same contract.
+    """
+    d = live.length
+    if values.ndim != 1 or values.shape[0] % d != 0:
+        raise ValueError(f"buffer shape {values.shape} does not hold length-{d} segments")
+    if not 0 <= slot < values.shape[0] // d:
+        raise IndexError(f"slot {slot} out of range for {values.shape[0] // d} segments")
+    return _PlantedVector(values, live, slot)
 
 
 def extract_submatrix(handle: MatrixOracleHandle, row_offset: int, d: int) -> MatrixOracleHandle:

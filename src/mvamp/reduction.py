@@ -52,18 +52,19 @@ from .oracle import (
     MatrixOracleHandle,
     QueryLedger,
     VectorOracleHandle,
-    concat_rows,
     concat_vectors,
     embed_block_matrix,
     extract_block,
     extract_subvector,
     pad_square_matrix,
     pad_vector,
+    plant_rows,
+    plant_vector,
     sum_vector_oracles,
     wrap_matrix,
     wrap_vector,
 )
-from .solver import MAX_EXHAUSTIVE_PAIRS, NoisySolver, invoke
+from .solver import MAX_EXHAUSTIVE_PAIRS, NoisySolver, invoke_values
 from .verify import VerifierConfig, verified_call, verify_product
 
 # Per-attempt failure bound for the final stage on worst-case inputs; the
@@ -208,8 +209,8 @@ def is_good(
 ) -> GoodnessEstimate:
     """Monte Carlo estimate of Pr over uniform M of success on (M, vector).
 
-    A vector is called good when that probability reaches alpha/2. Runs on
-    a private ledger.
+    A vector is called good when that probability reaches alpha/2. Charges
+    no ledger.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -217,11 +218,10 @@ def is_good(
         raise ValueError(f"vector length {vector.length} does not match n={n}")
     alpha = _resolve_alpha(solver, alpha)
     field = vector.field
-    ledger = QueryLedger()
     successes = 0
     for _ in range(trials):
         m = random_matrix(n, n, field, rng)
-        out = invoke(solver, wrap_matrix(m, ledger), wrap_vector(vector, ledger), rng)
+        out = invoke_values(solver, field, m.values, vector.values, rng)
         if np.array_equal(out.values, matvec_values(m.values, vector.values, field.modulus)):
             successes += 1
     est = successes / trials
@@ -291,25 +291,23 @@ def solve_strip(
     ledger = mat_handle.ledger
     p = field.modulus
 
+    with ledger.paused():
+        live_vals = mat_handle.read_all()
+    planted = np.empty((k, d, n), dtype=np.int64)
+    instance = planted.reshape(k * d, n)
     for _ in range(config.stage1_budget()):
         stats.stage1_iters += 1
         slot = int(rng.integers(k))
         co_vals = rng.integers(0, p, size=(k - 1, d, n), dtype=np.int64)
-        parts: list[MatrixOracleHandle] = []
-        ci = 0
-        for t in range(k):
-            if t == slot:
-                parts.append(mat_handle)
-            else:
-                co = FpMatrix._trusted(field, co_vals[ci])
-                parts.append(wrap_matrix(co, ledger, SOURCE_SCRATCH))
-                ci += 1
-        assembled = concat_rows(parts)
+        planted[:slot] = co_vals[:slot]
+        planted[slot] = live_vals
+        planted[slot + 1 :] = co_vals[slot:]
         stats.verify_calls += 1
-        w = verified_call(solver, assembled, vec_handle, config.verifier, rng)
+        w = verified_call(solver, plant_rows(instance, mat_handle, slot), vec_handle, config.verifier, rng)
         if w is not None:
-            w_handle = wrap_vector(w, ledger, SOURCE_SCRATCH)
-            return extract_subvector(w_handle, slot * d, d).to_vector()
+            # the strip's block of the output, read as a scratch window
+            ledger.charge(SOURCE_SCRATCH, d)
+            return FpVector._trusted(field, w.values[slot * d : (slot + 1) * d])
     return None
 
 
@@ -378,24 +376,20 @@ def solve_block(
     if mat_handle.field != vec_handle.field:
         raise ValueError("field mismatch between matrix and vector handles")
     k = config.resolved_k()
-    field = mat_handle.field
-    ledger = mat_handle.ledger
-    p = field.modulus
+    p = mat_handle.field.modulus
 
+    with mat_handle.ledger.paused():
+        live_vals = vec_handle.read_all()
+    planted = np.empty((k, d), dtype=np.int64)
+    widened = planted.reshape(k * d)
     for _ in range(config.stage3_budget()):
         stats.stage3_iters += 1
         slot = int(rng.integers(k))
         co_vals = rng.integers(0, p, size=(k - 1, d), dtype=np.int64)
-        parts: list[VectorOracleHandle] = []
-        ci = 0
-        for t in range(k):
-            if t == slot:
-                parts.append(vec_handle)
-            else:
-                co = FpVector._trusted(field, co_vals[ci])
-                parts.append(wrap_vector(co, ledger, SOURCE_SCRATCH))
-                ci += 1
-        widened_vec = concat_vectors(parts)
+        planted[:slot] = co_vals[:slot]
+        planted[slot] = live_vals
+        planted[slot + 1 :] = co_vals[slot:]
+        widened_vec = plant_vector(widened, vec_handle, slot)
         widened_mat = embed_block_matrix(mat_handle, slot, k)
         w = solve_strip_any_matrix(widened_mat, widened_vec, solver, config, rng, stats)
         if w is None:

@@ -36,10 +36,7 @@ from .oracle import (
     SOURCE_MATRIX,
     SOURCE_VECTOR,
     MatrixOracleHandle,
-    QueryLedger,
     VectorOracleHandle,
-    wrap_matrix,
-    wrap_vector,
 )
 
 # Exhaustive enumeration over all (M, v) pairs is refused beyond this many
@@ -246,7 +243,6 @@ def invoke(
     if mat_handle.field != vec_handle.field:
         raise ValueError("field mismatch between matrix and vector handles")
     n = mat_handle.cols
-    field = mat_handle.field
     q = solver.queries_per_call if solver.queries_per_call is not None else n * n
 
     mat_handle.ledger.charge(SOURCE_ALG, 1)
@@ -255,7 +251,20 @@ def invoke(
     with mat_handle.ledger.paused(), vec_handle.ledger.paused():
         m_vals = mat_handle.read_all()
         v_vals = vec_handle.read_all()
+    return invoke_values(solver, mat_handle.field, m_vals, v_vals, rng)
 
+
+def invoke_values(
+    solver: NoisySolver,
+    field: PrimeField,
+    m_vals: np.ndarray,
+    v_vals: np.ndarray,
+    rng: np.random.Generator,
+) -> FpVector:
+    """The solver call behind invoke, on canonical residues; charges nothing.
+
+    m_vals is square and v_vals matches it; the caller has checked both.
+    """
     matrix = FpMatrix._trusted(field, m_vals)
     vector = FpVector._trusted(field, v_vals)
     truth = FpVector._trusted(field, matvec_values(m_vals, v_vals, field.modulus))
@@ -283,17 +292,16 @@ def estimate_average_success(
 ) -> SuccessEstimate:
     """Monte Carlo estimate of average success over uniform (M, v).
 
-    Success means the invocation returned the true product. Uses a private
-    ledger; the caller's accounting is untouched.
+    Success means the invocation returned the true product. Charges no
+    ledger.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    ledger = QueryLedger()
     successes = 0
     for _ in range(trials):
         m = random_matrix(n, n, field, rng)
         v = random_vector(n, field, rng)
-        out = invoke(solver, wrap_matrix(m, ledger), wrap_vector(v, ledger), rng)
+        out = invoke_values(solver, field, m.values, v.values, rng)
         truth = matvec_values(m.values, v.values, field.modulus)
         if np.array_equal(out.values, truth):
             successes += 1

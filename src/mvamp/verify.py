@@ -101,7 +101,6 @@ def verify_product(
         raise ValueError(f"vector length {vec_handle.length} does not match {cols} columns")
     if mat_handle.field != vec_handle.field or product.field != mat_handle.field:
         raise ValueError("field mismatch among verification operands")
-    p = mat_handle.field.modulus
 
     if config.accounting == "paper":
         mat_handle.ledger.charge(SOURCE_VERIFIER, charged_queries(rows, config.epsilon))
@@ -111,18 +110,33 @@ def verify_product(
     else:
         m_vals = mat_handle.read_all()
         v_vals = vec_handle.read_all()
+    return verify_values(m_vals, v_vals, product.values, mat_handle.field.modulus, config, rng)
 
+
+def verify_values(
+    m_vals: np.ndarray,
+    v_vals: np.ndarray,
+    w_vals: np.ndarray,
+    p: int,
+    config: VerifierConfig,
+    rng: np.random.Generator,
+) -> bool:
+    """The check behind verify_product, on canonical residues; charges nothing.
+
+    The caller has checked that the shapes agree.
+    """
     if config.mode == "exact":
-        return bool(np.array_equal(matvec_values(m_vals, v_vals, p), product.values))
+        return bool(np.array_equal(matvec_values(m_vals, v_vals, p), w_vals))
 
+    rows, cols = m_vals.shape
     rounds = challenge_rounds(p, config.epsilon)
     challenges = rng.integers(0, p, size=(rounds, rows), dtype=np.int64)
     if _fits_int64(rows, p) and _fits_int64(cols, p):
-        lhs = (challenges @ product.values) % p
+        lhs = (challenges @ w_vals) % p
         rhs = (((challenges @ m_vals) % p) @ v_vals) % p
         return bool(np.array_equal(lhs, rhs))
     for r in challenges:
-        lhs_t = dot_values(r, product.values, p)
+        lhs_t = dot_values(r, w_vals, p)
         rhs_t = dot_values(vecmat_values(r, m_vals, p), v_vals, p)
         if lhs_t != rhs_t:
             return False
