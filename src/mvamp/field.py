@@ -1,8 +1,7 @@
-"""Prime-field scalars.
+"""Prime moduli.
 
-Elements are canonical least nonnegative residues mod a prime p. Arithmetic
-never mixes moduli; a mismatch raises immediately instead of silently
-coercing.
+A PrimeField is a checked prime modulus p. Values over it live in int64
+arrays of canonical least nonnegative residues (see linalg).
 """
 
 from __future__ import annotations
@@ -71,20 +70,6 @@ class PrimeField:
     def __init__(self, modulus: int):
         self.modulus = check_modulus(modulus)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(int(value) % self.modulus, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1 % self.modulus, self)
-
-    def elements(self):
-        """Iterate all field elements in residue order."""
-        for v in range(self.modulus):
-            yield FieldElement(v, self)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.modulus == self.modulus
 
@@ -93,63 +78,3 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.modulus})"
-
-
-class FieldElement:
-    """An immutable residue in a PrimeField."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        value = int(value)
-        if not 0 <= value < field.modulus:
-            raise ValueError(f"value {value} out of range for modulus {field.modulus}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FieldElement is immutable")
-
-    def _check_same_field(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError(
-                f"field mismatch: modulus {self.field.modulus} vs {other.field.modulus}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same_field(other)
-        return FieldElement((self.value + other.value) % self.field.modulus, self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same_field(other)
-        return FieldElement((self.value - other.value) % self.field.modulus, self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same_field(other)
-        return FieldElement((self.value * other.value) % self.field.modulus, self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement((-self.value) % self.field.modulus, self.field)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.modulus))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.modulus})"
-
-
-def sample_uniform(field: PrimeField, rng: np.random.Generator) -> FieldElement:
-    """Draw one uniform element of the field from the given generator."""
-    return FieldElement(int(rng.integers(field.modulus)), field)

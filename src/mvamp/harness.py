@@ -282,7 +282,6 @@ def build_reduction_config(config: ExperimentConfig) -> ReductionConfig:
             mode=config.verifier_mode,
             accounting=config.accounting,
         ),
-        seed=config.seed,
     )
 
 

@@ -7,11 +7,9 @@ compositions can assume well-formed operands.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 
 def _canonical_values(field: PrimeField, values, expect_ndim: int) -> np.ndarray:
@@ -41,17 +39,6 @@ class FpVector:
         return self
 
     @classmethod
-    def from_elements(cls, elements: Iterable[FieldElement]) -> "FpVector":
-        elems = list(elements)
-        if not elems:
-            raise ValueError("vector needs at least one entry")
-        field = elems[0].field
-        for e in elems:
-            if e.field != field:
-                raise ValueError("mixed fields in vector entries")
-        return cls(field, [e.value for e in elems])
-
-    @classmethod
     def zeros(cls, field: PrimeField, n: int) -> "FpVector":
         if n <= 0:
             raise ValueError(f"vector length must be positive, got {n}")
@@ -60,11 +47,6 @@ class FpVector:
     @property
     def length(self) -> int:
         return self.values.shape[0]
-
-    def entry(self, i: int) -> FieldElement:
-        if not 0 <= i < self.length:
-            raise IndexError(f"index {i} out of range for length {self.length}")
-        return FieldElement(int(self.values[i]), self.field)
 
     def to_list(self) -> list[int]:
         return [int(x) for x in self.values]
@@ -120,11 +102,6 @@ class FpMatrix:
         return self
 
     @classmethod
-    def from_rows(cls, field: PrimeField, rows: Iterable[Iterable[int]]) -> "FpMatrix":
-        data = [[int(x) % field.modulus for x in row] for row in rows]
-        return cls(field, data)
-
-    @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FpMatrix":
         if rows <= 0 or cols <= 0:
             raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
@@ -143,11 +120,6 @@ class FpMatrix:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index ({i},{j}) out of range for shape {self.rows}x{self.cols}")
-        return FieldElement(int(self.values[i, j]), self.field)
 
     def to_lists(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.values]

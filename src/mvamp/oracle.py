@@ -1,19 +1,20 @@
 """Query-counted oracle access to matrices and vectors.
 
-A handle answers entry queries against an underlying matrix or vector,
-possibly through a composition tree (concatenation, windowing, block
-embedding, padding, pointwise sum), or as a planted view of a flat array
-that holds one live strip or segment among scratch ones. Handles never
-copy data at construction; every structural transformer is lazy. Each
-query that reaches a wrapped leaf charges that leaf's source in the shared
-QueryLedger; a planted view charges its scratch entries to scratch.
+A handle hands out the values of an underlying matrix or vector, possibly
+through a composition tree (concatenation, windowing, block embedding,
+padding, pointwise sum), or as a planted view of a flat array that holds
+one live strip or segment among scratch ones. Handles never copy data at
+construction; every structural transformer is lazy.
+
+Values leave a handle only by bulk read (`read_all`, `to_matrix`,
+`to_vector`), and a read charges one query per entry it reads: each entry
+that reaches a wrapped leaf charges that leaf's source in the shared
+QueryLedger, and a planted view charges its scratch entries to scratch.
 Structural entries synthesized by a transformer (zeros of an embedding,
 the 0/1 border of padding) cost nothing, matching the model in which
-those values are known without consulting the input.
-
-Bulk reads (`read_block`, `read_all`, `to_matrix`, `to_vector`) charge
-exactly what the equivalent entry-by-entry loop would, so vectorized code
-paths cannot distort the accounting.
+those values are known without consulting the input. A window
+(`extract_block`, `extract_submatrix`, `extract_subvector`) reads and
+charges only the entries inside it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .linalg import FpMatrix, FpVector
 
 # Canonical charge sources. U_M / U_v are the real input oracles; ALG counts
@@ -96,7 +97,7 @@ class _Paused:
 
 
 class MatrixOracleHandle:
-    """Entry-query access to a rows-by-cols matrix over a prime field."""
+    """Bulk-read access to a rows-by-cols matrix over a prime field."""
 
     __slots__ = ("rows", "cols", "field", "ledger")
 
@@ -106,20 +107,6 @@ class MatrixOracleHandle:
         self.field = field
         self.ledger = ledger
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index ({i},{j}) out of range for shape {self.rows}x{self.cols}")
-        return FieldElement(self._value_at(i, j), self.field)
-
-    def read_block(self, row_offset: int, n_rows: int, col_offset: int, n_cols: int) -> np.ndarray:
-        if n_rows <= 0 or n_cols <= 0:
-            raise ValueError("block extent must be positive")
-        if not (0 <= row_offset and row_offset + n_rows <= self.rows):
-            raise IndexError(f"row range [{row_offset},{row_offset + n_rows}) out of bounds")
-        if not (0 <= col_offset and col_offset + n_cols <= self.cols):
-            raise IndexError(f"column range [{col_offset},{col_offset + n_cols}) out of bounds")
-        return self._read_values(row_offset, n_rows, col_offset, n_cols)
-
     def read_all(self) -> np.ndarray:
         return self._read_values(0, self.rows, 0, self.cols)
 
@@ -127,10 +114,8 @@ class MatrixOracleHandle:
         # reads yield canonical residues by the handle invariant
         return FpMatrix._trusted(self.field, self.read_all())
 
-    # subclasses implement the raw lookups (bounds already validated)
-    def _value_at(self, i: int, j: int) -> int:
-        raise NotImplementedError
-
+    # subclasses implement the raw read (bounds already validated); it charges
+    # one query per entry read
     def _read_values(self, r0: int, nr: int, c0: int, nc: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -142,10 +127,6 @@ class _WrappedMatrix(MatrixOracleHandle):
         super().__init__(matrix.rows, matrix.cols, matrix.field, ledger)
         self._values = matrix.values
         self.source = source
-
-    def _value_at(self, i, j):
-        self.ledger.charge(self.source, 1)
-        return int(self._values[i, j])
 
     def _read_values(self, r0, nr, c0, nc):
         # a view, not a copy: read results are treated as immutable everywhere
@@ -161,10 +142,6 @@ class _RowConcatMatrix(MatrixOracleHandle):
         super().__init__(d * len(children), children[0].cols, children[0].field, children[0].ledger)
         self._children = list(children)
         self._child_rows = d
-
-    def _value_at(self, i, j):
-        d = self._child_rows
-        return self._children[i // d]._value_at(i % d, j)
 
     def _read_values(self, r0, nr, c0, nc):
         d = self._child_rows
@@ -187,10 +164,6 @@ class _ColConcatMatrix(MatrixOracleHandle):
         super().__init__(children[0].rows, n * len(children), children[0].field, children[0].ledger)
         self._children = list(children)
         self._child_cols = n
-
-    def _value_at(self, i, j):
-        n = self._child_cols
-        return self._children[j // n]._value_at(i, j % n)
 
     def _read_values(self, r0, nr, c0, nc):
         n = self._child_cols
@@ -216,9 +189,6 @@ class _MatrixWindow(MatrixOracleHandle):
         self._row_off = row_off
         self._col_off = col_off
 
-    def _value_at(self, i, j):
-        return self._parent._value_at(i + self._row_off, j + self._col_off)
-
     def _read_values(self, r0, nr, c0, nc):
         return self._parent._read_values(r0 + self._row_off, nr, c0 + self._col_off, nc)
 
@@ -237,13 +207,6 @@ class _BlockEmbedMatrix(MatrixOracleHandle):
         super().__init__(d, k * d, parent.field, parent.ledger)
         self._parent = parent
         self._slot = slot
-
-    def _value_at(self, i, j):
-        d = self._parent.cols
-        w0 = self._slot * d
-        if w0 <= j < w0 + d:
-            return self._parent._value_at(i, j - w0)
-        return 0
 
     def _read_values(self, r0, nr, c0, nc):
         d = self._parent.cols
@@ -266,14 +229,6 @@ class _PaddedMatrix(MatrixOracleHandle):
     def __init__(self, parent: MatrixOracleHandle, size: int):
         super().__init__(size, size, parent.field, parent.ledger)
         self._parent = parent
-
-    def _value_at(self, i, j):
-        n = self._parent.rows
-        if i < n and j < n:
-            return self._parent._value_at(i, j)
-        if i == j:
-            return 1 % self.field.modulus
-        return 0
 
     def _read_values(self, r0, nr, c0, nc):
         n = self._parent.rows
@@ -300,12 +255,6 @@ class _PlantedMatrix(MatrixOracleHandle):
         self._live = live
         self._lo = slot * live.rows
 
-    def _value_at(self, i, j):
-        if self._lo <= i < self._lo + self._live.rows:
-            return self._live._value_at(i - self._lo, j)
-        self.ledger.charge(SOURCE_SCRATCH, 1)
-        return int(self._values[i, j])
-
     def _read_values(self, r0, nr, c0, nc):
         lo = max(r0, self._lo)
         hi = min(r0 + nr, self._lo + self._live.rows)
@@ -322,7 +271,7 @@ class _PlantedMatrix(MatrixOracleHandle):
 
 
 class VectorOracleHandle:
-    """Entry-query access to a length-n vector over a prime field."""
+    """Bulk-read access to a length-n vector over a prime field."""
 
     __slots__ = ("length", "field", "ledger")
 
@@ -331,27 +280,12 @@ class VectorOracleHandle:
         self.field = field
         self.ledger = ledger
 
-    def entry(self, i: int) -> FieldElement:
-        if not 0 <= i < self.length:
-            raise IndexError(f"index {i} out of range for length {self.length}")
-        return FieldElement(self._value_at(i), self.field)
-
-    def read_block(self, offset: int, n: int) -> np.ndarray:
-        if n <= 0:
-            raise ValueError("block extent must be positive")
-        if not (0 <= offset and offset + n <= self.length):
-            raise IndexError(f"range [{offset},{offset + n}) out of bounds")
-        return self._read_values(offset, n)
-
     def read_all(self) -> np.ndarray:
         return self._read_values(0, self.length)
 
     def to_vector(self) -> FpVector:
         # reads yield canonical residues by the handle invariant
         return FpVector._trusted(self.field, self.read_all())
-
-    def _value_at(self, i: int) -> int:
-        raise NotImplementedError
 
     def _read_values(self, off: int, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -364,10 +298,6 @@ class _WrappedVector(VectorOracleHandle):
         super().__init__(vector.length, vector.field, ledger)
         self._values = vector.values
         self.source = source
-
-    def _value_at(self, i):
-        self.ledger.charge(self.source, 1)
-        return int(self._values[i])
 
     def _read_values(self, off, n):
         # a view, not a copy: read results are treated as immutable everywhere
@@ -383,10 +313,6 @@ class _ConcatVector(VectorOracleHandle):
         super().__init__(d * len(children), children[0].field, children[0].ledger)
         self._children = list(children)
         self._child_len = d
-
-    def _value_at(self, i):
-        d = self._child_len
-        return self._children[i // d]._value_at(i % d)
 
     def _read_values(self, off, n):
         d = self._child_len
@@ -409,24 +335,18 @@ class _VectorWindow(VectorOracleHandle):
         self._parent = parent
         self._off = offset
 
-    def _value_at(self, i):
-        return self._parent._value_at(i + self._off)
-
     def _read_values(self, off, n):
         return self._parent._read_values(off + self._off, n)
 
 
 class _SumVector(VectorOracleHandle):
-    """Pointwise sum: each query consults every summand once."""
+    """Pointwise sum: each entry read reads that entry of every summand once."""
 
     __slots__ = ("_children",)
 
     def __init__(self, children: Sequence[VectorOracleHandle]):
         super().__init__(children[0].length, children[0].field, children[0].ledger)
         self._children = list(children)
-
-    def _value_at(self, i):
-        return sum(c._value_at(i) for c in self._children) % self.field.modulus
 
     def _read_values(self, off, n):
         acc = np.zeros(n, dtype=np.int64)
@@ -446,12 +366,6 @@ class _PlantedVector(VectorOracleHandle):
         self._live = live
         self._lo = slot * live.length
 
-    def _value_at(self, i):
-        if self._lo <= i < self._lo + self._live.length:
-            return self._live._value_at(i - self._lo)
-        self.ledger.charge(SOURCE_SCRATCH, 1)
-        return int(self._values[i])
-
     def _read_values(self, off, n):
         lo = max(off, self._lo)
         hi = min(off + n, self._lo + self._live.length)
@@ -468,11 +382,6 @@ class _PaddedVector(VectorOracleHandle):
     def __init__(self, parent: VectorOracleHandle, size: int):
         super().__init__(size, parent.field, parent.ledger)
         self._parent = parent
-
-    def _value_at(self, i):
-        if i < self._parent.length:
-            return self._parent._value_at(i)
-        return 0
 
     def _read_values(self, off, n):
         m = self._parent.length
@@ -510,7 +419,7 @@ def _check_uniform(handles, what: str):
 def concat_rows(handles: Sequence[MatrixOracleHandle]) -> MatrixOracleHandle:
     """Stack N equally shaped d x n oracles into an (N*d) x n oracle.
 
-    A query is routed to exactly one component, costing one query there.
+    Each entry read is routed to exactly one component and charged there.
     """
     _check_uniform(handles, "concat_rows")
     shape = (handles[0].rows, handles[0].cols)
@@ -545,10 +454,11 @@ def plant_rows(values: np.ndarray, live: MatrixOracleHandle, slot: int) -> Matri
     strip `slot` is the live d x n oracle and the rest are scratch.
 
     The caller has already written the live strip's values into rows
-    [slot*d, (slot+1)*d) of `values`; reads return views of `values`. A
-    query in the live rows is charged through the live handle, as reading
-    it would be, and any other query charges one scratch query, as a row
-    concatenation of scratch-wrapped co-strips around the live strip would.
+    [slot*d, (slot+1)*d) of `values`; reads return views of `values`. An
+    entry read in the live rows is charged through the live handle, as
+    reading it would be, and any other entry read charges one scratch
+    query, as a row concatenation of scratch-wrapped co-strips around the
+    live strip would.
     """
     d = live.rows
     if values.ndim != 2 or values.shape[1] != live.cols or values.shape[0] % d != 0:
@@ -593,7 +503,7 @@ def extract_submatrix_cols(handle: MatrixOracleHandle, col_offset: int, d: int) 
 def extract_block(handle: MatrixOracleHandle, i: int, j: int, d: int) -> MatrixOracleHandle:
     """View the (i, j)-th d x d block of a handle tiled into d-blocks.
 
-    Pure index arithmetic: one parent query per query.
+    Pure index arithmetic: each entry read is one parent entry read.
     """
     if d <= 0:
         raise ValueError("block size must be positive")
@@ -614,7 +524,7 @@ def extract_subvector(handle: VectorOracleHandle, offset: int, d: int) -> Vector
 
 
 def sum_vector_oracles(handles: Sequence[VectorOracleHandle]) -> VectorOracleHandle:
-    """Pointwise sum of equal-length oracles; a query costs one query per summand."""
+    """Pointwise sum of equal-length oracles; an entry read costs one per summand."""
     _check_uniform(handles, "sum_vector_oracles")
     d = handles[0].length
     for h in handles[1:]:
@@ -626,7 +536,7 @@ def sum_vector_oracles(handles: Sequence[VectorOracleHandle]) -> VectorOracleHan
 def embed_block_matrix(handle: MatrixOracleHandle, slot: int, k: int) -> MatrixOracleHandle:
     """Widen a d x d oracle to d x (k*d) with the block in column slot `slot`.
 
-    The k-1 zero blocks are structural: queries there cost nothing.
+    The k-1 zero blocks are structural: reading them costs nothing.
     """
     if handle.rows != handle.cols:
         raise ValueError(f"embedding expects a square block, got {handle.rows}x{handle.cols}")

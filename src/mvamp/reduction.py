@@ -52,7 +52,6 @@ from .oracle import (
     MatrixOracleHandle,
     QueryLedger,
     VectorOracleHandle,
-    concat_vectors,
     embed_block_matrix,
     extract_block,
     extract_subvector,
@@ -60,7 +59,6 @@ from .oracle import (
     pad_vector,
     plant_rows,
     plant_vector,
-    sum_vector_oracles,
     wrap_matrix,
     wrap_vector,
 )
@@ -121,8 +119,7 @@ class ReductionConfig:
     alpha is the solver's assumed average success rate; delta the target
     overall failure probability. k overrides the block count (None means
     choose_block_count decides via k_mode/c0). c1 and c2 scale the retry
-    budgets ceil(c1/alpha), ceil(c2/alpha) of the planting stages. seed
-    feeds standalone runs; the harness derives per-trial streams itself.
+    budgets ceil(c1/alpha), ceil(c2/alpha) of the planting stages.
     """
 
     alpha: float
@@ -134,7 +131,6 @@ class ReductionConfig:
     c2: float = 32.0
     boost_rounds: Optional[int] = None
     verifier: VerifierConfig = dataclass_field(default_factory=VerifierConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -324,7 +320,8 @@ def solve_strip_any_matrix(
     Draws R1 uniform, reads the strip once (d*n charged oracle queries) to
     form R2 = M - R1, solves both halves strip-wise, and returns the sum.
     Both halves are uniformly distributed, which is what solve_strip's
-    guarantee needs.
+    guarantee needs. Summing reads both length-d partial products as
+    scratch: 2*d scratch queries.
     """
     if stats is None:
         stats = StageStats()
@@ -344,10 +341,8 @@ def solve_strip_any_matrix(
     w2 = solve_strip(wrap_matrix(r2, ledger, SOURCE_SCRATCH), vec_handle, solver, config, rng, stats)
     if w2 is None:
         return None
-    summed = sum_vector_oracles(
-        [wrap_vector(w1, ledger, SOURCE_SCRATCH), wrap_vector(w2, ledger, SOURCE_SCRATCH)]
-    )
-    return summed.to_vector()
+    ledger.charge(SOURCE_SCRATCH, 2 * d)
+    return FpVector._trusted(field, (w1.values + w2.values) % p)
 
 
 def solve_block(
@@ -411,7 +406,8 @@ def solve_block_any_input(
     """solve_block for an arbitrary vector, via a uniform additive split.
 
     Draws r1 uniform, reads the vector once (d charged oracle queries) to
-    form r2 = v - r1, solves the block against both halves, and sums.
+    form r2 = v - r1, solves the block against both halves, and sums,
+    reading both length-d partial products as scratch: 2*d scratch queries.
     """
     if stats is None:
         stats = StageStats()
@@ -435,10 +431,8 @@ def solve_block_any_input(
     w2 = solve_block(mat_handle, wrap_vector(r2, ledger, SOURCE_SCRATCH), solver, config, rng, stats)
     if w2 is None:
         return None
-    summed = sum_vector_oracles(
-        [wrap_vector(w1, ledger, SOURCE_SCRATCH), wrap_vector(w2, ledger, SOURCE_SCRATCH)]
-    )
-    return summed.to_vector()
+    ledger.charge(SOURCE_SCRATCH, 2 * d)
+    return FpVector._trusted(field, (w1.values + w2.values) % p)
 
 
 def boost(
@@ -486,6 +480,8 @@ def worst_case_matvec(
     solve_block_any_input under a boost loop for each of the k^2 blocks,
     assembles the block-row sums, and truncates the padding. Any block
     exhausting its boost budget fails the whole run (result None).
+    Assembly reads the k^2 length-d block products to form the k row sums,
+    then the k row sums: k^2*d + k*d scratch queries.
     """
     n = mat_handle.rows
     if mat_handle.cols != n:
@@ -506,9 +502,8 @@ def worst_case_matvec(
     ledger = mat_handle.ledger
     stats = StageStats()
 
-    block_products: list[list[FpVector]] = []
+    block_products = np.empty((k, k, d), dtype=np.int64)
     for i in range(k):
-        row_products = []
         for j in range(k):
             block = extract_block(padded_mat, i, j, d)
             segment = extract_subvector(padded_vec, j * d, d)
@@ -521,17 +516,11 @@ def worst_case_matvec(
                 return ReductionOutcome(
                     result=None, stats=stats, block_count=k, padded_n=n_padded, original_n=n
                 )
-            row_products.append(out)
-        block_products.append(row_products)
+            block_products[i, j] = out.values
 
-    row_sums = []
-    for i in range(k):
-        handles = [wrap_vector(w, ledger, SOURCE_SCRATCH) for w in block_products[i]]
-        row_sums.append(sum_vector_oracles(handles).to_vector())
-    assembled = concat_vectors(
-        [wrap_vector(s, ledger, SOURCE_SCRATCH) for s in row_sums]
-    ).to_vector()
-    result = FpVector(field, assembled.values[:n])
+    ledger.charge(SOURCE_SCRATCH, k * k * d + k * d)
+    assembled = block_products.sum(axis=1) % field.modulus
+    result = FpVector(field, assembled.reshape(n_padded)[:n])
     return ReductionOutcome(result=result, stats=stats, block_count=k, padded_n=n_padded, original_n=n)
 
 

@@ -1,7 +1,8 @@
 """Query-counted oracle views over matrices and vectors.
 
-The central invariant: reading a region in bulk charges exactly as much as
-reading it entry by entry, and charges land on the source of the leaf that
+The central invariant: a bulk read charges one query per entry it reads,
+so reading a handle whole charges exactly as much as reading every
+one-entry window of it, and charges land on the source of the leaf that
 actually holds the data. Structural entries (embedding zeros, padding
 border) are free.
 """
@@ -37,11 +38,11 @@ F5 = PrimeField(5)
 
 
 def entry_scan_cost(handle):
-    """Charge for reading every entry one at a time, on a fresh ledger clone."""
+    """Charge for reading every entry through its own 1x1 window."""
     total_before = handle.ledger.total()
     for i in range(handle.rows):
         for j in range(handle.cols):
-            handle.entry(i, j)
+            extract_block(handle, i, j, 1).read_all()
     return handle.ledger.total() - total_before
 
 
@@ -93,20 +94,19 @@ def test_wrap_matrix_values_and_charges():
     m = FpMatrix(F5, [[1, 2, 3], [4, 0, 1]])
     h = wrap_matrix(m, led)
     assert h.rows == 2 and h.cols == 3 and h.field == F5
-    assert h.entry(1, 0).value == 4
+    assert extract_block(h, 1, 0, 1).read_all().tolist() == [[4]]
     assert led.get(SOURCE_MATRIX) == 1
-    blk = h.read_block(0, 2, 1, 2)
-    assert [list(r) for r in blk] == [[2, 3], [0, 1]]
-    assert led.get(SOURCE_MATRIX) == 1 + 4
+    assert extract_submatrix(h, 1, 1).read_all().tolist() == [[4, 0, 1]]
+    assert led.get(SOURCE_MATRIX) == 1 + 3
     h.read_all()
-    assert led.get(SOURCE_MATRIX) == 5 + 6
+    assert led.get(SOURCE_MATRIX) == 4 + 6
     assert h.to_matrix() == m
 
 
 def test_wrap_matrix_custom_source():
     led = QueryLedger()
     h = wrap_matrix(FpMatrix(F5, [[1]]), led, SOURCE_SCRATCH)
-    h.entry(0, 0)
+    h.read_all()
     assert led.snapshot() == {SOURCE_SCRATCH: 1}
 
 
@@ -115,26 +115,11 @@ def test_wrap_vector_values_and_charges():
     v = FpVector(F5, [3, 1, 4])
     h = wrap_vector(v, led)
     assert h.length == 3
-    assert h.entry(2).value == 4
+    assert extract_subvector(h, 2, 1).read_all().tolist() == [4]
     assert led.get(SOURCE_VECTOR) == 1
     assert list(h.read_all()) == [3, 1, 4]
     assert led.get(SOURCE_VECTOR) == 4
     assert h.to_vector() == v
-
-
-def test_read_block_validation():
-    led = QueryLedger()
-    h = wrap_matrix(FpMatrix(F5, [[1, 2], [3, 4]]), led)
-    with pytest.raises(ValueError):
-        h.read_block(0, 0, 0, 1)  # empty extent
-    with pytest.raises(IndexError):
-        h.read_block(-1, 1, 0, 1)
-    with pytest.raises(IndexError):
-        h.read_block(0, 3, 0, 1)
-    with pytest.raises(IndexError):
-        h.read_block(1, 1, 1, 2)
-    with pytest.raises(IndexError):
-        h.entry(0, 2)
 
 
 # ---------------------------------------------------------------- composites
@@ -156,7 +141,7 @@ def test_concat_rows_values_and_routing():
             wrap_matrix(FpMatrix(F5, [[0, 1], [2, 3]]), led2, "bot"),
         ]
     )
-    assert h2.entry(3, 1).value == 3
+    assert extract_block(h2, 3, 1, 1).read_all().tolist() == [[3]]
     assert led2.snapshot() == {"bot": 1}
 
 
@@ -177,8 +162,8 @@ def test_concat_cols_values():
     right = wrap_matrix(FpMatrix(F5, [[3, 4], [0, 1]]), led, "r")
     h = concat_cols([left, right])
     assert h.to_matrix().to_lists() == [[1, 0, 3, 4], [2, 2, 0, 1]]
-    assert h.entry(0, 0).value == 1
-    assert h.entry(1, 3).value == 1
+    assert extract_block(h, 0, 0, 1).read_all().tolist() == [[1]]
+    assert extract_block(h, 1, 3, 1).read_all().tolist() == [[1]]
     # parts must share one shape
     odd = wrap_matrix(FpMatrix(F5, [[1], [2]]), led)
     with pytest.raises(ValueError):
@@ -196,7 +181,7 @@ def test_concat_vectors_values_and_routing():
     assert h.length == 4
     assert h.to_vector().to_list() == [1, 2, 3, 4]
     assert led.snapshot() == {"a": 2, "b": 2}
-    assert h.entry(1).value == 2
+    assert extract_subvector(h, 1, 1).read_all().tolist() == [2]
     assert led.snapshot() == {"a": 3, "b": 2}
 
 
@@ -205,9 +190,8 @@ def test_extract_submatrix_window():
     m = FpMatrix(F5, [[0, 1, 2, 3], [4, 0, 1, 2], [3, 4, 0, 1], [2, 3, 4, 0]])
     h = extract_submatrix(wrap_matrix(m, led), 1, 2)
     assert h.rows == 2 and h.cols == 4
-    for i in range(2):
-        for j in range(4):
-            assert h.entry(i, j) == m.entry(i + 1, j)
+    assert np.array_equal(h.read_all(), m.values[1:3])
+    assert led.get(SOURCE_MATRIX) == 8  # only the window's entries
     with pytest.raises(IndexError):
         extract_submatrix(wrap_matrix(m, led), 3, 2)  # overruns the parent
     with pytest.raises(ValueError):
@@ -229,8 +213,7 @@ def test_extract_block_addressing():
     for bi in range(2):
         for bj in range(2):
             got = extract_block(h, bi, bj, 2).to_matrix()
-            expect = [[m.entry(2 * bi + r, 2 * bj + c).value for c in range(2)] for r in range(2)]
-            assert got.to_lists() == expect
+            assert got.to_lists() == m.values[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2].tolist()
     with pytest.raises(ValueError):
         extract_block(h, 0, 0, 3)
 
@@ -255,10 +238,10 @@ def test_embed_block_matrix_structural_zeros_are_free():
     # full read charged only the 4 planted entries
     assert led.get(SOURCE_MATRIX) == 4
     led_zero_probe = led.get(SOURCE_MATRIX)
-    assert h.entry(0, 0).value == 0
-    assert h.entry(1, 5).value == 0
+    assert extract_block(h, 0, 0, 2).read_all().tolist() == [[0, 0], [0, 0]]
+    assert extract_block(h, 0, 2, 2).read_all().tolist() == [[0, 0], [0, 0]]
     assert led.get(SOURCE_MATRIX) == led_zero_probe  # zeros cost nothing
-    assert h.entry(0, 3).value == 2
+    assert extract_block(h, 0, 3, 1).read_all().tolist() == [[2]]
     assert led.get(SOURCE_MATRIX) == led_zero_probe + 1
 
 
@@ -280,11 +263,11 @@ def test_pad_square_matrix_border_is_free():
     got = h.to_matrix()
     assert led.get(SOURCE_MATRIX) == 9  # only the embedded 3x3 costs
     assert [row[:3] for row in got.to_lists()[:3]] == m.to_lists()
-    assert got.entry(3, 3).value == 1 and got.entry(4, 4).value == 1
-    assert got.entry(3, 4).value == 0 and got.entry(0, 4).value == 0
+    assert got.values[3, 3] == 1 and got.values[4, 4] == 1
+    assert got.values[3, 4] == 0 and got.values[0, 4] == 0
     before = led.get(SOURCE_MATRIX)
-    assert h.entry(4, 4).value == 1
-    assert h.entry(2, 4).value == 0
+    assert extract_block(h, 4, 4, 1).read_all().tolist() == [[1]]
+    assert extract_block(h, 2, 4, 1).read_all().tolist() == [[0]]
     assert led.get(SOURCE_MATRIX) == before
 
 
@@ -310,7 +293,7 @@ def test_sum_vector_oracles_charges_every_term():
     h = sum_vector_oracles([a, b])
     assert h.to_vector().to_list() == [0, 1, 2]
     assert led.snapshot() == {"a": 3, "b": 3}
-    h.entry(0)
+    assert extract_subvector(h, 0, 1).read_all().tolist() == [0]
     assert led.snapshot() == {"a": 4, "b": 4}
 
 
@@ -345,12 +328,20 @@ def test_plant_rows_reads_and_charges_like_a_row_concatenation():
     for slot in range(3):
         for r0 in range(6):
             for nr in range(1, 7 - r0):
-                for c0, nc in ((0, 6), (2, 3), (5, 1)):
+                led_p, led_c = QueryLedger(), QueryLedger()
+                planted, concat = _planted_pair(led_p, slot)[0], _planted_pair(led_c, slot)[1]
+                got = extract_submatrix(planted, r0, nr).read_all()
+                assert np.array_equal(got, extract_submatrix(concat, r0, nr).read_all())
+                assert led_p.snapshot() == led_c.snapshot(), (slot, r0, nr)
+        # square windows of every size that tiles the 6x6 instance
+        for d in (1, 2, 3):
+            for bi in range(6 // d):
+                for bj in range(6 // d):
                     led_p, led_c = QueryLedger(), QueryLedger()
                     planted, concat = _planted_pair(led_p, slot)[0], _planted_pair(led_c, slot)[1]
-                    got = planted.read_block(r0, nr, c0, nc)
-                    assert np.array_equal(got, concat.read_block(r0, nr, c0, nc))
-                    assert led_p.snapshot() == led_c.snapshot(), (slot, r0, nr, c0, nc)
+                    got = extract_block(planted, bi, bj, d).read_all()
+                    assert np.array_equal(got, extract_block(concat, bi, bj, d).read_all())
+                    assert led_p.snapshot() == led_c.snapshot(), (slot, d, bi, bj)
         led_p, led_c = QueryLedger(), QueryLedger()
         planted, concat = _planted_pair(led_p, slot)[0], _planted_pair(led_c, slot)[1]
         assert entry_scan_cost(planted) == entry_scan_cost(concat)
@@ -374,11 +365,9 @@ def test_plant_vector_reads_and_charges_like_a_concatenation():
             for n in range(1, 7 - off):
                 led_p, led_c = QueryLedger(), QueryLedger()
                 planted, concat = _planted_vector_pair(led_p, slot)[0], _planted_vector_pair(led_c, slot)[1]
-                got = planted.read_block(off, n)
-                assert np.array_equal(got, concat.read_block(off, n))
+                got = extract_subvector(planted, off, n).read_all()
+                assert np.array_equal(got, extract_subvector(concat, off, n).read_all())
                 assert led_p.snapshot() == led_c.snapshot(), (slot, off, n)
-                assert planted.entry(off) == concat.entry(off)
-                assert led_p.snapshot() == led_c.snapshot(), (slot, off)
 
 
 def test_plant_validates_buffer_shape_and_slot():
@@ -425,7 +414,7 @@ def compositions(led):
 
 
 def test_bulk_read_equals_entry_scan_cost_and_values():
-    # conservation: read_all total == per-entry total, values identical
+    # conservation: read_all total == total over 1x1 windows, values identical
     for which in range(5):
         led_bulk = QueryLedger()
         handle_bulk = list(compositions(led_bulk))[which][0]
@@ -446,8 +435,8 @@ def test_row_block_reads_split_cleanly():
     led_a = QueryLedger()
     m = random_matrix(4, 4, F5, np.random.default_rng(5))
     h = wrap_matrix(m, led_a)
-    h.read_block(0, 2, 0, 4)
-    h.read_block(2, 2, 0, 4)
+    extract_submatrix(h, 0, 2).read_all()
+    extract_submatrix(h, 2, 2).read_all()
     led_b = QueryLedger()
     wrap_matrix(m, led_b).read_all()
     assert led_a.snapshot() == led_b.snapshot()

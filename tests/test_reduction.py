@@ -149,7 +149,7 @@ def test_good_fraction_goodbad_closed_form():
     # fraction is exactly 1/p
     for p in (2, 3):
         prof = GoodBadProfile(
-            lambda m, v: v.entry(0).value == 0, 1.0, 0.0, declared_average=1.0 / p
+            lambda m, v: int(v.values[0]) == 0, 1.0, 0.0, declared_average=1.0 / p
         )
         frac = good_fraction_exhaustive(NoisySolver(prof), 2, PrimeField(p))
         assert frac == pytest.approx(1.0 / p)

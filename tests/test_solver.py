@@ -35,7 +35,7 @@ def test_uniform_profile_constant():
 
 
 def test_goodbad_profile_splits_on_predicate():
-    prof = GoodBadProfile(lambda m, v: v.entry(0).value == 0, alpha_good=0.9, alpha_bad=0.1)
+    prof = GoodBadProfile(lambda m, v: int(v.values[0]) == 0, alpha_good=0.9, alpha_bad=0.1)
     m, _ = make_instance()
     assert prof.success_probability(m, FpVector(F5, [0, 1, 2])) == 0.9
     assert prof.success_probability(m, FpVector(F5, [1, 1, 2])) == 0.1
@@ -94,7 +94,7 @@ def test_exact_average_success_goodbad_closed_form():
     # predicate "first vector entry is 0" holds for exactly 1/p of inputs
     for p in (2, 3):
         f = PrimeField(p)
-        prof = GoodBadProfile(lambda m, v: v.entry(0).value == 0, alpha_good=1.0, alpha_bad=0.0)
+        prof = GoodBadProfile(lambda m, v: int(v.values[0]) == 0, alpha_good=1.0, alpha_bad=0.0)
         expect = 1.0 / p
         assert exact_average_success(prof, 2, f) == pytest.approx(expect)
 

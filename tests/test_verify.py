@@ -105,7 +105,7 @@ def test_false_accept_rate_matches_closed_form():
     m = FpMatrix(F5, [[1, 2], [3, 4]])
     v = FpVector(F5, [1, 1])
     truth = matvec(m, v)
-    wrong = FpVector(F5, [(truth.entry(0).value + 1) % 5, truth.entry(1).value])
+    wrong = FpVector(F5, [(truth.values[0] + 1) % 5, truth.values[1]])
     led = QueryLedger()
     hm, hv = wrap_matrix(m, led), wrap_vector(v, led)
     trials = 10000
@@ -122,7 +122,7 @@ def test_false_accept_rate_two_rounds():
     m = FpMatrix(F5, [[0, 1], [2, 2]])
     v = FpVector(F5, [3, 1])
     truth = matvec(m, v)
-    wrong = FpVector(F5, [truth.entry(0).value, (truth.entry(1).value + 2) % 5])
+    wrong = FpVector(F5, [truth.values[0], (truth.values[1] + 2) % 5])
     led = QueryLedger()
     hm, hv = wrap_matrix(m, led), wrap_vector(v, led)
     trials = 10000
@@ -174,7 +174,7 @@ def test_large_modulus_verification_falls_back_exactly():
     cfg = VerifierConfig(epsilon=0.5)
     truth = matvec(m, v)
     assert verify_product(hm, hv, truth, cfg, rng)
-    wrong = FpVector(f, [(truth.entry(0).value + 1) % p, truth.entry(1).value])
+    wrong = FpVector(f, [(truth.values[0] + 1) % p, truth.values[1]])
     rejections = sum(not verify_product(hm, hv, wrong, cfg, rng) for _ in range(30))
     # per-round false accept is 1/p ~ 5e-10, all 30 must reject
     assert rejections == 30
