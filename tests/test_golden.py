@@ -3,8 +3,10 @@
 Each case pins a campaign's `trials.csv` and, in `golden/ledgers.json`,
 what the CSV does not record: each trial's result, its full ledger
 snapshot (the `scratch` source included) and its stage counters
-(`verify_calls` included). A refactor of the pipeline must leave every
-file byte-identical.
+(`verify_calls` included). The criterion-8 campaign and its baseline twin
+(`pipeline = baseline`, one unamplified call per trial) also pin their
+`summary.json`, and the twin its `trials.csv`. A refactor of the pipeline
+or the harness must leave every file byte-identical.
 
 Regenerate the files (only when a change of output is intended and
 recorded) with:
@@ -23,9 +25,11 @@ from mvamp.harness import (
     _trial_input,
     build_reduction_config,
     build_solver,
+    campaign_summary,
     experiment_config_from_values,
     run_campaign,
     trial_rng,
+    write_summary_json,
     write_trials_csv,
 )
 from mvamp.oracle import QueryLedger, wrap_matrix, wrap_vector
@@ -79,6 +83,14 @@ CASES = {
     },
 }
 
+# campaigns whose summary.json is pinned; the baseline twin stays out of
+# CASES because its trials run no pipeline stage to fingerprint
+SUMMARY_CASES = {
+    "criterion8": CASES["criterion8"],
+    "criterion8_baseline": {**CASES["criterion8"], "pipeline": "baseline"},
+}
+BASELINE = "criterion8_baseline"
+
 
 def trial_fingerprint(config, trial: int) -> dict:
     """One trial as harness.run_trial runs it, keeping what the CSV drops."""
@@ -101,9 +113,19 @@ def trial_fingerprint(config, trial: int) -> dict:
     }
 
 
+def campaign(values: dict):
+    return run_campaign(experiment_config_from_values(dict(values)))
+
+
 def render_csv(name: str, tmp_dir: Path) -> bytes:
     path = tmp_dir / f"{name}_trials.csv"
-    write_trials_csv(run_campaign(experiment_config_from_values(dict(CASES[name]))).rows, str(path))
+    write_trials_csv(campaign({**CASES, **SUMMARY_CASES}[name]).rows, str(path))
+    return path.read_bytes()
+
+
+def render_summary(name: str, tmp_dir: Path) -> bytes:
+    path = tmp_dir / f"{name}_summary.json"
+    write_summary_json(campaign_summary(campaign(SUMMARY_CASES[name])), str(path))
     return path.read_bytes()
 
 
@@ -120,6 +142,15 @@ def test_trials_csv_matches_golden(name, tmp_path):
     assert render_csv(name, tmp_path) == (GOLDEN / f"{name}_trials.csv").read_bytes()
 
 
+def test_baseline_trials_csv_matches_golden(tmp_path):
+    assert render_csv(BASELINE, tmp_path) == (GOLDEN / f"{BASELINE}_trials.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_CASES))
+def test_summary_json_matches_golden(name, tmp_path):
+    assert render_summary(name, tmp_path) == (GOLDEN / f"{name}_summary.json").read_bytes()
+
+
 def test_ledgers_and_stage_counters_match_golden():
     assert render_ledgers() == (GOLDEN / LEDGERS).read_bytes()
 
@@ -129,3 +160,6 @@ if __name__ == "__main__":
     for case in CASES:
         (GOLDEN / f"{case}_trials.csv").write_bytes(render_csv(case, GOLDEN))
     (GOLDEN / LEDGERS).write_bytes(render_ledgers())
+    (GOLDEN / f"{BASELINE}_trials.csv").write_bytes(render_csv(BASELINE, GOLDEN))
+    for case in SUMMARY_CASES:
+        (GOLDEN / f"{case}_summary.json").write_bytes(render_summary(case, GOLDEN))

@@ -289,6 +289,28 @@ def test_scaling_sweep_tiny_run_shape():
     assert len(summary["entries"]) == 3
 
 
+def test_sweep_summary_lists_every_report_field():
+    # the explicit field-by-field mapping sweep.json has always had
+    rep = scaling_sweep(tiny_config(trials=2), [1.0, 0.5, 0.25], trials_per_alpha=2)
+    assert sweep_summary(rep) == {
+        "slope": rep.slope,
+        "slope_stderr": rep.slope_stderr,
+        "intercept": rep.intercept,
+        "entries": [
+            {
+                "alpha": e.alpha,
+                "trials": e.trials,
+                "success_rate": e.success_rate,
+                "mean_alg_queries": e.mean_alg_queries,
+                "mean_um_queries": e.mean_um_queries,
+            }
+            for e in rep.entries
+        ],
+        "version": rep.version,
+        "config": rep.config,
+    }
+
+
 # --------------------------------------------------------------------- CLI
 
 
