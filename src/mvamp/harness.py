@@ -13,8 +13,8 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field as dataclass_field, replace
-from typing import Optional, Sequence
+from dataclasses import MISSING, asdict, dataclass, field as dataclass_field, fields, replace
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -31,20 +31,8 @@ from .linalg import (
     random_vector,
     vector_by_index,
 )
-from .oracle import (
-    SOURCE_ALG,
-    SOURCE_MATRIX,
-    SOURCE_VECTOR,
-    SOURCE_VERIFIER,
-    QueryLedger,
-    wrap_matrix,
-    wrap_vector,
-)
-from .reduction import (
-    ReductionConfig,
-    ReductionReport,
-    worst_case_matvec,
-)
+from .oracle import QueryLedger, wrap_matrix, wrap_vector
+from .reduction import K_MODES, ReductionConfig, ReductionReport, StageStats, worst_case_matvec
 from .solver import (
     MAX_EXHAUSTIVE_PAIRS,
     GoodBadProfile,
@@ -55,10 +43,9 @@ from .solver import (
 )
 from .verify import ACCOUNTING_MODES, VERIFY_MODES, VerifierConfig, verified_call
 
-CSV_HEADER = (
-    "trial,success,alg_queries,um_queries,uv_queries,verifier_charged,"
-    "stage1_iters,stage3_iters,boost_rounds_total,wall_ms"
-)
+# trials.csv: every ReductionReport field but `returned`, in field order
+CSV_COLUMNS = tuple(f.name for f in fields(ReductionReport) if f.name != "returned")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 PROFILES = ("uniform", "goodbad", "planted")
 INPUT_MODES = ("random", "planted-bad", "exhaustive-tiny")
@@ -70,6 +57,19 @@ PREDICATES = {
     "v_first_zero": lambda m, v: int(v.values[0]) == 0,
     "v_first_even": lambda m, v: int(v.values[0]) % 2 == 0,
     "trace_zero": lambda m, v: int(np.trace(m.values)) % m.field.modulus == 0,
+}
+
+
+# Allowed values of every choice-valued config key.
+CHOICES = {
+    "profile": PROFILES,
+    "input_mode": INPUT_MODES,
+    "pipeline": PIPELINES,
+    "predicate": tuple(sorted(PREDICATES)),
+    "failure_mode": FAILURE_MODES,
+    "k_mode": K_MODES,
+    "verifier_mode": VERIFY_MODES,
+    "accounting": ACCOUNTING_MODES,
 }
 
 
@@ -123,30 +123,10 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'alpha' must lie in (0, 1], got {self.alpha}")
         if self.workers < 1:
             raise ConfigError(f"config key 'workers' must be positive, got {self.workers}")
-        if self.profile not in PROFILES:
-            raise ConfigError(f"config key 'profile' must be one of {PROFILES}, got {self.profile!r}")
-        if self.input_mode not in INPUT_MODES:
-            raise ConfigError(
-                f"config key 'input_mode' must be one of {INPUT_MODES}, got {self.input_mode!r}"
-            )
-        if self.pipeline not in PIPELINES:
-            raise ConfigError(f"config key 'pipeline' must be one of {PIPELINES}, got {self.pipeline!r}")
-        if self.predicate not in PREDICATES:
-            raise ConfigError(
-                f"config key 'predicate' must be one of {sorted(PREDICATES)}, got {self.predicate!r}"
-            )
-        if self.failure_mode not in FAILURE_MODES:
-            raise ConfigError(
-                f"config key 'failure_mode' must be one of {FAILURE_MODES}, got {self.failure_mode!r}"
-            )
-        if self.verifier_mode not in VERIFY_MODES:
-            raise ConfigError(
-                f"config key 'verifier_mode' must be one of {VERIFY_MODES}, got {self.verifier_mode!r}"
-            )
-        if self.accounting not in ACCOUNTING_MODES:
-            raise ConfigError(
-                f"config key 'accounting' must be one of {ACCOUNTING_MODES}, got {self.accounting!r}"
-            )
+        for key, allowed in CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigError(f"config key '{key}' must be one of {allowed}, got {value!r}")
         if self.input_mode == "planted-bad" and self.profile != "planted":
             raise ConfigError("config key 'input_mode' = planted-bad requires profile = planted")
 
@@ -155,52 +135,31 @@ class ExperimentConfig:
 # config file parsing
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {"modulus", "n", "trials", "seed", "workers", "profile_seed", "k", "boost_rounds", "queries_per_call"}
-_FLOAT_KEYS = {
-    "alpha",
-    "bad_fraction",
-    "alpha_good",
-    "alpha_bad",
-    "delta",
-    "c0",
-    "c1",
-    "c2",
-    "verifier_epsilon",
-    "min_success_rate",
-}
-_STR_KEYS = {
-    "profile",
-    "predicate",
-    "failure_mode",
-    "input_mode",
-    "pipeline",
-    "k_mode",
-    "verifier_mode",
-    "accounting",
-}
-_BOOL_KEYS = {"measure_time"}
-_OPTIONAL_KEYS = {"k", "boost_rounds", "queries_per_call", "min_success_rate"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
-_REQUIRED_KEYS = ("modulus", "n", "trials", "alpha")
+
+def _value_type(hint) -> tuple[type, bool]:
+    """A field's value type, and whether it is Optional (an empty value means None)."""
+    args = [t for t in get_args(hint) if t is not type(None)]
+    return (args[0], True) if args else (hint, False)
+
+
+_KEY_TYPES = {key: _value_type(hint) for key, hint in get_type_hints(ExperimentConfig).items()}
+_REQUIRED_KEYS = tuple(
+    f.name for f in fields(ExperimentConfig) if f.default is MISSING and f.default_factory is MISSING
+)
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _coerce(key: str, raw: str):
+    kind, optional = _KEY_TYPES[key]
     if raw == "":
-        if key in _OPTIONAL_KEYS:
+        if optional:
             return None
         raise ConfigError(f"config key '{key}' has an empty value")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            return _BOOL_VALUES[raw.lower()]
+        return _BOOL_VALUES[raw.lower()] if kind is bool else kind(raw)
     except (ValueError, KeyError):
         raise ConfigError(f"config key '{key}' has malformed value {raw!r}") from None
-    return raw
 
 
 def parse_config_text(text: str) -> dict:
@@ -213,7 +172,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key '{key}'")
@@ -345,27 +304,18 @@ def run_trial(config: ExperimentConfig, trial: int) -> ReductionReport:
 
     start = time.perf_counter() if config.measure_time else None
     if config.pipeline == "baseline":
-        out = verified_call(solver, mat_handle, vec_handle, reduction_config.verifier, rng)
-        wall_ms = int((time.perf_counter() - start) * 1000) if start is not None else 0
-        returned = out is not None
-        correct = returned and out == truth
-        return ReductionReport(
-            trial=trial,
-            success=1 if correct else 0,
-            returned=1 if returned else 0,
-            alg_queries=ledger.get(SOURCE_ALG),
-            um_queries=ledger.get(SOURCE_MATRIX),
-            uv_queries=ledger.get(SOURCE_VECTOR),
-            verifier_charged=ledger.get(SOURCE_VERIFIER),
-            stage1_iters=0,
-            stage3_iters=0,
-            boost_rounds_total=0,
-            wall_ms=wall_ms,
-        )
-    outcome = worst_case_matvec(mat_handle, vec_handle, solver, reduction_config, rng)
+        # one unamplified, verified call: no pipeline stage runs
+        result = verified_call(solver, mat_handle, vec_handle, reduction_config.verifier, rng)
+        stats = StageStats()
+    else:
+        outcome = worst_case_matvec(mat_handle, vec_handle, solver, reduction_config, rng)
+        result, stats = outcome.result, outcome.stats
     wall_ms = int((time.perf_counter() - start) * 1000) if start is not None else 0
-    correct = outcome.result is not None and outcome.result == truth
-    return ReductionReport.from_run(trial, outcome, ledger, correct, wall_ms)
+    correct = result is not None and result == truth
+    report = ReductionReport.from_run(trial, result, stats, ledger, correct, wall_ms)
+    if config.pipeline == "full":
+        report.check_consistency()
+    return report
 
 
 def _trial_task(args) -> ReductionReport:
@@ -451,29 +401,12 @@ def write_trials_csv(rows: Sequence[ReductionReport], path: str):
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(CSV_HEADER + "\n")
         for r in rows:
-            f.write(
-                f"{r.trial},{r.success},{r.alg_queries},{r.um_queries},{r.uv_queries},"
-                f"{r.verifier_charged},{r.stage1_iters},{r.stage3_iters},"
-                f"{r.boost_rounds_total},{r.wall_ms}\n"
-            )
+            f.write(",".join(str(getattr(r, c)) for c in CSV_COLUMNS) + "\n")
 
 
 def campaign_summary(report: CampaignReport) -> dict:
-    return {
-        "success_rate": report.success_rate,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
-        "mean_alg_queries": report.mean_alg_queries,
-        "max_alg_queries": report.max_alg_queries,
-        "mean_um_queries": report.mean_um_queries,
-        "mean_uv_queries": report.mean_uv_queries,
-        "mean_verifier_charged": report.mean_verifier_charged,
-        "trials": report.trials,
-        "successes": report.successes,
-        "wrong_returns": report.wrong_returns,
-        "version": report.version,
-        "config": report.config,
-    }
+    """Every CampaignReport field but the per-trial rows."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "rows"}
 
 
 def write_summary_json(summary: dict, path: str):
@@ -566,20 +499,4 @@ def scaling_sweep(
 
 
 def sweep_summary(report: SweepReport) -> dict:
-    return {
-        "slope": report.slope,
-        "slope_stderr": report.slope_stderr,
-        "intercept": report.intercept,
-        "entries": [
-            {
-                "alpha": e.alpha,
-                "trials": e.trials,
-                "success_rate": e.success_rate,
-                "mean_alg_queries": e.mean_alg_queries,
-                "mean_um_queries": e.mean_um_queries,
-            }
-            for e in report.entries
-        ],
-        "version": report.version,
-        "config": report.config,
-    }
+    return asdict(report)

@@ -38,34 +38,12 @@ class FpVector:
         self.values = values
         return self
 
-    @classmethod
-    def zeros(cls, field: PrimeField, n: int) -> "FpVector":
-        if n <= 0:
-            raise ValueError(f"vector length must be positive, got {n}")
-        return cls(field, np.zeros(n, dtype=np.int64))
-
     @property
     def length(self) -> int:
         return self.values.shape[0]
 
     def to_list(self) -> list[int]:
         return [int(x) for x in self.values]
-
-    def _check_same_shape(self, other: "FpVector"):
-        if not isinstance(other, FpVector):
-            raise TypeError(f"expected FpVector, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError("field mismatch between vectors")
-        if other.length != self.length:
-            raise ValueError(f"length mismatch: {self.length} vs {other.length}")
-
-    def __add__(self, other: "FpVector") -> "FpVector":
-        self._check_same_shape(other)
-        return FpVector(self.field, (self.values + other.values) % self.field.modulus)
-
-    def __sub__(self, other: "FpVector") -> "FpVector":
-        self._check_same_shape(other)
-        return FpVector(self.field, (self.values - other.values) % self.field.modulus)
 
     def __eq__(self, other) -> bool:
         return (
@@ -101,18 +79,6 @@ class FpMatrix:
         self.values = values
         return self
 
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FpMatrix":
-        if rows <= 0 or cols <= 0:
-            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "FpMatrix":
-        if n <= 0:
-            raise ValueError(f"matrix dimension must be positive, got {n}")
-        return cls(field, np.eye(n, dtype=np.int64) % field.modulus)
-
     @property
     def rows(self) -> int:
         return self.values.shape[0]
@@ -123,22 +89,6 @@ class FpMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.values]
-
-    def _check_same_shape(self, other: "FpMatrix"):
-        if not isinstance(other, FpMatrix):
-            raise TypeError(f"expected FpMatrix, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError("field mismatch between matrices")
-        if (other.rows, other.cols) != (self.rows, self.cols):
-            raise ValueError("shape mismatch between matrices")
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check_same_shape(other)
-        return FpMatrix(self.field, (self.values + other.values) % self.field.modulus)
-
-    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check_same_shape(other)
-        return FpMatrix(self.field, (self.values - other.values) % self.field.modulus)
 
     def __eq__(self, other) -> bool:
         return (
@@ -226,54 +176,6 @@ def random_vector(n: int, field: PrimeField, rng: np.random.Generator) -> FpVect
     if n <= 0:
         raise ValueError(f"vector length must be positive, got {n}")
     return FpVector(field, rng.integers(0, field.modulus, size=n, dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# block structure
-# ---------------------------------------------------------------------------
-
-
-def block(matrix: FpMatrix, i: int, j: int, d: int) -> FpMatrix:
-    """Return the (i, j)-th d-by-d block of a matrix tiled into d-blocks."""
-    if d <= 0:
-        raise ValueError(f"block size must be positive, got {d}")
-    if matrix.rows % d != 0 or matrix.cols % d != 0:
-        raise ValueError(
-            f"block size {d} does not divide matrix shape {matrix.rows}x{matrix.cols}"
-        )
-    if not (0 <= i < matrix.rows // d and 0 <= j < matrix.cols // d):
-        raise IndexError(f"block index ({i},{j}) out of range")
-    return FpMatrix(matrix.field, matrix.values[i * d : (i + 1) * d, j * d : (j + 1) * d])
-
-
-def pad_to_multiple(matrix: FpMatrix, vector: FpVector, k: int) -> tuple[FpMatrix, FpVector, int]:
-    """Embed a square system into the next size divisible by k.
-
-    The matrix lands in the top-left corner; padded diagonal entries are 1
-    and everything else in the border is 0, so the padded product agrees
-    with the original on the first n coordinates and is 0 beyond them.
-    Returns (padded matrix, padded vector, original n).
-    """
-    if k <= 0:
-        raise ValueError(f"divisor must be positive, got {k}")
-    if matrix.rows != matrix.cols:
-        raise ValueError(f"padding expects a square matrix, got {matrix.rows}x{matrix.cols}")
-    if vector.length != matrix.cols:
-        raise ValueError("vector length does not match matrix dimension")
-    if matrix.field != vector.field:
-        raise ValueError("field mismatch between matrix and vector")
-    n = matrix.rows
-    n_padded = ((n + k - 1) // k) * k
-    if n_padded == n:
-        return matrix, vector, n
-    field = matrix.field
-    m_vals = np.zeros((n_padded, n_padded), dtype=np.int64)
-    m_vals[:n, :n] = matrix.values
-    for t in range(n, n_padded):
-        m_vals[t, t] = 1 % field.modulus
-    v_vals = np.zeros(n_padded, dtype=np.int64)
-    v_vals[:n] = vector.values
-    return FpMatrix(field, m_vals), FpVector(field, v_vals), n
 
 
 # ---------------------------------------------------------------------------

@@ -551,7 +551,8 @@ def pad_square_matrix(handle: MatrixOracleHandle, size: int) -> MatrixOracleHand
     """Embed a square oracle top-left in a `size`-square oracle.
 
     The border is identity-on-diagonal / zero elsewhere, synthesized without
-    parent queries; agrees with the concrete padding helper in linalg.
+    parent queries, so the padded product restricts to the original one on
+    the first rows and is zero beyond them.
     """
     if handle.rows != handle.cols:
         raise ValueError(f"padding expects a square handle, got {handle.rows}x{handle.cols}")

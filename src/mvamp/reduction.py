@@ -152,10 +152,10 @@ class ReductionConfig:
     def stage3_budget(self) -> int:
         return math.ceil(self.c2 / self.alpha)
 
-    def resolved_k(self, n: Optional[int] = None) -> int:
+    def resolved_k(self) -> int:
         if self.k is not None:
             return self.k
-        return choose_block_count(self.alpha, n, self.k_mode, self.c0)
+        return choose_block_count(self.alpha, mode=self.k_mode, c0=self.c0)
 
     def resolved_boost_rounds(self, k: int) -> int:
         if self.boost_rounds is not None:
@@ -491,7 +491,7 @@ def worst_case_matvec(
     if mat_handle.field != vec_handle.field:
         raise ValueError("field mismatch between matrix and vector handles")
 
-    k = config.resolved_k(n)
+    k = config.resolved_k()
     rounds = config.resolved_boost_rounds(k)
     run_config = config if config.k == k else replace(config, k=k)
     n_padded = ((n + k - 1) // k) * k
@@ -557,23 +557,22 @@ class ReductionReport:
     def from_run(
         cls,
         trial: int,
-        outcome: ReductionOutcome,
+        result: Optional[FpVector],
+        stats: StageStats,
         ledger: QueryLedger,
         correct: bool,
         wall_ms: int = 0,
     ) -> "ReductionReport":
-        report = cls(
+        return cls(
             trial=trial,
             success=1 if correct else 0,
-            returned=1 if outcome.succeeded else 0,
+            returned=0 if result is None else 1,
             alg_queries=ledger.get(SOURCE_ALG),
             um_queries=ledger.get(SOURCE_MATRIX),
             uv_queries=ledger.get(SOURCE_VECTOR),
             verifier_charged=ledger.get(SOURCE_VERIFIER),
-            stage1_iters=outcome.stats.stage1_iters,
-            stage3_iters=outcome.stats.stage3_iters,
-            boost_rounds_total=outcome.stats.boost_rounds_total,
+            stage1_iters=stats.stage1_iters,
+            stage3_iters=stats.stage3_iters,
+            boost_rounds_total=stats.boost_rounds_total,
             wall_ms=wall_ms,
         )
-        report.check_consistency()
-        return report

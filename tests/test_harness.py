@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +116,115 @@ def test_config_validation_errors():
             experiment_config_from_values({**BASE_VALUES, **over})
 
 
+def test_choice_errors_name_the_key():
+    for key in ("profile", "input_mode", "pipeline", "predicate", "failure_mode", "k_mode",
+                "verifier_mode", "accounting"):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            experiment_config_from_values({**BASE_VALUES, key: "fancy"})
+
+
+# every key set to a value other than its default (required keys have none)
+ALL_KEYS_TEXT = """
+modulus = 7
+n = 3
+trials = 5
+alpha = 0.5
+seed = 9
+workers = 2
+profile = planted
+bad_fraction = 0.25
+profile_seed = 4
+predicate = trace_zero
+alpha_good = 0.75
+alpha_bad = 0.125
+queries_per_call = 11
+failure_mode = perturb
+input_mode = planted-bad
+pipeline = baseline
+k = 3
+k_mode = paper
+delta = 0.05
+c0 = 4.5
+c1 = 16
+c2 = 8.5
+boost_rounds = 3
+verifier_epsilon = 0.001
+verifier_mode = exact
+accounting = actual
+measure_time = yes
+min_success_rate = 0.75
+"""
+
+ALL_KEYS_CONFIG = ExperimentConfig(
+    modulus=7,
+    n=3,
+    trials=5,
+    alpha=0.5,
+    seed=9,
+    workers=2,
+    profile="planted",
+    bad_fraction=0.25,
+    profile_seed=4,
+    predicate="trace_zero",
+    alpha_good=0.75,
+    alpha_bad=0.125,
+    queries_per_call=11,
+    failure_mode="perturb",
+    input_mode="planted-bad",
+    pipeline="baseline",
+    k=3,
+    k_mode="paper",
+    delta=0.05,
+    c0=4.5,
+    c1=16.0,
+    c2=8.5,
+    boost_rounds=3,
+    verifier_epsilon=0.001,
+    verifier_mode="exact",
+    accounting="actual",
+    measure_time=True,
+    min_success_rate=0.75,
+)
+
+
+def assert_same_config(parsed, direct):
+    assert parsed == direct
+    for f in fields(ExperimentConfig):
+        assert type(getattr(parsed, f.name)) is type(getattr(direct, f.name)), f.name
+
+
+def test_config_text_round_trips_every_key():
+    values = parse_config_text(ALL_KEYS_TEXT)
+    assert set(values) == {f.name for f in fields(ExperimentConfig)}
+    assert len(values) == 28
+    for f in fields(ExperimentConfig):
+        if f.default is not MISSING:
+            assert getattr(ALL_KEYS_CONFIG, f.name) != f.default, f.name
+    assert_same_config(experiment_config_from_values(values), ALL_KEYS_CONFIG)
+
+
+def test_config_text_empty_optional_keys_round_trip():
+    optional = ("queries_per_call", "k", "boost_rounds", "min_success_rate")
+    text = re.sub(rf"^({'|'.join(optional)}) = .*$", r"\1 =", ALL_KEYS_TEXT, flags=re.M)
+    direct = ExperimentConfig(**{**ALL_KEYS_CONFIG.__dict__, **dict.fromkeys(optional)})
+    assert_same_config(experiment_config_from_values(parse_config_text(text)), direct)
+    for key in ("modulus", "n", "pipeline", "measure_time"):
+        with pytest.raises(ConfigError, match="empty value"):
+            parse_config_text(f"{key} =\n")
+
+
+def test_config_text_requires_exactly_the_keys_without_defaults():
+    # random inputs, so that dropping `profile` leaves a valid config
+    values = {**parse_config_text(ALL_KEYS_TEXT), "input_mode": "random"}
+    for key in values:
+        rest = {k: v for k, v in values.items() if k != key}
+        if key in ("modulus", "n", "trials", "alpha"):
+            with pytest.raises(ConfigError, match=f"missing required config key '{key}'"):
+                experiment_config_from_values(rest)
+        else:
+            experiment_config_from_values(rest)
+
+
 def test_planted_bad_mode_requires_planted_profile():
     cfg = experiment_config_from_values(
         {**BASE_VALUES, "profile": "planted", "input_mode": "planted-bad", "alpha": 0.25}
@@ -221,6 +333,23 @@ def test_wilson_interval_matches_closed_form():
         rlo, rhi = reference(s, t)
         assert lo == pytest.approx(rlo)
         assert hi == pytest.approx(rhi)
+
+
+def test_readme_matches_config_and_csv_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    required = re.search(r"^Required: (.*)$", section, re.M).group(1)
+    table_keys = [
+        key
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for key in re.findall(r"`([a-z_0-9]+)`", line.split("|")[1])
+    ]
+    required_keys = re.findall(r"`([a-z_0-9]+)`", required)
+    assert sorted(required_keys + table_keys) == sorted(f.name for f in fields(ExperimentConfig))
+    assert required_keys == [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+    header = re.search(r"`trials.csv` has one row per trial.*?```\n(.*?)\n```", readme, re.S)
+    assert header.group(1) == CSV_HEADER
 
 
 def test_write_trials_csv_layout(tmp_path):

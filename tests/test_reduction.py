@@ -540,7 +540,7 @@ def test_reduction_report_from_run_and_consistency():
     v = random_vector(2, F5, rng)
     led = QueryLedger()
     out = worst_case_matvec(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
-    rep = ReductionReport.from_run(3, out, led, correct=(out.result == matvec(m, v)))
+    rep = ReductionReport.from_run(3, out.result, out.stats, led, correct=(out.result == matvec(m, v)))
     assert rep.trial == 3
     assert rep.success
     assert rep.alg_queries == out.stats.stage1_iters
