@@ -546,7 +546,7 @@ class ReductionReport:
     wall_ms: int
 
     def check_consistency(self):
-        """Every solver call happens in a stage-1 attempt; the counts must agree."""
+        """In the full pipeline every solver call happens in a stage-1 attempt; the counts must agree."""
         if self.alg_queries != self.stage1_iters:
             raise ValueError(
                 f"ledger shows {self.alg_queries} solver calls but stage 1 ran "

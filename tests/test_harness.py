@@ -67,62 +67,6 @@ def test_parse_config_text_rejects_malformed_lines():
         parse_config_text("modulus 5\n")
 
 
-def test_missing_required_key_is_named():
-    values = dict(BASE_VALUES)
-    del values["alpha"]
-    with pytest.raises(ConfigError) as err:
-        experiment_config_from_values(values)
-    assert "alpha" in str(err.value)
-
-
-def test_optional_empty_values_become_none():
-    values = parse_config_text("modulus = 5\nn = 2\ntrials = 4\nalpha = 1.0\nk =\nboost_rounds =\n")
-    assert values["k"] is None and values["boost_rounds"] is None
-    cfg = experiment_config_from_values(values)
-    assert cfg.k is None and cfg.boost_rounds is None
-
-
-def test_overrides_win():
-    cfg = experiment_config_from_values(BASE_VALUES, {"trials": 9, "seed": 3})
-    assert cfg.trials == 9 and cfg.seed == 3
-
-
-def test_parse_config_reads_file(tmp_path):
-    path = tmp_path / "c.cfg"
-    path.write_text("modulus = 5\nn = 2\ntrials = 3\nalpha = 0.5\nk = 2\n")
-    cfg = parse_config(str(path))
-    assert cfg.modulus == 5 and cfg.n == 2 and cfg.trials == 3
-    assert cfg.alpha == 0.5 and cfg.k == 2
-
-
-def test_config_validation_errors():
-    bad_cases = [
-        {"modulus": 6},
-        {"trials": 0},
-        {"alpha": 0.0},
-        {"alpha": 1.2},
-        {"profile": "martian"},
-        {"pipeline": "other"},
-        {"input_mode": "other"},
-        {"predicate": "other"},
-        {"input_mode": "planted-bad"},  # needs the planted profile
-        {"verifier_mode": "other"},
-        {"accounting": "other"},
-        {"failure_mode": "other"},
-        {"workers": 0},
-    ]
-    for over in bad_cases:
-        with pytest.raises(ConfigError):
-            experiment_config_from_values({**BASE_VALUES, **over})
-
-
-def test_choice_errors_name_the_key():
-    for key in ("profile", "input_mode", "pipeline", "predicate", "failure_mode", "k_mode",
-                "verifier_mode", "accounting"):
-        with pytest.raises(ConfigError, match=f"'{key}'"):
-            experiment_config_from_values({**BASE_VALUES, key: "fancy"})
-
-
 # every key set to a value other than its default (required keys have none)
 ALL_KEYS_TEXT = """
 modulus = 7
@@ -187,34 +131,22 @@ ALL_KEYS_CONFIG = ExperimentConfig(
 )
 
 
-def assert_same_config(parsed, direct):
-    assert parsed == direct
-    for f in fields(ExperimentConfig):
-        assert type(getattr(parsed, f.name)) is type(getattr(direct, f.name)), f.name
-
-
 def test_config_text_round_trips_every_key():
     values = parse_config_text(ALL_KEYS_TEXT)
     assert set(values) == {f.name for f in fields(ExperimentConfig)}
     assert len(values) == 28
+    parsed = experiment_config_from_values(values)
+    assert parsed == ALL_KEYS_CONFIG
     for f in fields(ExperimentConfig):
         if f.default is not MISSING:
             assert getattr(ALL_KEYS_CONFIG, f.name) != f.default, f.name
-    assert_same_config(experiment_config_from_values(values), ALL_KEYS_CONFIG)
+        # 3 == 3.0, so compare the coerced types too
+        assert type(getattr(parsed, f.name)) is type(getattr(ALL_KEYS_CONFIG, f.name)), f.name
 
 
-def test_config_text_empty_optional_keys_round_trip():
-    optional = ("queries_per_call", "k", "boost_rounds", "min_success_rate")
-    text = re.sub(rf"^({'|'.join(optional)}) = .*$", r"\1 =", ALL_KEYS_TEXT, flags=re.M)
-    direct = ExperimentConfig(**{**ALL_KEYS_CONFIG.__dict__, **dict.fromkeys(optional)})
-    assert_same_config(experiment_config_from_values(parse_config_text(text)), direct)
-    for key in ("modulus", "n", "pipeline", "measure_time"):
-        with pytest.raises(ConfigError, match="empty value"):
-            parse_config_text(f"{key} =\n")
-
-
-def test_config_text_requires_exactly_the_keys_without_defaults():
-    # random inputs, so that dropping `profile` leaves a valid config
+def test_missing_required_key_is_named():
+    # exactly the keys without a default are required; random inputs, so
+    # that dropping `profile` leaves a valid config
     values = {**parse_config_text(ALL_KEYS_TEXT), "input_mode": "random"}
     for key in values:
         rest = {k: v for k, v in values.items() if k != key}
@@ -223,6 +155,54 @@ def test_config_text_requires_exactly_the_keys_without_defaults():
                 experiment_config_from_values(rest)
         else:
             experiment_config_from_values(rest)
+
+
+def test_optional_empty_values_become_none():
+    optional = ("queries_per_call", "k", "boost_rounds", "min_success_rate")
+    text = "modulus = 5\nn = 2\ntrials = 4\nalpha = 1.0\n" + "".join(f"{key} =\n" for key in optional)
+    values = parse_config_text(text)
+    assert all(values[key] is None for key in optional)
+    cfg = experiment_config_from_values(values)
+    assert all(getattr(cfg, key) is None for key in optional)
+    for key in ("modulus", "alpha", "pipeline", "measure_time"):
+        with pytest.raises(ConfigError, match="empty value"):
+            parse_config_text(f"{key} =\n")
+
+
+def test_overrides_win():
+    cfg = experiment_config_from_values(BASE_VALUES, {"trials": 9, "seed": 3})
+    assert cfg.trials == 9 and cfg.seed == 3
+
+
+def test_parse_config_reads_file(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("modulus = 5\nn = 2\ntrials = 3\nalpha = 0.5\nk = 2\n")
+    cfg = parse_config(str(path))
+    assert cfg.modulus == 5 and cfg.n == 2 and cfg.trials == 3
+    assert cfg.alpha == 0.5 and cfg.k == 2
+
+
+def test_config_validation_errors():
+    bad_cases = [
+        {"modulus": 6},
+        {"trials": 0},
+        {"alpha": 0.0},
+        {"alpha": 1.2},
+        {"profile": "martian"},
+        {"pipeline": "other"},
+        {"input_mode": "other"},
+        {"predicate": "other"},
+        {"input_mode": "planted-bad"},  # needs the planted profile
+        {"verifier_mode": "other"},
+        {"accounting": "other"},
+        {"failure_mode": "other"},
+        {"k_mode": "other"},
+        {"workers": 0},
+    ]
+    for over in bad_cases:
+        (key,) = over
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            experiment_config_from_values({**BASE_VALUES, **over})
 
 
 def test_planted_bad_mode_requires_planted_profile():
