@@ -73,6 +73,21 @@ CHOICES = {
 }
 
 
+# Allowed range of every numeric config key: (description, test). An
+# Optional key left at None skips its check.
+_POSITIVE = ("be positive and finite", lambda x: 0 < x < math.inf)
+_PROBABILITY = ("lie in [0, 1]", lambda x: 0 <= x <= 1)
+RANGES = {
+    **dict.fromkeys(("n", "trials", "workers", "k", "boost_rounds", "c0", "c1", "c2"), _POSITIVE),
+    **dict.fromkeys(("alpha_good", "alpha_bad", "min_success_rate"), _PROBABILITY),
+    **dict.fromkeys(("delta", "verifier_epsilon"), ("lie in (0, 1)", lambda x: 0 < x < 1)),
+    "alpha": ("lie in (0, 1]", lambda x: 0 < x <= 1),
+    "bad_fraction": ("lie in [0, 1)", lambda x: 0 <= x < 1),
+    "queries_per_call": ("be nonnegative", lambda x: x >= 0),
+    "profile_seed": ("fit in 64 signed bits", lambda x: -(2**63) <= x < 2**63),
+}
+
+
 class ConfigError(ValueError):
     """A config file or override failed validation; the message names the key."""
 
@@ -115,20 +130,21 @@ class ExperimentConfig:
             check_modulus(self.modulus)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"config key 'modulus' must be a supported prime: {err}") from None
-        if self.n < 1:
-            raise ConfigError(f"config key 'n' must be positive, got {self.n}")
-        if self.trials < 1:
-            raise ConfigError(f"config key 'trials' must be positive, got {self.trials}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"config key 'alpha' must lie in (0, 1], got {self.alpha}")
-        if self.workers < 1:
-            raise ConfigError(f"config key 'workers' must be positive, got {self.workers}")
+        for key, (allowed, test) in RANGES.items():
+            value = getattr(self, key)
+            if value is not None and not test(value):
+                raise ConfigError(f"config key '{key}' must {allowed}, got {value}")
         for key, allowed in CHOICES.items():
             value = getattr(self, key)
             if value not in allowed:
                 raise ConfigError(f"config key '{key}' must be one of {allowed}, got {value!r}")
         if self.input_mode == "planted-bad" and self.profile != "planted":
             raise ConfigError("config key 'input_mode' = planted-bad requires profile = planted")
+        if self.profile == "planted" and self.alpha > 1.0 - self.bad_fraction + 1e-12:
+            raise ConfigError(
+                f"config key 'alpha' = {self.alpha} is unreachable with 'profile' = planted: "
+                f"inputs outside the 'bad_fraction' = {self.bad_fraction} would need success above 1"
+            )
 
 
 # ---------------------------------------------------------------------------

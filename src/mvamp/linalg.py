@@ -109,8 +109,8 @@ class FpMatrix:
 # arithmetic on raw value arrays
 # ---------------------------------------------------------------------------
 
-# int64 products stay exact while terms * (p-1)^2 < 2^63; beyond that fall
-# back to Python big ints.
+# int64 products stay exact while terms * (p-1)^2 < 2^63; beyond that the
+# product is taken over Python ints, which cannot overflow.
 _INT64_LIMIT = 2**63
 
 
@@ -118,35 +118,27 @@ def _fits_int64(n_terms: int, modulus: int) -> bool:
     return n_terms * (modulus - 1) ** 2 < _INT64_LIMIT
 
 
+def _product_values(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """Exact (a @ b) mod p on int64 residues, for any shapes matmul accepts."""
+    if _fits_int64(a.shape[-1], modulus):
+        return (a @ b) % modulus
+    # asarray: a 1-D by 1-D object product is a Python int, not an array
+    return np.asarray((a.astype(object) @ b.astype(object)) % modulus).astype(np.int64)
+
+
 def matvec_values(m_vals: np.ndarray, v_vals: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact (M @ v) mod p on raw int64 arrays."""
-    rows, cols = m_vals.shape
-    if _fits_int64(cols, modulus):
-        return (m_vals @ v_vals) % modulus
-    out = np.empty(rows, dtype=np.int64)
-    vv = [int(x) for x in v_vals]
-    for i in range(rows):
-        out[i] = sum(int(a) * b for a, b in zip(m_vals[i], vv)) % modulus
-    return out
+    """Exact (M @ v) mod p on raw int64 arrays; M may be a stack of rows."""
+    return _product_values(m_vals, v_vals, modulus)
 
 
 def vecmat_values(r_vals: np.ndarray, m_vals: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact (r @ M) mod p on raw int64 arrays."""
-    rows, cols = m_vals.shape
-    if _fits_int64(rows, modulus):
-        return (r_vals @ m_vals) % modulus
-    rr = [int(x) for x in r_vals]
-    out = np.empty(cols, dtype=np.int64)
-    for j in range(cols):
-        out[j] = sum(a * int(b) for a, b in zip(rr, m_vals[:, j])) % modulus
-    return out
+    """Exact (r @ M) mod p on raw int64 arrays; r may be a stack of rows."""
+    return _product_values(r_vals, m_vals, modulus)
 
 
 def dot_values(a_vals: np.ndarray, b_vals: np.ndarray, modulus: int) -> int:
     """Exact (a . b) mod p on raw int64 arrays."""
-    if _fits_int64(a_vals.shape[0], modulus):
-        return int((a_vals @ b_vals) % modulus)
-    return sum(int(a) * int(b) for a, b in zip(a_vals, b_vals)) % modulus
+    return int(_product_values(a_vals, b_vals, modulus))
 
 
 def matvec(matrix: FpMatrix, vector: FpVector) -> FpVector:

@@ -1,10 +1,13 @@
 """Query-counted oracle access to matrices and vectors.
 
-A handle hands out the values of an underlying matrix or vector, possibly
-through a composition tree (concatenation, windowing, block embedding,
-padding, pointwise sum), or as a planted view of a flat array that holds
-one live strip or segment among scratch ones. Handles never copy data at
-construction; every structural transformer is lazy.
+A handle hands out the values of an underlying matrix, possibly through a
+composition tree (concatenation, windowing, placement in a larger matrix
+for block embedding and padding, pointwise sum), or as a planted view of
+a flat array that holds one live strip among scratch ones. A vector
+handle is a one-column matrix handle read as a vector: every vector
+constructor is the matching matrix composition applied to that column.
+Handles never copy data at construction; every structural transformer is
+lazy.
 
 Values leave a handle only by bulk read (`read_all`, `to_matrix`,
 `to_vector`), and a read charges one query per entry it reads: each entry
@@ -92,7 +95,7 @@ class _Paused:
 
 
 # ---------------------------------------------------------------------------
-# matrix handles
+# handles
 # ---------------------------------------------------------------------------
 
 
@@ -120,12 +123,31 @@ class MatrixOracleHandle:
         raise NotImplementedError
 
 
-class _WrappedMatrix(MatrixOracleHandle):
+class VectorOracleHandle:
+    """Bulk-read access to a length-n vector: a view of a one-column matrix handle."""
+
+    __slots__ = ("length", "field", "ledger", "_column")
+
+    def __init__(self, column: MatrixOracleHandle):
+        self.length = column.rows
+        self.field = column.field
+        self.ledger = column.ledger
+        self._column = column
+
+    def read_all(self) -> np.ndarray:
+        return self._column._read_values(0, self.length, 0, 1)[:, 0]
+
+    def to_vector(self) -> FpVector:
+        # reads yield canonical residues by the handle invariant
+        return FpVector._trusted(self.field, self.read_all())
+
+
+class _Wrapped(MatrixOracleHandle):
     __slots__ = ("_values", "source")
 
-    def __init__(self, matrix: FpMatrix, ledger: QueryLedger, source: str):
-        super().__init__(matrix.rows, matrix.cols, matrix.field, ledger)
-        self._values = matrix.values
+    def __init__(self, values: np.ndarray, field: PrimeField, ledger: QueryLedger, source: str):
+        super().__init__(values.shape[0], values.shape[1], field, ledger)
+        self._values = values
         self.source = source
 
     def _read_values(self, r0, nr, c0, nc):
@@ -134,51 +156,37 @@ class _WrappedMatrix(MatrixOracleHandle):
         return self._values[r0 : r0 + nr, c0 : c0 + nc]
 
 
-class _RowConcatMatrix(MatrixOracleHandle):
-    __slots__ = ("_children", "_child_rows")
+class _Concat(MatrixOracleHandle):
+    """Equally shaped children stacked along `axis` (0: rows, 1: columns)."""
 
-    def __init__(self, children: Sequence[MatrixOracleHandle]):
-        d = children[0].rows
-        super().__init__(d * len(children), children[0].cols, children[0].field, children[0].ledger)
+    __slots__ = ("_children", "_axis", "_step")
+
+    def __init__(self, children: Sequence[MatrixOracleHandle], axis: int):
+        first = children[0]
+        shape = [first.rows, first.cols]
+        self._step = shape[axis]
+        shape[axis] *= len(children)
+        super().__init__(shape[0], shape[1], first.field, first.ledger)
         self._children = list(children)
-        self._child_rows = d
+        self._axis = axis
 
     def _read_values(self, r0, nr, c0, nc):
-        d = self._child_rows
+        d, axis = self._step, self._axis
+        # the (offset, count) pair along `axis` is re-aimed at each child in turn
+        span = [r0, nr, c0, nc]
+        lo = span[2 * axis]
+        end = lo + span[2 * axis + 1]
         parts = []
-        lo = r0
-        end = r0 + nr
         while lo < end:
             c = lo // d
             hi = min(end, (c + 1) * d)
-            parts.append(self._children[c]._read_values(lo - c * d, hi - lo, c0, nc))
+            span[2 * axis : 2 * axis + 2] = lo - c * d, hi - lo
+            parts.append(self._children[c]._read_values(*span))
             lo = hi
-        return np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
+        return np.concatenate(parts, axis=axis) if len(parts) > 1 else parts[0]
 
 
-class _ColConcatMatrix(MatrixOracleHandle):
-    __slots__ = ("_children", "_child_cols")
-
-    def __init__(self, children: Sequence[MatrixOracleHandle]):
-        n = children[0].cols
-        super().__init__(children[0].rows, n * len(children), children[0].field, children[0].ledger)
-        self._children = list(children)
-        self._child_cols = n
-
-    def _read_values(self, r0, nr, c0, nc):
-        n = self._child_cols
-        parts = []
-        lo = c0
-        end = c0 + nc
-        while lo < end:
-            c = lo // n
-            hi = min(end, (c + 1) * n)
-            parts.append(self._children[c]._read_values(r0, nr, lo - c * n, hi - lo))
-            lo = hi
-        return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-
-
-class _MatrixWindow(MatrixOracleHandle):
+class _Window(MatrixOracleHandle):
     """A contiguous sub-rectangle of a parent handle (index shift only)."""
 
     __slots__ = ("_parent", "_row_off", "_col_off")
@@ -193,58 +201,34 @@ class _MatrixWindow(MatrixOracleHandle):
         return self._parent._read_values(r0 + self._row_off, nr, c0 + self._col_off, nc)
 
 
-class _BlockEmbedMatrix(MatrixOracleHandle):
-    """d x (k*d) oracle: the parent block sits in column slot i, zeros elsewhere.
+class _Placed(MatrixOracleHandle):
+    """The parent at rows [0, parent.rows) and a column offset of a larger
+    matrix, with ones on the diagonal below the parent's rows and zeros
+    elsewhere. Entries outside the parent are structural and charge nothing."""
 
-    Queries landing in the zero region are answered structurally and charge
-    nothing to the parent.
-    """
+    __slots__ = ("_parent", "_col_off")
 
-    __slots__ = ("_parent", "_slot")
-
-    def __init__(self, parent: MatrixOracleHandle, slot: int, k: int):
-        d = parent.rows
-        super().__init__(d, k * d, parent.field, parent.ledger)
+    def __init__(self, parent: MatrixOracleHandle, rows: int, cols: int, col_off: int = 0):
+        super().__init__(rows, cols, parent.field, parent.ledger)
         self._parent = parent
-        self._slot = slot
+        self._col_off = col_off
 
     def _read_values(self, r0, nr, c0, nc):
-        d = self._parent.cols
-        w0 = self._slot * d
+        parent, off = self._parent, self._col_off
         out = np.zeros((nr, nc), dtype=np.int64)
-        lo = max(c0, w0)
-        hi = min(c0 + nc, w0 + d)
-        if lo < hi:
-            out[:, lo - c0 : hi - c0] = self._parent._read_values(r0, nr, lo - w0, hi - lo)
+        r_hi = min(r0 + nr, parent.rows)
+        lo = max(c0, off)
+        hi = min(c0 + nc, off + parent.cols)
+        if r0 < r_hi and lo < hi:
+            out[: r_hi - r0, lo - c0 : hi - c0] = parent._read_values(r0, r_hi - r0, lo - off, hi - lo)
+        t0, t1 = max(r0, c0, parent.rows), min(r0 + nr, c0 + nc)
+        if t0 < t1:
+            diag = np.arange(t0, t1)
+            out[diag - r0, diag - c0] = 1
         return out
 
 
-class _PaddedMatrix(MatrixOracleHandle):
-    """Square parent embedded top-left in a larger square; identity on the
-    padded diagonal, zeros elsewhere in the border. Border entries are
-    structural and charge nothing."""
-
-    __slots__ = ("_parent",)
-
-    def __init__(self, parent: MatrixOracleHandle, size: int):
-        super().__init__(size, size, parent.field, parent.ledger)
-        self._parent = parent
-
-    def _read_values(self, r0, nr, c0, nc):
-        n = self._parent.rows
-        out = np.zeros((nr, nc), dtype=np.int64)
-        ri = min(r0 + nr, n)
-        ci = min(c0 + nc, n)
-        if r0 < ri and c0 < ci:
-            out[: ri - r0, : ci - c0] = self._parent._read_values(r0, ri - r0, c0, ci - c0)
-        one = 1 % self.field.modulus
-        for t in range(max(r0, n), r0 + nr):
-            if c0 <= t < c0 + nc:
-                out[t - r0, t - c0] = one
-        return out
-
-
-class _PlantedMatrix(MatrixOracleHandle):
+class _Planted(MatrixOracleHandle):
     """Strips stacked in one array, one of them a live strip (see plant_rows)."""
 
     __slots__ = ("_values", "_live", "_lo")
@@ -265,155 +249,50 @@ class _PlantedMatrix(MatrixOracleHandle):
         return self._values[r0 : r0 + nr, c0 : c0 + nc]
 
 
-# ---------------------------------------------------------------------------
-# vector handles
-# ---------------------------------------------------------------------------
-
-
-class VectorOracleHandle:
-    """Bulk-read access to a length-n vector over a prime field."""
-
-    __slots__ = ("length", "field", "ledger")
-
-    def __init__(self, length: int, field: PrimeField, ledger: QueryLedger):
-        self.length = length
-        self.field = field
-        self.ledger = ledger
-
-    def read_all(self) -> np.ndarray:
-        return self._read_values(0, self.length)
-
-    def to_vector(self) -> FpVector:
-        # reads yield canonical residues by the handle invariant
-        return FpVector._trusted(self.field, self.read_all())
-
-    def _read_values(self, off: int, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _WrappedVector(VectorOracleHandle):
-    __slots__ = ("_values", "source")
-
-    def __init__(self, vector: FpVector, ledger: QueryLedger, source: str):
-        super().__init__(vector.length, vector.field, ledger)
-        self._values = vector.values
-        self.source = source
-
-    def _read_values(self, off, n):
-        # a view, not a copy: read results are treated as immutable everywhere
-        self.ledger.charge(self.source, n)
-        return self._values[off : off + n]
-
-
-class _ConcatVector(VectorOracleHandle):
-    __slots__ = ("_children", "_child_len")
-
-    def __init__(self, children: Sequence[VectorOracleHandle]):
-        d = children[0].length
-        super().__init__(d * len(children), children[0].field, children[0].ledger)
-        self._children = list(children)
-        self._child_len = d
-
-    def _read_values(self, off, n):
-        d = self._child_len
-        parts = []
-        lo = off
-        end = off + n
-        while lo < end:
-            c = lo // d
-            hi = min(end, (c + 1) * d)
-            parts.append(self._children[c]._read_values(lo - c * d, hi - lo))
-            lo = hi
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
-class _VectorWindow(VectorOracleHandle):
-    __slots__ = ("_parent", "_off")
-
-    def __init__(self, parent: VectorOracleHandle, offset: int, n: int):
-        super().__init__(n, parent.field, parent.ledger)
-        self._parent = parent
-        self._off = offset
-
-    def _read_values(self, off, n):
-        return self._parent._read_values(off + self._off, n)
-
-
-class _SumVector(VectorOracleHandle):
+class _Sum(MatrixOracleHandle):
     """Pointwise sum: each entry read reads that entry of every summand once."""
 
     __slots__ = ("_children",)
 
-    def __init__(self, children: Sequence[VectorOracleHandle]):
-        super().__init__(children[0].length, children[0].field, children[0].ledger)
+    def __init__(self, children: Sequence[MatrixOracleHandle]):
+        first = children[0]
+        super().__init__(first.rows, first.cols, first.field, first.ledger)
         self._children = list(children)
 
-    def _read_values(self, off, n):
-        acc = np.zeros(n, dtype=np.int64)
+    def _read_values(self, r0, nr, c0, nc):
+        acc = np.zeros((nr, nc), dtype=np.int64)
         for c in self._children:
-            acc = (acc + c._read_values(off, n)) % self.field.modulus
+            acc = (acc + c._read_values(r0, nr, c0, nc)) % self.field.modulus
         return acc
-
-
-class _PlantedVector(VectorOracleHandle):
-    """Segments laid end to end in one array, one of them live (see plant_vector)."""
-
-    __slots__ = ("_values", "_live", "_lo")
-
-    def __init__(self, values: np.ndarray, live: VectorOracleHandle, slot: int):
-        super().__init__(values.shape[0], live.field, live.ledger)
-        self._values = values
-        self._live = live
-        self._lo = slot * live.length
-
-    def _read_values(self, off, n):
-        lo = max(off, self._lo)
-        hi = min(off + n, self._lo + self._live.length)
-        live_n = max(0, hi - lo)
-        if live_n:
-            self._live._read_values(lo - self._lo, live_n)
-        self.ledger.charge(SOURCE_SCRATCH, n - live_n)
-        return self._values[off : off + n]
-
-
-class _PaddedVector(VectorOracleHandle):
-    __slots__ = ("_parent",)
-
-    def __init__(self, parent: VectorOracleHandle, size: int):
-        super().__init__(size, parent.field, parent.ledger)
-        self._parent = parent
-
-    def _read_values(self, off, n):
-        m = self._parent.length
-        out = np.zeros(n, dtype=np.int64)
-        hi = min(off + n, m)
-        if off < hi:
-            out[: hi - off] = self._parent._read_values(off, hi - off)
-        return out
 
 
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
+# Each builds its private composition directly rather than through another
+# public constructor, so a constructor call is one handle built.
 
 
 def wrap_matrix(matrix: FpMatrix, ledger: QueryLedger, source: str = SOURCE_MATRIX) -> MatrixOracleHandle:
     """Expose a concrete matrix as an oracle; each read charges `source`."""
-    return _WrappedMatrix(matrix, ledger, source)
+    return _Wrapped(matrix.values, matrix.field, ledger, source)
 
 
 def wrap_vector(vector: FpVector, ledger: QueryLedger, source: str = SOURCE_VECTOR) -> VectorOracleHandle:
     """Expose a concrete vector as an oracle; each read charges `source`."""
-    return _WrappedVector(vector, ledger, source)
+    return VectorOracleHandle(_Wrapped(vector.values[:, None], vector.field, ledger, source))
 
 
-def _check_uniform(handles, what: str):
+def _check_alike(handles: Sequence[MatrixOracleHandle], what: str):
+    """At least one handle, all sharing the first one's field and shape."""
     if not handles:
         raise ValueError(f"{what} requires at least one handle")
-    field = handles[0].field
+    first = handles[0]
     for h in handles[1:]:
-        if h.field != field:
+        if h.field != first.field:
             raise ValueError(f"{what}: field mismatch among handles")
+        if (h.rows, h.cols) != (first.rows, first.cols):
+            raise ValueError(f"{what}: all handles must share one shape")
 
 
 def concat_rows(handles: Sequence[MatrixOracleHandle]) -> MatrixOracleHandle:
@@ -421,32 +300,21 @@ def concat_rows(handles: Sequence[MatrixOracleHandle]) -> MatrixOracleHandle:
 
     Each entry read is routed to exactly one component and charged there.
     """
-    _check_uniform(handles, "concat_rows")
-    shape = (handles[0].rows, handles[0].cols)
-    for h in handles[1:]:
-        if (h.rows, h.cols) != shape:
-            raise ValueError("concat_rows: all handles must share one shape")
-    return _RowConcatMatrix(handles)
+    _check_alike(handles, "concat_rows")
+    return _Concat(handles, 0)
 
 
 def concat_cols(handles: Sequence[MatrixOracleHandle]) -> MatrixOracleHandle:
     """Join N equally shaped d x n oracles side by side into d x (N*n)."""
-    _check_uniform(handles, "concat_cols")
-    shape = (handles[0].rows, handles[0].cols)
-    for h in handles[1:]:
-        if (h.rows, h.cols) != shape:
-            raise ValueError("concat_cols: all handles must share one shape")
-    return _ColConcatMatrix(handles)
+    _check_alike(handles, "concat_cols")
+    return _Concat(handles, 1)
 
 
 def concat_vectors(handles: Sequence[VectorOracleHandle]) -> VectorOracleHandle:
     """Concatenate N equal-length vector oracles."""
-    _check_uniform(handles, "concat_vectors")
-    d = handles[0].length
-    for h in handles[1:]:
-        if h.length != d:
-            raise ValueError("concat_vectors: all handles must share one length")
-    return _ConcatVector(handles)
+    columns = [h._column for h in handles]
+    _check_alike(columns, "concat_vectors")
+    return VectorOracleHandle(_Concat(columns, 0))
 
 
 def plant_rows(values: np.ndarray, live: MatrixOracleHandle, slot: int) -> MatrixOracleHandle:
@@ -465,7 +333,7 @@ def plant_rows(values: np.ndarray, live: MatrixOracleHandle, slot: int) -> Matri
         raise ValueError(f"buffer shape {values.shape} does not stack {live.rows}x{live.cols} strips")
     if not 0 <= slot < values.shape[0] // d:
         raise IndexError(f"slot {slot} out of range for {values.shape[0] // d} strips")
-    return _PlantedMatrix(values, live, slot)
+    return _Planted(values, live, slot)
 
 
 def plant_vector(values: np.ndarray, live: VectorOracleHandle, slot: int) -> VectorOracleHandle:
@@ -479,7 +347,7 @@ def plant_vector(values: np.ndarray, live: VectorOracleHandle, slot: int) -> Vec
         raise ValueError(f"buffer shape {values.shape} does not hold length-{d} segments")
     if not 0 <= slot < values.shape[0] // d:
         raise IndexError(f"slot {slot} out of range for {values.shape[0] // d} segments")
-    return _PlantedVector(values, live, slot)
+    return VectorOracleHandle(_Planted(values[:, None], live._column, slot))
 
 
 def extract_submatrix(handle: MatrixOracleHandle, row_offset: int, d: int) -> MatrixOracleHandle:
@@ -488,7 +356,7 @@ def extract_submatrix(handle: MatrixOracleHandle, row_offset: int, d: int) -> Ma
         raise ValueError("row count must be positive")
     if not (0 <= row_offset and row_offset + d <= handle.rows):
         raise IndexError(f"row window [{row_offset},{row_offset + d}) out of bounds")
-    return _MatrixWindow(handle, row_offset, d, 0, handle.cols)
+    return _Window(handle, row_offset, d, 0, handle.cols)
 
 
 def extract_submatrix_cols(handle: MatrixOracleHandle, col_offset: int, d: int) -> MatrixOracleHandle:
@@ -497,7 +365,7 @@ def extract_submatrix_cols(handle: MatrixOracleHandle, col_offset: int, d: int) 
         raise ValueError("column count must be positive")
     if not (0 <= col_offset and col_offset + d <= handle.cols):
         raise IndexError(f"column window [{col_offset},{col_offset + d}) out of bounds")
-    return _MatrixWindow(handle, 0, handle.rows, col_offset, d)
+    return _Window(handle, 0, handle.rows, col_offset, d)
 
 
 def extract_block(handle: MatrixOracleHandle, i: int, j: int, d: int) -> MatrixOracleHandle:
@@ -511,7 +379,7 @@ def extract_block(handle: MatrixOracleHandle, i: int, j: int, d: int) -> MatrixO
         raise ValueError(f"block size {d} does not divide handle shape {handle.rows}x{handle.cols}")
     if not (0 <= i < handle.rows // d and 0 <= j < handle.cols // d):
         raise IndexError(f"block index ({i},{j}) out of range")
-    return _MatrixWindow(handle, i * d, d, j * d, d)
+    return _Window(handle, i * d, d, j * d, d)
 
 
 def extract_subvector(handle: VectorOracleHandle, offset: int, d: int) -> VectorOracleHandle:
@@ -520,17 +388,14 @@ def extract_subvector(handle: VectorOracleHandle, offset: int, d: int) -> Vector
         raise ValueError("length must be positive")
     if not (0 <= offset and offset + d <= handle.length):
         raise IndexError(f"window [{offset},{offset + d}) out of bounds")
-    return _VectorWindow(handle, offset, d)
+    return VectorOracleHandle(_Window(handle._column, offset, d, 0, 1))
 
 
 def sum_vector_oracles(handles: Sequence[VectorOracleHandle]) -> VectorOracleHandle:
     """Pointwise sum of equal-length oracles; an entry read costs one per summand."""
-    _check_uniform(handles, "sum_vector_oracles")
-    d = handles[0].length
-    for h in handles[1:]:
-        if h.length != d:
-            raise ValueError("sum_vector_oracles: all handles must share one length")
-    return _SumVector(handles)
+    columns = [h._column for h in handles]
+    _check_alike(columns, "sum_vector_oracles")
+    return VectorOracleHandle(_Sum(columns))
 
 
 def embed_block_matrix(handle: MatrixOracleHandle, slot: int, k: int) -> MatrixOracleHandle:
@@ -544,7 +409,8 @@ def embed_block_matrix(handle: MatrixOracleHandle, slot: int, k: int) -> MatrixO
         raise ValueError("slot count must be positive")
     if not 0 <= slot < k:
         raise IndexError(f"slot {slot} out of range for {k} slots")
-    return _BlockEmbedMatrix(handle, slot, k)
+    d = handle.rows
+    return _Placed(handle, d, k * d, slot * d)
 
 
 def pad_square_matrix(handle: MatrixOracleHandle, size: int) -> MatrixOracleHandle:
@@ -560,7 +426,7 @@ def pad_square_matrix(handle: MatrixOracleHandle, size: int) -> MatrixOracleHand
         raise ValueError(f"padded size {size} smaller than handle size {handle.rows}")
     if size == handle.rows:
         return handle
-    return _PaddedMatrix(handle, size)
+    return _Placed(handle, size, size)
 
 
 def pad_vector(handle: VectorOracleHandle, size: int) -> VectorOracleHandle:
@@ -569,4 +435,5 @@ def pad_vector(handle: VectorOracleHandle, size: int) -> VectorOracleHandle:
         raise ValueError(f"padded size {size} smaller than handle length {handle.length}")
     if size == handle.length:
         return handle
-    return _PaddedVector(handle, size)
+    # a one-column parent has no diagonal entry below its rows: the tail is zero
+    return VectorOracleHandle(_Placed(handle._column, size, 1))

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import FpVector, _fits_int64, dot_values, matvec_values, vecmat_values
+from .linalg import FpVector, matvec_values, vecmat_values
 from .oracle import (
     SOURCE_VERIFIER,
     MatrixOracleHandle,
@@ -128,19 +128,11 @@ def verify_values(
     if config.mode == "exact":
         return bool(np.array_equal(matvec_values(m_vals, v_vals, p), w_vals))
 
-    rows, cols = m_vals.shape
     rounds = challenge_rounds(p, config.epsilon)
-    challenges = rng.integers(0, p, size=(rounds, rows), dtype=np.int64)
-    if _fits_int64(rows, p) and _fits_int64(cols, p):
-        lhs = (challenges @ w_vals) % p
-        rhs = (((challenges @ m_vals) % p) @ v_vals) % p
-        return bool(np.array_equal(lhs, rhs))
-    for r in challenges:
-        lhs_t = dot_values(r, w_vals, p)
-        rhs_t = dot_values(vecmat_values(r, m_vals, p), v_vals, p)
-        if lhs_t != rhs_t:
-            return False
-    return True
+    challenges = rng.integers(0, p, size=(rounds, m_vals.shape[0]), dtype=np.int64)
+    lhs = matvec_values(challenges, w_vals, p)
+    rhs = matvec_values(vecmat_values(challenges, m_vals, p), v_vals, p)
+    return bool(np.array_equal(lhs, rhs))
 
 
 def verified_call(

@@ -198,6 +198,24 @@ def test_config_validation_errors():
         {"failure_mode": "other"},
         {"k_mode": "other"},
         {"workers": 0},
+        {"n": 0},
+        {"k": 0},
+        {"boost_rounds": 0},
+        {"delta": 0.0},
+        {"delta": 1.0},
+        {"c0": 0.0},
+        {"c1": -1.0},
+        {"c2": 0.0},
+        {"c1": float("inf")},
+        {"profile_seed": 2**63},
+        {"queries_per_call": -1},
+        {"verifier_epsilon": 0.0},
+        {"verifier_epsilon": 1.0},
+        {"bad_fraction": 1.0},
+        {"alpha_good": 1.5},
+        {"alpha_bad": -0.1},
+        {"min_success_rate": 1.5},
+        {"profile": "planted"},  # alpha = 1 is unreachable with bad_fraction = 0.5
     ]
     for over in bad_cases:
         (key,) = over
@@ -460,10 +478,15 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_cli_bad_config_key_is_usage_error(tmp_path):
+def test_cli_bad_config_key_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("modulus = 5\nn = 2\ntrials = 2\nalpha = 1.0\nwat = 1\n")
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    # an out-of-range value fails at parse time, naming its key
+    path.write_text("modulus = 5\nn = 2\ntrials = 2\nalpha = 1.0\nk = 0\n")
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config key 'k'" in capsys.readouterr().err
 
 
 def test_cli_seed_and_trials_overrides(tmp_path):

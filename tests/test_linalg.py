@@ -114,13 +114,40 @@ def test_value_kernels_match_reference():
 
 
 def test_large_modulus_products_are_exact():
-    # (p-1)^2 * n overflows int64 here, forcing the exact fallback path
+    # entries next to p: 2 terms still fit int64 here, so this checks the int64
+    # path at its edge; test_value_kernels_match_python_int_reference crosses it
     p = 2**31 - 1
     f = PrimeField(p)
     m = FpMatrix(f, [[p - 1, p - 2], [p - 3, p - 4]])
     v = FpVector(f, [p - 1, p - 5])
     got = matvec(m, v).to_list()
     assert got == matvec_reference(m.to_lists(), v.to_list(), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
+def test_value_kernels_match_python_int_reference(p):
+    # int64 sums stay exact while terms * (p-1)^2 < 2^63: for every shape
+    # here up to p = 65521, but for at most 2 terms at p = 2^31 - 1, so there
+    # these shapes run on both sides of the bound
+    rng = np.random.default_rng(p)
+    for rows, cols in ((1, 1), (2, 3), (5, 4), (16, 16)):
+        for fill in ("random", "max"):
+
+            def draw(*shape):
+                if fill == "random":
+                    return rng.integers(0, p, size=shape)
+                return np.full(shape, p - 1, dtype=np.int64)
+
+            m, v, r = draw(rows, cols), draw(cols), draw(rows)
+            stack = draw(3, rows)  # the verifier's (rounds, rows) challenge batch
+            ml, vl, rl, sl = m.tolist(), v.tolist(), r.tolist(), stack.tolist()
+            cols_of_m = [list(col) for col in zip(*ml)]
+            assert matvec_values(m, v, p).tolist() == matvec_reference(ml, vl, p)
+            assert vecmat_values(r, m, p).tolist() == matvec_reference(cols_of_m, rl, p)
+            assert vecmat_values(stack, m, p).tolist() == [matvec_reference(cols_of_m, s, p) for s in sl]
+            assert matvec_values(stack, r, p).tolist() == matvec_reference(sl, rl, p)
+            assert dot_values(v, v, p) == matvec_reference([vl], vl, p)[0]
+            assert matvec_values(m, v, p).dtype == vecmat_values(stack, m, p).dtype == np.int64
 
 
 def test_pad_preserves_product_exhaustive_tiny():

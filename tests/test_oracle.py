@@ -430,6 +430,41 @@ def test_bulk_read_equals_entry_scan_cost_and_values():
         assert handle3.to_matrix() == expect, f"composition {which}"
 
 
+def vector_entry_scan_cost(handle):
+    """Charge for reading every entry through its own one-entry window."""
+    total_before = handle.ledger.total()
+    for i in range(handle.length):
+        extract_subvector(handle, i, 1).read_all()
+    return handle.ledger.total() - total_before
+
+
+def vector_compositions(led):
+    """Every vector constructor, each with the plain list it views."""
+    a, b = [1, 2, 3], [4, 4, 0]
+    yield wrap_vector(FpVector(F5, a), led), a
+    yield concat_vectors([wrap_vector(FpVector(F5, a), led, "a"), wrap_vector(FpVector(F5, b), led, "b")]), a + b
+    yield extract_subvector(wrap_vector(FpVector(F5, a + b), led), 2, 3), (a + b)[2:5]
+    live = extract_subvector(pad_vector(wrap_vector(FpVector(F5, a), led), 4), 2, 2)
+    yield plant_vector(np.array([4, 0, 3, 0, 1, 1], dtype=np.int64), live, 1), [4, 0, 3, 0, 1, 1]
+    yield pad_vector(wrap_vector(FpVector(F5, a), led), 5), a + [0, 0]
+    summed = [(x + y) % 5 for x, y in zip(a, b)]
+    yield sum_vector_oracles([wrap_vector(FpVector(F5, a), led, "a"), wrap_vector(FpVector(F5, b), led, "b")]), summed
+
+
+def test_vector_bulk_read_equals_entry_scan_cost_and_values():
+    # the conservation property of test_bulk_read_equals_entry_scan_cost_and_values,
+    # for every vector constructor
+    for which in range(6):
+        led_bulk, led_scan = QueryLedger(), QueryLedger()
+        handle_bulk, expect = list(vector_compositions(led_bulk))[which]
+        handle_scan = list(vector_compositions(led_scan))[which][0]
+        got = handle_bulk.read_all()
+        assert got.shape == (handle_bulk.length,), f"composition {which}"
+        assert got.tolist() == expect, f"composition {which}"
+        assert led_bulk.total() == vector_entry_scan_cost(handle_scan), f"composition {which}"
+        assert led_bulk.snapshot() == led_scan.snapshot(), f"composition {which}"
+
+
 def test_row_block_reads_split_cleanly():
     # reading two half-blocks charges the same as one full read
     led_a = QueryLedger()
