@@ -39,7 +39,7 @@ from .sampler import (
     theorem_condition,
     violation_fraction_exact,
 )
-from .solver import NoisySolver, UniformProfile, invoke_values
+from .solver import FAILURE_MODES, NoisySolver, UniformProfile, invoke_values
 from .verify import VerifierConfig, charged_queries, verify_values
 
 
@@ -192,7 +192,7 @@ def _cmd_verify_bench(args) -> int:
             completeness_failures += 1
 
     false_accepts = {}
-    for mode in ("uniform", "perturb"):
+    for mode in FAILURE_MODES:
         # a never-succeeding solver produces wrong outputs in the chosen mode
         wrong_solver = NoisySolver(UniformProfile(0.0), failure_mode=mode)
         accepted = 0

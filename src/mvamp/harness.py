@@ -34,12 +34,14 @@ from .linalg import (
 from .oracle import QueryLedger, wrap_matrix, wrap_vector
 from .reduction import K_MODES, ReductionConfig, ReductionReport, StageStats, worst_case_matvec
 from .solver import (
+    FAILURE_MODES,
     MAX_EXHAUSTIVE_PAIRS,
     GoodBadProfile,
     NoisySolver,
     PlantedAdversarialProfile,
     SolverProfile,
     UniformProfile,
+    check_planted_reachable,
 )
 from .verify import ACCOUNTING_MODES, VERIFY_MODES, VerifierConfig, verified_call
 
@@ -50,7 +52,6 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 PROFILES = ("uniform", "goodbad", "planted")
 INPUT_MODES = ("random", "planted-bad", "exhaustive-tiny")
 PIPELINES = ("full", "baseline")
-FAILURE_MODES = ("uniform", "perturb")
 
 # Named predicates for goodbad profiles, so configs stay picklable text.
 PREDICATES = {
@@ -140,11 +141,11 @@ class ExperimentConfig:
                 raise ConfigError(f"config key '{key}' must be one of {allowed}, got {value!r}")
         if self.input_mode == "planted-bad" and self.profile != "planted":
             raise ConfigError("config key 'input_mode' = planted-bad requires profile = planted")
-        if self.profile == "planted" and self.alpha > 1.0 - self.bad_fraction + 1e-12:
-            raise ConfigError(
-                f"config key 'alpha' = {self.alpha} is unreachable with 'profile' = planted: "
-                f"inputs outside the 'bad_fraction' = {self.bad_fraction} would need success above 1"
-            )
+        if self.profile == "planted":
+            try:
+                check_planted_reachable(self.alpha, self.bad_fraction)
+            except ValueError as err:
+                raise ConfigError(f"config key 'alpha' with 'profile' = planted: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,6 @@ def build_profile(config: ExperimentConfig) -> SolverProfile:
         PREDICATES[config.predicate],
         alpha_good=config.alpha_good,
         alpha_bad=config.alpha_bad,
-        declared_average=config.alpha,
     )
 
 

@@ -20,7 +20,7 @@ spending O(1/alpha^2) solver calls. It is built in stages:
 
 Vector "goodness" (the solver succeeding on an above-half-of-alpha share
 of matrices for that vector) is an analysis device: the pipeline never
-tests it, while is_good / good_fraction_exhaustive measure it offline.
+tests it, while good_fraction_exhaustive measures it exactly offline.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .linalg import (
     count_vectors,
     enumerate_matrices,
     enumerate_vectors,
-    matvec_values,
     random_matrix,
     random_vector,
 )
@@ -62,7 +61,7 @@ from .oracle import (
     wrap_matrix,
     wrap_vector,
 )
-from .solver import MAX_EXHAUSTIVE_PAIRS, NoisySolver, invoke_values
+from .solver import MAX_EXHAUSTIVE_PAIRS, NoisySolver
 from .verify import VerifierConfig, verified_call, verify_product
 
 # Per-attempt failure bound for the final stage on worst-case inputs; the
@@ -141,8 +140,10 @@ class ReductionConfig:
             raise ValueError(f"block count must be positive, got {self.k}")
         if self.k_mode not in K_MODES:
             raise ValueError(f"unknown block count mode {self.k_mode!r}")
-        if self.c0 <= 0 or self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c0, c1, c2 must be positive")
+        for name in ("c0", "c1", "c2"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.boost_rounds is not None and self.boost_rounds < 1:
             raise ValueError(f"boost_rounds must be positive, got {self.boost_rounds}")
 
@@ -178,59 +179,11 @@ class StageStats:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoodnessEstimate:
-    estimate: float
-    std_error: float
-    threshold: float
-    is_good: bool
-
-
-def _resolve_alpha(solver: NoisySolver, alpha: Optional[float]) -> float:
-    if alpha is not None:
-        return alpha
-    declared = solver.profile.declared_average
-    if declared is None:
-        raise ValueError("profile declares no average success rate; pass alpha explicitly")
-    return declared
-
-
-def is_good(
-    vector: FpVector,
-    solver: NoisySolver,
-    n: int,
-    trials: int,
-    rng: np.random.Generator,
-    alpha: Optional[float] = None,
-) -> GoodnessEstimate:
-    """Monte Carlo estimate of Pr over uniform M of success on (M, vector).
-
-    A vector is called good when that probability reaches alpha/2. Charges
-    no ledger.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if vector.length != n:
-        raise ValueError(f"vector length {vector.length} does not match n={n}")
-    alpha = _resolve_alpha(solver, alpha)
-    field = vector.field
-    successes = 0
-    for _ in range(trials):
-        m = random_matrix(n, n, field, rng)
-        out = invoke_values(solver, field, m.values, vector.values, rng)
-        if np.array_equal(out.values, matvec_values(m.values, vector.values, field.modulus)):
-            successes += 1
-    est = successes / trials
-    se = math.sqrt(max(est * (1.0 - est), 1e-12) / trials)
-    threshold = alpha / 2.0
-    return GoodnessEstimate(estimate=est, std_error=se, threshold=threshold, is_good=est >= threshold)
-
-
 def good_fraction_exhaustive(
     solver: NoisySolver,
     n: int,
     field: PrimeField,
-    alpha: Optional[float] = None,
+    alpha: float,
 ) -> float:
     """Exact fraction of vectors whose matrix-averaged success reaches alpha/2.
 
@@ -240,7 +193,6 @@ def good_fraction_exhaustive(
     pairs = count_matrices(field, n, n) * count_vectors(field, n)
     if pairs > MAX_EXHAUSTIVE_PAIRS:
         raise ValueError(f"domain has {pairs} pairs, beyond exhaustive bound {MAX_EXHAUSTIVE_PAIRS}")
-    alpha = _resolve_alpha(solver, alpha)
     threshold = alpha / 2.0
     matrices = list(enumerate_matrices(field, n, n))
     good = 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -73,27 +73,6 @@ class QueryGraph:
     def x_size(self) -> int:
         return self.base.size
 
-    def tuple_index(self, components: Sequence[int]) -> int:
-        if len(components) != self.k:
-            raise ValueError(f"expected {self.k} components, got {len(components)}")
-        s = self.base.size
-        idx = 0
-        for t, x in enumerate(components):
-            if not 0 <= x < s:
-                raise ValueError(f"component {x} out of range for base size {s}")
-            idx += x * s**t
-        return idx
-
-    def components(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.y_size:
-            raise IndexError(f"tuple index {index} out of range")
-        s = self.base.size
-        out = []
-        for _ in range(self.k):
-            out.append(index % s)
-            index //= s
-        return tuple(out)
-
     def embed_indices(self, x: int, slot: int, co_indices: np.ndarray) -> np.ndarray:
         """Tuple indices that place x at `slot` with the given co-tuples.
 
@@ -107,27 +86,6 @@ class QueryGraph:
         return low + x * lo_mod + high * (lo_mod * s)
 
 
-def direct_product_reduce(
-    graph: QueryGraph,
-    x: int,
-    rng: np.random.Generator,
-    slot: Optional[int] = None,
-) -> tuple[int, ...]:
-    """Embed a base instance into a k-tuple with i.i.d. uniform co-slots.
-
-    The slot is uniform unless pinned. Returns the tuple componentwise.
-    """
-    if not 0 <= x < graph.x_size:
-        raise ValueError(f"instance {x} out of range for base size {graph.x_size}")
-    if slot is None:
-        slot = int(rng.integers(graph.k))
-    elif not 0 <= slot < graph.k:
-        raise IndexError(f"slot {slot} out of range for {graph.k} copies")
-    components = [int(v) for v in rng.integers(0, graph.x_size, size=graph.k)]
-    components[slot] = x
-    return tuple(components)
-
-
 class DenseSet:
     """A subset of the tuple domain with positive density.
 
@@ -136,12 +94,11 @@ class DenseSet:
     comes from density_exact / the Monte Carlo estimate in check_sampler.
     """
 
-    def __init__(self, indicator: Callable[[np.ndarray], np.ndarray], density: float, label: str = ""):
+    def __init__(self, indicator: Callable[[np.ndarray], np.ndarray], density: float):
         if not 0.0 < density <= 1.0:
             raise ValueError(f"density must lie in (0, 1], got {density}")
         self.indicator = indicator
         self.density = float(density)
-        self.label = label
 
     def contains_index(self, index: int) -> bool:
         return bool(self.indicator(np.array([index], dtype=np.int64))[0])
@@ -152,7 +109,7 @@ class DenseSet:
         if not 0.0 < density <= 1.0:
             raise ValueError(f"density must lie in (0, 1], got {density}")
         if density >= 1.0:
-            return cls(lambda idx: np.ones(len(idx), dtype=bool), 1.0, f"random(all,{seed})")
+            return cls(lambda idx: np.ones(len(idx), dtype=bool), 1.0)
         threshold = np.uint64(int(density * 2.0**64))
         seed_u = np.uint64(seed & (2**64 - 1))
 
@@ -160,7 +117,7 @@ class DenseSet:
             h = _splitmix64(idx.astype(np.uint64) * _GOLDEN + seed_u)
             return h < threshold
 
-        return cls(indicator, density, f"random({density},{seed})")
+        return cls(indicator, density)
 
     @classmethod
     def from_indices(cls, graph: QueryGraph, indices) -> "DenseSet":
@@ -172,7 +129,7 @@ class DenseSet:
         def indicator(idx: np.ndarray) -> np.ndarray:
             return np.isin(idx, members)
 
-        return cls(indicator, density, f"explicit({members.size})")
+        return cls(indicator, density)
 
 
 def density_exact(graph: QueryGraph, dense: DenseSet) -> float:
@@ -256,7 +213,7 @@ def check_sampler(
         density = density_exact(graph, dense)
     else:
         draws = max(x_samples * y_samples_per_x, 10000)
-        idx = _sample_tuple_indices(graph, draws, rng)
+        idx = rng.integers(0, graph.y_size, size=draws, dtype=np.int64)
         density = float(np.mean(dense.indicator(idx)))
     threshold = (1.0 - c) * density
 
@@ -286,12 +243,6 @@ def check_sampler(
         delta=delta,
         c=c,
     )
-
-
-def _sample_tuple_indices(graph: QueryGraph, count: int, rng: np.random.Generator) -> np.ndarray:
-    if graph.y_size < 2**63:
-        return rng.integers(0, graph.y_size, size=count, dtype=np.int64)
-    raise ValueError("tuple domain too large to index")
 
 
 def _sample_co_indices(graph: QueryGraph, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,6 @@ is muted in the ledger.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -28,7 +27,6 @@ from .linalg import (
     enumerate_matrices,
     enumerate_vectors,
     matvec_values,
-    random_matrix,
     random_vector,
 )
 from .oracle import (
@@ -42,6 +40,10 @@ from .oracle import (
 # Exhaustive enumeration over all (M, v) pairs is refused beyond this many
 # pairs; keeps exact-average and good-fraction sweeps at desk scale.
 MAX_EXHAUSTIVE_PAIRS = 2**24
+
+# How a failed call's wrong output is drawn: a uniform vector other than
+# the truth, or the truth with one coordinate shifted.
+FAILURE_MODES = ("uniform", "perturb")
 
 
 def _check_probability(name: str, x: float):
@@ -67,16 +69,24 @@ def _input_digest(matrix: FpMatrix, vector: FpVector, seed: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def check_planted_reachable(average: float, bad_fraction: float):
+    """Raise ValueError if a planted profile cannot reach this average.
+
+    Inputs outside the bad set succeed with average / (1 - bad_fraction),
+    which must not exceed 1 (up to float slack at the boundary).
+    """
+    if average > 1.0 - bad_fraction + 1e-12:
+        raise ValueError(
+            f"average {average} unreachable with bad_fraction {bad_fraction}: "
+            f"surviving inputs would need success probability above 1"
+        )
+
+
 class SolverProfile:
     """Base class: a deterministic per-input success probability."""
 
     def success_probability(self, matrix: FpMatrix, vector: FpVector) -> float:
         raise NotImplementedError
-
-    @property
-    def declared_average(self) -> Optional[float]:
-        """The profile's nominal average success over uniform inputs, if known."""
-        return None
 
 
 class UniformProfile(SolverProfile):
@@ -87,10 +97,6 @@ class UniformProfile(SolverProfile):
         self.alpha = float(alpha)
 
     def success_probability(self, matrix, vector) -> float:
-        return self.alpha
-
-    @property
-    def declared_average(self):
         return self.alpha
 
     def __repr__(self):
@@ -105,23 +111,15 @@ class GoodBadProfile(SolverProfile):
         predicate: Callable[[FpMatrix, FpVector], bool],
         alpha_good: float,
         alpha_bad: float,
-        declared_average: Optional[float] = None,
     ):
         _check_probability("alpha_good", alpha_good)
         _check_probability("alpha_bad", alpha_bad)
-        if declared_average is not None:
-            _check_probability("declared_average", declared_average)
         self.predicate = predicate
         self.alpha_good = float(alpha_good)
         self.alpha_bad = float(alpha_bad)
-        self._declared = declared_average
 
     def success_probability(self, matrix, vector) -> float:
         return self.alpha_good if self.predicate(matrix, vector) else self.alpha_bad
-
-    @property
-    def declared_average(self):
-        return self._declared
 
     def __repr__(self):
         return f"GoodBadProfile(alpha_good={self.alpha_good}, alpha_bad={self.alpha_bad})"
@@ -140,11 +138,7 @@ class PlantedAdversarialProfile(SolverProfile):
         _check_probability("average", average)
         if not 0.0 <= bad_fraction < 1.0:
             raise ValueError(f"bad_fraction must lie in [0, 1), got {bad_fraction}")
-        if average > 1.0 - bad_fraction + 1e-12:
-            raise ValueError(
-                f"average {average} unreachable with bad_fraction {bad_fraction}: "
-                f"surviving inputs would need success probability above 1"
-            )
+        check_planted_reachable(average, bad_fraction)
         self.average = float(average)
         self.bad_fraction = float(bad_fraction)
         self.seed = int(seed)
@@ -157,10 +151,6 @@ class PlantedAdversarialProfile(SolverProfile):
         if self.is_bad(matrix, vector):
             return 0.0
         return min(1.0, self.average / (1.0 - self.bad_fraction))
-
-    @property
-    def declared_average(self):
-        return self.average
 
     def __repr__(self):
         return (
@@ -199,7 +189,7 @@ class NoisySolver:
     failure_mode: str = "uniform"
 
     def __post_init__(self):
-        if self.failure_mode not in ("uniform", "perturb"):
+        if self.failure_mode not in FAILURE_MODES:
             raise ValueError(f"unknown failure_mode {self.failure_mode!r}")
         if self.queries_per_call is not None and self.queries_per_call < 0:
             raise ValueError("queries_per_call must be nonnegative")
@@ -273,42 +263,3 @@ def invoke_values(
     wrong = _wrong_output(truth, solver.failure_mode, rng)
     assert wrong != truth
     return wrong
-
-
-@dataclass(frozen=True)
-class SuccessEstimate:
-    successes: int
-    trials: int
-    estimate: float
-    std_error: float
-
-
-def estimate_average_success(
-    solver: NoisySolver,
-    n: int,
-    field: PrimeField,
-    trials: int,
-    rng: np.random.Generator,
-) -> SuccessEstimate:
-    """Monte Carlo estimate of average success over uniform (M, v).
-
-    Success means the invocation returned the true product. Charges no
-    ledger.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    successes = 0
-    for _ in range(trials):
-        m = random_matrix(n, n, field, rng)
-        v = random_vector(n, field, rng)
-        out = invoke_values(solver, field, m.values, v.values, rng)
-        truth = matvec_values(m.values, v.values, field.modulus)
-        if np.array_equal(out.values, truth):
-            successes += 1
-    est = successes / trials
-    return SuccessEstimate(
-        successes=successes,
-        trials=trials,
-        estimate=est,
-        std_error=math.sqrt(max(est * (1.0 - est), 1e-12) / trials),
-    )

@@ -1,0 +1,10 @@
+"""The package's public namespace."""
+
+import mvamp
+
+
+def test_all_names_resolve_once():
+    names = mvamp.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    missing = [name for name in names if not hasattr(mvamp, name)]
+    assert not missing, missing

@@ -6,6 +6,7 @@ checked against independently computed formulas.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,20 +45,22 @@ from mvamp.reduction import (
     boost_rounds_for,
     choose_block_count,
     good_fraction_exhaustive,
-    is_good,
     solve_block,
     solve_block_any_input,
     solve_strip,
     solve_strip_any_matrix,
     worst_case_matvec,
 )
-from mvamp.solver import GoodBadProfile, NoisySolver, UniformProfile
+from mvamp.solver import GoodBadProfile, NoisySolver, SolverProfile, UniformProfile
 from mvamp.verify import VerifierConfig, charged_queries
 
 F5 = PrimeField(5)
 
 PERFECT = NoisySolver(UniformProfile(1.0))
 NEVER = NoisySolver(UniformProfile(0.0))
+
+# chi-square upper critical value, alpha = 0.001
+CHI2_999_DF6 = 22.458
 
 
 def fresh_stats():
@@ -124,34 +127,28 @@ def test_config_validation():
         ReductionConfig(alpha=0.5, boost_rounds=0)
     with pytest.raises(ValueError):
         ReductionConfig(alpha=0.5, k_mode="nope")
+    # non-finite constants are refused up front, not when a budget or k is computed
+    for key in ("c0", "c1", "c2"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=key):
+                ReductionConfig(alpha=0.5, **{key: bad})
 
 
 # ---------------------------------------------------------------- goodness
 
 
-def test_is_good_extremes():
-    rng = np.random.default_rng(0)
-    v = FpVector(F5, [1, 2, 3])
-    good = is_good(v, PERFECT, 3, 50, rng)
-    assert good.is_good and good.estimate == 1.0 and good.threshold == 0.5
-    bad = is_good(v, NEVER, 3, 50, rng, alpha=0.5)
-    assert not bad.is_good and bad.estimate == 0.0 and bad.threshold == 0.25
-
-
 def test_good_fraction_uniform_profile_is_total():
     # success never depends on the vector: every vector clears alpha/2
     solver = NoisySolver(UniformProfile(0.6))
-    assert good_fraction_exhaustive(solver, 2, PrimeField(3)) == 1.0
+    assert good_fraction_exhaustive(solver, 2, PrimeField(3), alpha=0.6) == 1.0
 
 
 def test_good_fraction_goodbad_closed_form():
     # vectors with first entry 0 succeed always, others never: the good
     # fraction is exactly 1/p
     for p in (2, 3):
-        prof = GoodBadProfile(
-            lambda m, v: int(v.values[0]) == 0, 1.0, 0.0, declared_average=1.0 / p
-        )
-        frac = good_fraction_exhaustive(NoisySolver(prof), 2, PrimeField(p))
+        prof = GoodBadProfile(lambda m, v: int(v.values[0]) == 0, 1.0, 0.0)
+        frac = good_fraction_exhaustive(NoisySolver(prof), 2, PrimeField(p), alpha=1.0 / p)
         assert frac == pytest.approx(1.0 / p)
 
 
@@ -202,6 +199,49 @@ def test_solve_strip_rejects_bad_shape():
     led = QueryLedger()
     with pytest.raises(ValueError):
         solve_strip(wrap_matrix(m, led), wrap_vector(FpVector(F5, [1, 2, 3]), led), PERFECT, cfg, rng)
+
+
+class RecordingNeverProfile(SolverProfile):
+    """Never succeeds; records every instance the solver is handed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def success_probability(self, matrix, vector):
+        self.seen.append((tuple(matrix.values.ravel().tolist()), tuple(vector.values.tolist())))
+        return 0.0
+
+
+def test_solve_strip_plants_at_uniform_slot_among_uniform_co_rows():
+    # a 1x2 strip over F_2 gives k = 2 slots: the live row sits at a uniform
+    # slot and the other row is uniform over F_2^2, so the 8 equally likely
+    # draws reach 7 instances ([live; live] twice). Every attempt fails
+    # exact verification, so all of them are recorded.
+    f = PrimeField(2)
+    live, vec = (1, 0), (1, 1)
+    ways = Counter()
+    for slot in range(2):
+        for co in enumerate_vectors(f, 2):
+            rows = [tuple(co.to_list())] * 2
+            rows[slot] = live
+            ways[rows[0] + rows[1]] += 1
+    assert len(ways) == 7 and ways[live + live] == 2
+
+    attempts = 4000
+    profile = RecordingNeverProfile()
+    cfg = ReductionConfig(alpha=1.0, c1=float(attempts), verifier=VerifierConfig(mode="exact"))
+    led = QueryLedger()
+    m_h = wrap_matrix(FpMatrix(f, [live]), led)
+    v_h = wrap_vector(FpVector(f, vec), led)
+    assert solve_strip(m_h, v_h, NoisySolver(profile), cfg, np.random.default_rng(2024)) is None
+
+    assert len(profile.seen) == attempts
+    assert {v for _, v in profile.seen} == {vec}
+    counts = Counter(m for m, _ in profile.seen)
+    assert set(counts) <= set(ways)  # unreachable instances never drawn
+    expect = {key: attempts * w / 8 for key, w in ways.items()}
+    stat = sum((counts[key] - e) ** 2 / e for key, e in expect.items())
+    assert stat < CHI2_999_DF6
 
 
 def test_solve_strip_any_matrix_perfect():

@@ -1,7 +1,7 @@
 """Direct-product query graphs and dense-set sampling checks.
 
-Tuple indexing, embedding, and the conditional hit rates all have small
-enough domains here to compare against plain nested-loop references.
+Tuple embedding and the conditional hit rates all have small enough
+domains here to compare against plain nested-loop references.
 """
 
 import math
@@ -17,7 +17,6 @@ from mvamp.sampler import (
     check_sampler,
     conditional_hit_rate_exact,
     density_exact,
-    direct_product_reduce,
     lemma_condition,
     theorem_condition,
     violation_fraction_exact,
@@ -25,10 +24,6 @@ from mvamp.sampler import (
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
-
-# chi-square upper critical values, alpha = 0.001
-CHI2_999_DF14 = 36.123
-CHI2_999_DF3 = 16.266
 
 
 def graph(p, dim, k):
@@ -58,23 +53,6 @@ def test_query_graph_sizes_and_bounds():
         graph(2, 1, 63)  # 2^63 tuples exceeds the supported domain
 
 
-def test_tuple_index_components_roundtrip_exhaustive():
-    for p, dim, k in ((2, 1, 3), (3, 1, 2), (2, 2, 2)):
-        g = graph(p, dim, k)
-        s = p**dim
-        for idx in range(g.y_size):
-            comps = g.components(idx)
-            assert comps == components_reference(idx, s, k)
-            assert g.tuple_index(comps) == idx
-
-
-def test_components_frozen_example():
-    g = graph(2, 1, 3)
-    # 6 = 0*1 + 1*2 + 1*4, slot 0 least significant
-    assert g.components(6) == (0, 1, 1)
-    assert g.tuple_index((0, 1, 1)) == 6
-
-
 def test_embed_indices_places_x_and_keeps_co_tuple():
     g = graph(2, 1, 3)
     s = 2
@@ -83,52 +61,13 @@ def test_embed_indices_places_x_and_keeps_co_tuple():
             co = np.arange(s ** 2)
             embedded = g.embed_indices(x, slot, co)
             for ci, full in zip(co, embedded):
-                comps = list(g.components(int(full)))
+                comps = list(components_reference(int(full), s, 3))
                 assert comps[slot] == x
                 rest = comps[:slot] + comps[slot + 1 :]
                 assert tuple(rest) == components_reference(int(ci), s, 2)
-
-
-def test_direct_product_reduce_places_x():
-    g = graph(3, 1, 4)
-    rng = np.random.default_rng(0)
-    for x in range(3):
-        for _ in range(20):
-            tup = direct_product_reduce(g, x, rng)
-            assert len(tup) == 4
-            assert x in tup
-        pinned = direct_product_reduce(g, x, rng, slot=2)
-        assert pinned[2] == x
-
-
-def test_direct_product_reduce_slot_validation():
-    g = graph(2, 1, 3)
-    rng = np.random.default_rng(0)
-    with pytest.raises(IndexError):
-        direct_product_reduce(g, 0, rng, slot=3)
-    with pytest.raises(ValueError):
-        direct_product_reduce(g, 2, rng)  # x out of range
-
-
-def test_direct_product_reduce_exact_distribution():
-    # slot uniform over k, co-tuple uniform over s^(k-1): enumerate the 32
-    # equally likely draws and chi-square the observed tuple frequencies
-    g = graph(2, 1, 4)
-    x = 1
-    expect = np.zeros(16)
-    for slot in range(4):
-        for co in range(8):
-            full = g.embed_indices(x, slot, np.array([co]))[0]
-            expect[full] += 1.0 / 32.0
-    rng = np.random.default_rng(1234)
-    n = 20000
-    obs = np.zeros(16)
-    for _ in range(n):
-        obs[g.tuple_index(direct_product_reduce(g, x, rng))] += 1
-    assert obs[expect == 0].sum() == 0  # impossible tuples never drawn
-    live = expect > 0
-    stat = ((obs[live] - n * expect[live]) ** 2 / (n * expect[live])).sum()
-    assert stat < CHI2_999_DF14  # 15 reachable tuples
+    # x = 1 at slot 1 with co-tuple (0, 1), packed as co index 2, is the
+    # tuple (0, 1, 1) = 0*1 + 1*2 + 1*4, slot 0 least significant
+    assert g.embed_indices(1, 1, np.array([2]))[0] == 6
 
 
 def test_dense_set_validation():

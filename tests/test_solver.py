@@ -11,7 +11,6 @@ from mvamp.solver import (
     NoisySolver,
     PlantedAdversarialProfile,
     UniformProfile,
-    estimate_average_success,
     exact_average_success,
     invoke,
 )
@@ -28,7 +27,6 @@ def test_uniform_profile_constant():
     prof = UniformProfile(0.3)
     m, v = make_instance()
     assert prof.success_probability(m, v) == 0.3
-    assert prof.declared_average == 0.3
     for bad in (-0.1, 1.5):
         with pytest.raises(ValueError):
             UniformProfile(bad)
@@ -172,32 +170,3 @@ def test_invoke_rejects_bad_shapes():
 def test_invoke_failure_mode_validated():
     with pytest.raises(ValueError):
         NoisySolver(UniformProfile(0.5), failure_mode="garble")
-
-
-def test_estimate_average_success_extremes():
-    rng = np.random.default_rng(0)
-    perfect = estimate_average_success(NoisySolver(UniformProfile(1.0)), 2, F5, 50, rng)
-    assert perfect.successes == 50 and perfect.estimate == 1.0
-    never = estimate_average_success(NoisySolver(UniformProfile(0.0)), 2, F5, 50, rng)
-    assert never.successes == 0 and never.estimate == 0.0
-    with pytest.raises(ValueError):
-        estimate_average_success(NoisySolver(UniformProfile(1.0)), 2, F5, 0, rng)
-
-
-def test_estimate_average_success_midpoint():
-    rng = np.random.default_rng(123)
-    est = estimate_average_success(NoisySolver(UniformProfile(0.5)), 2, F5, 2000, rng)
-    assert est.trials == 2000
-    # 4 sigma of binomial(2000, .5) is about 0.045
-    assert abs(est.estimate - 0.5) < 0.05
-    assert est.std_error == pytest.approx(
-        (est.estimate * (1 - est.estimate) / 2000) ** 0.5, rel=1e-9, abs=1e-12
-    )
-
-
-def test_estimate_does_not_touch_caller_ledger():
-    # sampling for calibration must not pollute any shared ledger; the
-    # estimator builds its own private one
-    rng = np.random.default_rng(5)
-    est = estimate_average_success(NoisySolver(UniformProfile(0.7)), 3, F5, 100, rng)
-    assert 0 <= est.estimate <= 1
