@@ -65,8 +65,13 @@ def test_embed_indices_places_x_and_keeps_co_tuple():
                 assert comps[slot] == x
                 rest = comps[:slot] + comps[slot + 1 :]
                 assert tuple(rest) == components_reference(int(ci), s, 2)
-    # x = 1 at slot 1 with co-tuple (0, 1), packed as co index 2, is the
-    # tuple (0, 1, 1) = 0*1 + 1*2 + 1*4, slot 0 least significant
+
+
+def test_components_frozen_example():
+    g = graph(2, 1, 3)
+    # 6 = 0*1 + 1*2 + 1*4, slot 0 least significant
+    assert components_reference(6, 2, 3) == (0, 1, 1)
+    # x = 1 at slot 1 with co-tuple (0, 1), packed as co index 2, is 6
     assert g.embed_indices(1, 1, np.array([2]))[0] == 6
 
 
