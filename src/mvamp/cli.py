@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 a --assert threshold failed, 2 bad usage/config.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -39,8 +39,9 @@ from .sampler import (
     theorem_condition,
     violation_fraction_exact,
 )
-from .solver import FAILURE_MODES, NoisySolver, UniformProfile, invoke_values
-from .verify import VerifierConfig, charged_queries, verify_values
+from .oracle import QueryLedger
+from .solver import FAILURE_MODES, NoisySolver, UniformProfile, invoke
+from .verify import VerifierConfig, charged_queries, verify_product
 
 
 def _ensure_out(path: str):
@@ -178,6 +179,7 @@ def _cmd_verify_bench(args) -> int:
     field = PrimeField(args.modulus)
     config = VerifierConfig(epsilon=args.eps)
     rng = trial_rng(args.seed, 0)
+    ledger = QueryLedger()  # the calls' charges are not reported
     print(
         f"verify-bench: {args.rows}x{args.cols} mod {args.modulus} eps={args.eps} "
         f"trials={args.trials}"
@@ -188,7 +190,7 @@ def _cmd_verify_bench(args) -> int:
         m = random_matrix(args.rows, args.cols, field, rng)
         v = random_vector(args.cols, field, rng)
         w = matvec(m, v)
-        if not verify_values(m.values, v.values, w.values, field.modulus, config, rng):
+        if not verify_product(ledger, field, m.values, v.values, w, config, rng):
             completeness_failures += 1
 
     false_accepts = {}
@@ -199,8 +201,8 @@ def _cmd_verify_bench(args) -> int:
         for _ in range(args.trials):
             m = random_matrix(args.rows, args.rows, field, rng)
             v = random_vector(args.rows, field, rng)
-            w = invoke_values(wrong_solver, field, m.values, v.values, rng)
-            if verify_values(m.values, v.values, w.values, field.modulus, config, rng):
+            w = invoke(wrong_solver, ledger, field, m.values, v.values, rng)
+            if verify_product(ledger, field, m.values, v.values, w, config, rng):
                 accepted += 1
         false_accepts[mode] = accepted / args.trials
 
@@ -228,8 +230,6 @@ def _cmd_verify_bench(args) -> int:
         )
         print(f"wrote {path}")
     if args.assert_thresholds:
-        import math
-
         sigma = math.sqrt(args.eps * (1.0 - args.eps) / args.trials)
         bound = args.eps + 3.0 * sigma
         bad = completeness_failures > 0 or any(r > bound for r in false_accepts.values())

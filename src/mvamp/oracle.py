@@ -2,20 +2,23 @@
 
 A handle hands out the values of an underlying matrix, possibly through a
 composition tree (concatenation, windowing, placement in a larger matrix
-for block embedding and padding, pointwise sum), or as a planted view of
-a flat array that holds one live strip among scratch ones. A vector
-handle is a one-column matrix handle read as a vector: every vector
-constructor is the matching matrix composition applied to that column.
-Handles never copy data at construction; every structural transformer is
-lazy.
+for block embedding and padding, pointwise sum). A vector handle is a
+one-column matrix handle read as a vector: every vector constructor is
+the matching matrix composition applied to that column. Handles never
+copy data at construction; every structural transformer is lazy.
+
+Handles serve the input boundary: the pipeline meters U_M and U_v through
+them and cuts its padded blocks and segments with them. Values the
+pipeline draws itself (split halves, co-strips, co-vectors, planted
+instances) are plain arrays, and their reads are charged to scratch in
+closed form where they happen.
 
 Values leave a handle only by bulk read (`read_all`, `to_matrix`,
 `to_vector`), and a read charges one query per entry it reads: each entry
 that reaches a wrapped leaf charges that leaf's source in the shared
-QueryLedger, and a planted view charges its scratch entries to scratch.
-Structural entries synthesized by a transformer (zeros of an embedding,
-the 0/1 border of padding) cost nothing, matching the model in which
-those values are known without consulting the input. A window
+QueryLedger. Structural entries synthesized by a transformer (zeros of an
+embedding, the 0/1 border of padding) cost nothing, matching the model in
+which those values are known without consulting the input. A window
 (`extract_block`, `extract_submatrix`, `extract_subvector`) reads and
 charges only the entries inside it.
 """
@@ -31,7 +34,7 @@ from .linalg import FpMatrix, FpVector
 
 # Canonical charge sources. U_M / U_v are the real input oracles; ALG counts
 # solver invocations; "verifier" carries the verifier's charged cost model;
-# "scratch" tags helper oracles materialized inside the pipeline.
+# "scratch" tags reads of values the pipeline draws and computes itself.
 SOURCE_MATRIX = "U_M"
 SOURCE_VECTOR = "U_v"
 SOURCE_ALG = "ALG"
@@ -228,27 +231,6 @@ class _Placed(MatrixOracleHandle):
         return out
 
 
-class _Planted(MatrixOracleHandle):
-    """Strips stacked in one array, one of them a live strip (see plant_rows)."""
-
-    __slots__ = ("_values", "_live", "_lo")
-
-    def __init__(self, values: np.ndarray, live: MatrixOracleHandle, slot: int):
-        super().__init__(values.shape[0], values.shape[1], live.field, live.ledger)
-        self._values = values
-        self._live = live
-        self._lo = slot * live.rows
-
-    def _read_values(self, r0, nr, c0, nc):
-        lo = max(r0, self._lo)
-        hi = min(r0 + nr, self._lo + self._live.rows)
-        live_rows = max(0, hi - lo)
-        if live_rows:
-            self._live._read_values(lo - self._lo, live_rows, c0, nc)
-        self.ledger.charge(SOURCE_SCRATCH, (nr - live_rows) * nc)
-        return self._values[r0 : r0 + nr, c0 : c0 + nc]
-
-
 class _Sum(MatrixOracleHandle):
     """Pointwise sum: each entry read reads that entry of every summand once."""
 
@@ -315,39 +297,6 @@ def concat_vectors(handles: Sequence[VectorOracleHandle]) -> VectorOracleHandle:
     columns = [h._column for h in handles]
     _check_alike(columns, "concat_vectors")
     return VectorOracleHandle(_Concat(columns, 0))
-
-
-def plant_rows(values: np.ndarray, live: MatrixOracleHandle, slot: int) -> MatrixOracleHandle:
-    """View a (k*d) x n array of k stacked d x n strips as one oracle, where
-    strip `slot` is the live d x n oracle and the rest are scratch.
-
-    The caller has already written the live strip's values into rows
-    [slot*d, (slot+1)*d) of `values`; reads return views of `values`. An
-    entry read in the live rows is charged through the live handle, as
-    reading it would be, and any other entry read charges one scratch
-    query, as a row concatenation of scratch-wrapped co-strips around the
-    live strip would.
-    """
-    d = live.rows
-    if values.ndim != 2 or values.shape[1] != live.cols or values.shape[0] % d != 0:
-        raise ValueError(f"buffer shape {values.shape} does not stack {live.rows}x{live.cols} strips")
-    if not 0 <= slot < values.shape[0] // d:
-        raise IndexError(f"slot {slot} out of range for {values.shape[0] // d} strips")
-    return _Planted(values, live, slot)
-
-
-def plant_vector(values: np.ndarray, live: VectorOracleHandle, slot: int) -> VectorOracleHandle:
-    """View a length-(k*d) array of k segments as one oracle, where segment
-    `slot` is the live length-d oracle and the rest are scratch.
-
-    The vector counterpart of plant_rows, with the same contract.
-    """
-    d = live.length
-    if values.ndim != 1 or values.shape[0] % d != 0:
-        raise ValueError(f"buffer shape {values.shape} does not hold length-{d} segments")
-    if not 0 <= slot < values.shape[0] // d:
-        raise IndexError(f"slot {slot} out of range for {values.shape[0] // d} segments")
-    return VectorOracleHandle(_Planted(values[:, None], live._column, slot))
 
 
 def extract_submatrix(handle: MatrixOracleHandle, row_offset: int, d: int) -> MatrixOracleHandle:

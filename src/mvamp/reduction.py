@@ -33,7 +33,6 @@ import numpy as np
 
 from .field import PrimeField
 from .linalg import (
-    FpMatrix,
     FpVector,
     count_matrices,
     count_vectors,
@@ -56,13 +55,9 @@ from .oracle import (
     extract_subvector,
     pad_square_matrix,
     pad_vector,
-    plant_rows,
-    plant_vector,
-    wrap_matrix,
-    wrap_vector,
 )
-from .solver import MAX_EXHAUSTIVE_PAIRS, NoisySolver
-from .verify import VerifierConfig, verified_call, verify_product
+from .solver import MAX_EXHAUSTIVE_PAIRS, NoisySolver, invoke
+from .verify import VerifierConfig, read_operands, verify_product
 
 # Per-attempt failure bound for the final stage on worst-case inputs; the
 # boost round count is sized against it.
@@ -91,8 +86,8 @@ def choose_block_count(alpha: float, n: Optional[int] = None, mode: str = "desk"
     if mode == "paper":
         k = math.ceil(PAPER_K_CONSTANT * math.log(4.0 / alpha))
     else:
-        if c0 <= 0:
-            raise ValueError(f"c0 must be positive, got {c0}")
+        if not 0.0 < c0 < math.inf:
+            raise ValueError(f"c0 must be positive and finite, got {c0}")
         k = math.ceil(c0 * math.log(4.0 / alpha))
     return max(1, k)
 
@@ -211,8 +206,10 @@ def good_fraction_exhaustive(
 
 
 def solve_strip(
-    mat_handle: MatrixOracleHandle,
-    vec_handle: VectorOracleHandle,
+    ledger: QueryLedger,
+    field: PrimeField,
+    m_vals: np.ndarray,
+    v_vals: np.ndarray,
     solver: NoisySolver,
     config: ReductionConfig,
     rng: np.random.Generator,
@@ -221,38 +218,36 @@ def solve_strip(
     """Product of a d x n strip with a full vector, assuming the vector is good.
 
     Each attempt plants the strip at a uniform block position among fresh
-    uniform co-strips, runs one verified solver call on the assembled
-    square instance, and on acceptance extracts the strip's block of the
-    output. Up to ceil(c1/alpha) attempts. Requires d | n.
+    uniform co-strips, runs one solver call on the assembled square
+    instance, verifies the answer against it, and on acceptance extracts
+    the strip's block of the output. Up to ceil(c1/alpha) attempts.
+    Requires d | n. The strip (a half of the strip split) and the vector
+    (stage 3's widened vector) are values the pipeline drew, so under
+    actual accounting each verification reads n^2 + n entries of scratch.
     """
     if stats is None:
         stats = StageStats()
-    d, n = mat_handle.rows, mat_handle.cols
+    d, n = m_vals.shape
     if n % d != 0:
         raise ValueError(f"strip height {d} does not divide width {n}")
-    if vec_handle.length != n:
-        raise ValueError(f"vector length {vec_handle.length} does not match width {n}")
-    if mat_handle.field != vec_handle.field:
-        raise ValueError("field mismatch between matrix and vector handles")
+    if v_vals.shape != (n,):
+        raise ValueError(f"vector shape {v_vals.shape} does not match width {n}")
     k = n // d
-    field = mat_handle.field
-    ledger = mat_handle.ledger
     p = field.modulus
 
-    with ledger.paused():
-        live_vals = mat_handle.read_all()
     planted = np.empty((k, d, n), dtype=np.int64)
-    instance = planted.reshape(k * d, n)
+    instance = planted.reshape(n, n)
     for _ in range(config.stage1_budget()):
         stats.stage1_iters += 1
         slot = int(rng.integers(k))
         co_vals = rng.integers(0, p, size=(k - 1, d, n), dtype=np.int64)
         planted[:slot] = co_vals[:slot]
-        planted[slot] = live_vals
+        planted[slot] = m_vals
         planted[slot + 1 :] = co_vals[slot:]
+        w = invoke(solver, ledger, field, instance, v_vals, rng)
         stats.verify_calls += 1
-        w = verified_call(solver, plant_rows(instance, mat_handle, slot), vec_handle, config.verifier, rng)
-        if w is not None:
+        operands = read_operands(config.verifier, ledger, instance, v_vals)
+        if verify_product(ledger, field, *operands, w, config.verifier, rng):
             # the strip's block of the output, read as a scratch window
             ledger.charge(SOURCE_SCRATCH, d)
             return FpVector._trusted(field, w.values[slot * d : (slot + 1) * d])
@@ -261,7 +256,7 @@ def solve_strip(
 
 def solve_strip_any_matrix(
     mat_handle: MatrixOracleHandle,
-    vec_handle: VectorOracleHandle,
+    v_vals: np.ndarray,
     solver: NoisySolver,
     config: ReductionConfig,
     rng: np.random.Generator,
@@ -282,15 +277,15 @@ def solve_strip_any_matrix(
     ledger = mat_handle.ledger
     p = field.modulus
 
-    r1 = random_matrix(d, n, field, rng)
+    r1 = random_matrix(d, n, field, rng).values
     m_vals = mat_handle.read_all()
-    r2 = FpMatrix._trusted(field, (m_vals - r1.values) % p)
-    assert np.array_equal((r1.values + r2.values) % p, m_vals), "additive split must recompose"
+    r2 = (m_vals - r1) % p
+    assert np.array_equal((r1 + r2) % p, m_vals), "additive split must recompose"
 
-    w1 = solve_strip(wrap_matrix(r1, ledger, SOURCE_SCRATCH), vec_handle, solver, config, rng, stats)
+    w1 = solve_strip(ledger, field, r1, v_vals, solver, config, rng, stats)
     if w1 is None:
         return None
-    w2 = solve_strip(wrap_matrix(r2, ledger, SOURCE_SCRATCH), vec_handle, solver, config, rng, stats)
+    w2 = solve_strip(ledger, field, r2, v_vals, solver, config, rng, stats)
     if w2 is None:
         return None
     ledger.charge(SOURCE_SCRATCH, 2 * d)
@@ -299,7 +294,7 @@ def solve_strip_any_matrix(
 
 def solve_block(
     mat_handle: MatrixOracleHandle,
-    vec_handle: VectorOracleHandle,
+    v_vals: np.ndarray,
     solver: NoisySolver,
     config: ReductionConfig,
     rng: np.random.Generator,
@@ -311,38 +306,38 @@ def solve_block(
     with fresh uniform co-vectors, widens the block to d x (k*d) with
     structural zeros, solves that strip for the concatenated vector, and
     verifies the result against the widened instance before returning it.
-    Up to ceil(c2/alpha) attempts.
+    Up to ceil(c2/alpha) attempts. The vector is a value the pipeline drew
+    (a half of the vector split), so under actual accounting each
+    verification reads the widened block through its handle and k*d
+    entries of scratch.
     """
     if stats is None:
         stats = StageStats()
     if mat_handle.rows != mat_handle.cols:
         raise ValueError(f"expected a square block, got {mat_handle.rows}x{mat_handle.cols}")
     d = mat_handle.rows
-    if vec_handle.length != d:
-        raise ValueError(f"vector length {vec_handle.length} does not match block size {d}")
-    if mat_handle.field != vec_handle.field:
-        raise ValueError("field mismatch between matrix and vector handles")
+    if v_vals.shape != (d,):
+        raise ValueError(f"vector shape {v_vals.shape} does not match block size {d}")
     k = config.resolved_k()
-    p = mat_handle.field.modulus
+    field = mat_handle.field
+    ledger = mat_handle.ledger
 
-    with mat_handle.ledger.paused():
-        live_vals = vec_handle.read_all()
     planted = np.empty((k, d), dtype=np.int64)
     widened = planted.reshape(k * d)
     for _ in range(config.stage3_budget()):
         stats.stage3_iters += 1
         slot = int(rng.integers(k))
-        co_vals = rng.integers(0, p, size=(k - 1, d), dtype=np.int64)
+        co_vals = rng.integers(0, field.modulus, size=(k - 1, d), dtype=np.int64)
         planted[:slot] = co_vals[:slot]
-        planted[slot] = live_vals
+        planted[slot] = v_vals
         planted[slot + 1 :] = co_vals[slot:]
-        widened_vec = plant_vector(widened, vec_handle, slot)
         widened_mat = embed_block_matrix(mat_handle, slot, k)
-        w = solve_strip_any_matrix(widened_mat, widened_vec, solver, config, rng, stats)
+        w = solve_strip_any_matrix(widened_mat, widened, solver, config, rng, stats)
         if w is None:
             continue
         stats.verify_calls += 1
-        if verify_product(widened_mat, widened_vec, w, config.verifier, rng):
+        operands = read_operands(config.verifier, ledger, widened_mat, widened)
+        if verify_product(ledger, field, *operands, w, config.verifier, rng):
             return w
     return None
 
@@ -372,15 +367,15 @@ def solve_block_any_input(
     ledger = mat_handle.ledger
     p = field.modulus
 
-    r1 = random_vector(d, field, rng)
+    r1 = random_vector(d, field, rng).values
     v_vals = vec_handle.read_all()
-    r2 = FpVector._trusted(field, (v_vals - r1.values) % p)
-    assert np.array_equal((r1.values + r2.values) % p, v_vals), "additive split must recompose"
+    r2 = (v_vals - r1) % p
+    assert np.array_equal((r1 + r2) % p, v_vals), "additive split must recompose"
 
-    w1 = solve_block(mat_handle, wrap_vector(r1, ledger, SOURCE_SCRATCH), solver, config, rng, stats)
+    w1 = solve_block(mat_handle, r1, solver, config, rng, stats)
     if w1 is None:
         return None
-    w2 = solve_block(mat_handle, wrap_vector(r2, ledger, SOURCE_SCRATCH), solver, config, rng, stats)
+    w2 = solve_block(mat_handle, r2, solver, config, rng, stats)
     if w2 is None:
         return None
     ledger.charge(SOURCE_SCRATCH, 2 * d)

@@ -4,9 +4,8 @@ A profile maps each concrete (M, v) pair to a success probability. The map
 is a deterministic function of the input (and the profile's own seed), so
 repeated calls on the same input draw from the same Bernoulli; adversarial
 profiles cannot be washed out by retrying the identical input. An invoke
-charges the modeled access cost (one ALG call, Q matrix reads, n vector
-reads) to the canonical sources; its internal materialization of the input
-is muted in the ledger.
+takes the instance as arrays and charges the modeled access cost (one ALG
+call, Q matrix reads, n vector reads) to the canonical sources.
 """
 
 from __future__ import annotations
@@ -29,13 +28,7 @@ from .linalg import (
     matvec_values,
     random_vector,
 )
-from .oracle import (
-    SOURCE_ALG,
-    SOURCE_MATRIX,
-    SOURCE_VECTOR,
-    MatrixOracleHandle,
-    VectorOracleHandle,
-)
+from .oracle import SOURCE_ALG, SOURCE_MATRIX, SOURCE_VECTOR, QueryLedger
 
 # Exhaustive enumeration over all (M, v) pairs is refused beyond this many
 # pairs; keeps exact-average and good-fraction sweeps at desk scale.
@@ -212,49 +205,28 @@ def _wrong_output(truth: FpVector, mode: str, rng: np.random.Generator) -> FpVec
 
 def invoke(
     solver: NoisySolver,
-    mat_handle: MatrixOracleHandle,
-    vec_handle: VectorOracleHandle,
-    rng: np.random.Generator,
-) -> FpVector:
-    """One solver call on a square instance presented through oracles.
-
-    Charges 1 to ALG, Q to U_M, and n to U_v on the handles' ledgers; the
-    solver's own reads of the instance are not itemized. Returns the true
-    product on success and a wrong vector (never equal to the truth) on
-    failure.
-    """
-    if mat_handle.rows != mat_handle.cols:
-        raise ValueError(f"solver expects a square matrix, got {mat_handle.rows}x{mat_handle.cols}")
-    if vec_handle.length != mat_handle.cols:
-        raise ValueError(
-            f"dimension mismatch: matrix is {mat_handle.rows}x{mat_handle.cols}, "
-            f"vector has length {vec_handle.length}"
-        )
-    if mat_handle.field != vec_handle.field:
-        raise ValueError("field mismatch between matrix and vector handles")
-    n = mat_handle.cols
-    q = solver.queries_per_call if solver.queries_per_call is not None else n * n
-
-    mat_handle.ledger.charge(SOURCE_ALG, 1)
-    mat_handle.ledger.charge(SOURCE_MATRIX, q)
-    vec_handle.ledger.charge(SOURCE_VECTOR, n)
-    with mat_handle.ledger.paused(), vec_handle.ledger.paused():
-        m_vals = mat_handle.read_all()
-        v_vals = vec_handle.read_all()
-    return invoke_values(solver, mat_handle.field, m_vals, v_vals, rng)
-
-
-def invoke_values(
-    solver: NoisySolver,
+    ledger: QueryLedger,
     field: PrimeField,
     m_vals: np.ndarray,
     v_vals: np.ndarray,
     rng: np.random.Generator,
 ) -> FpVector:
-    """The solver call behind invoke, on canonical residues; charges nothing.
+    """One solver call on a square instance given as canonical residues.
 
-    m_vals is square and v_vals matches it; the caller has checked both.
+    Charges 1 to ALG, Q to U_M, and n to U_v; the solver's own reads of
+    the instance are not itemized. Returns the true product on success
+    and a wrong vector (never equal to the truth) on failure.
     """
+    n = m_vals.shape[0]
+    if m_vals.shape != (n, n):
+        raise ValueError(f"solver expects a square matrix, got shape {m_vals.shape}")
+    if v_vals.shape != (n,):
+        raise ValueError(f"dimension mismatch: matrix shape {m_vals.shape}, vector shape {v_vals.shape}")
+    q = solver.queries_per_call if solver.queries_per_call is not None else n * n
+    ledger.charge(SOURCE_ALG, 1)
+    ledger.charge(SOURCE_MATRIX, q)
+    ledger.charge(SOURCE_VECTOR, n)
+
     matrix = FpMatrix._trusted(field, m_vals)
     vector = FpVector._trusted(field, v_vals)
     truth = FpVector._trusted(field, matvec_values(m_vals, v_vals, field.modulus))

@@ -9,8 +9,9 @@ most epsilon.
 
 Cost accounting has two modes. "paper" charges the closed-form budget
 ceil(r^{3/2} * ceil(log2(1/eps))) to the verifier source and mutes the
-physical reads behind it; "actual" itemizes the real oracle reads
-(r*c matrix entries plus c vector entries per call) instead.
+physical reads behind it; "actual" itemizes the real reads (r*c matrix
+entries plus c vector entries per call) instead: a handle operand charges
+its own sources, an array the pipeline drew charges scratch.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from typing import Optional
 
 import numpy as np
 
+from .field import PrimeField
 from .linalg import FpVector, matvec_values, vecmat_values
 from .oracle import (
+    SOURCE_SCRATCH,
     SOURCE_VERIFIER,
     MatrixOracleHandle,
+    QueryLedger,
     VectorOracleHandle,
 )
 from .solver import NoisySolver, invoke
@@ -82,55 +86,60 @@ def challenge_rounds(modulus: int, epsilon: float) -> int:
     return t
 
 
+def read_operands(config: VerifierConfig, ledger: QueryLedger, *operands) -> list:
+    """The verifier's reads of its operands, returned as arrays.
+
+    A handle operand is read through the handle, charging its sources; an
+    array operand is a value the pipeline drew itself, and reading it
+    charges one scratch query per entry. Those are the charges of actual
+    accounting. Under paper accounting the reads are muted, because
+    verify_product charges the modeled budget instead.
+    """
+    if config.accounting == "paper":
+        with ledger.paused():
+            return [_read(op, ledger) for op in operands]
+    return [_read(op, ledger) for op in operands]
+
+
+def _read(operand, ledger: QueryLedger) -> np.ndarray:
+    if isinstance(operand, np.ndarray):
+        ledger.charge(SOURCE_SCRATCH, operand.size)
+        return operand
+    return operand.read_all()
+
+
 def verify_product(
-    mat_handle: MatrixOracleHandle,
-    vec_handle: VectorOracleHandle,
+    ledger: QueryLedger,
+    field: PrimeField,
+    m_vals: np.ndarray,
+    v_vals: np.ndarray,
     product: FpVector,
     config: VerifierConfig,
     rng: np.random.Generator,
 ) -> bool:
-    """Accept or reject a claimed product for the instance behind the handles.
+    """Accept or reject a claimed product for the instance (m_vals, v_vals).
 
     Never rejects a correct product. In probabilistic mode a wrong product
     is accepted with probability at most epsilon; in exact mode never.
+    Under paper accounting it charges charged_queries(rows, epsilon) to
+    the verifier; the reads of actual accounting are read_operands'.
     """
-    rows, cols = mat_handle.rows, mat_handle.cols
+    rows, cols = m_vals.shape
     if product.length != rows:
         raise ValueError(f"product length {product.length} does not match {rows} rows")
-    if vec_handle.length != cols:
-        raise ValueError(f"vector length {vec_handle.length} does not match {cols} columns")
-    if mat_handle.field != vec_handle.field or product.field != mat_handle.field:
-        raise ValueError("field mismatch among verification operands")
-
+    if v_vals.shape != (cols,):
+        raise ValueError(f"vector shape {v_vals.shape} does not match {cols} columns")
+    if product.field != field:
+        raise ValueError("field mismatch between the product and the instance")
     if config.accounting == "paper":
-        mat_handle.ledger.charge(SOURCE_VERIFIER, charged_queries(rows, config.epsilon))
-        with mat_handle.ledger.paused(), vec_handle.ledger.paused():
-            m_vals = mat_handle.read_all()
-            v_vals = vec_handle.read_all()
-    else:
-        m_vals = mat_handle.read_all()
-        v_vals = vec_handle.read_all()
-    return verify_values(m_vals, v_vals, product.values, mat_handle.field.modulus, config, rng)
+        ledger.charge(SOURCE_VERIFIER, charged_queries(rows, config.epsilon))
 
-
-def verify_values(
-    m_vals: np.ndarray,
-    v_vals: np.ndarray,
-    w_vals: np.ndarray,
-    p: int,
-    config: VerifierConfig,
-    rng: np.random.Generator,
-) -> bool:
-    """The check behind verify_product, on canonical residues; charges nothing.
-
-    The caller has checked that the shapes agree.
-    """
+    p = field.modulus
     if config.mode == "exact":
-        return bool(np.array_equal(matvec_values(m_vals, v_vals, p), w_vals))
-
+        return bool(np.array_equal(matvec_values(m_vals, v_vals, p), product.values))
     rounds = challenge_rounds(p, config.epsilon)
-    challenges = rng.integers(0, p, size=(rounds, m_vals.shape[0]), dtype=np.int64)
-    lhs = matvec_values(challenges, w_vals, p)
+    challenges = rng.integers(0, p, size=(rounds, rows), dtype=np.int64)
+    lhs = matvec_values(challenges, product.values, p)
     rhs = matvec_values(vecmat_values(challenges, m_vals, p), v_vals, p)
     return bool(np.array_equal(lhs, rhs))
 
@@ -142,12 +151,17 @@ def verified_call(
     config: VerifierConfig,
     rng: np.random.Generator,
 ) -> Optional[FpVector]:
-    """One solver invocation gated by verification.
+    """One solver invocation on an input given by handles, gated by verification.
 
-    Charges exactly one ALG query (inside invoke) plus the verifier cost.
-    Returns the solver output when it verifies, None otherwise.
+    Reads the handles once (read_operands), then charges exactly one ALG
+    query (inside invoke) plus the verifier cost. Returns the solver
+    output when it verifies, None otherwise.
     """
-    w = invoke(solver, mat_handle, vec_handle, rng)
-    if verify_product(mat_handle, vec_handle, w, config, rng):
+    ledger, field = mat_handle.ledger, mat_handle.field
+    if vec_handle.field != field:
+        raise ValueError("field mismatch between matrix and vector handles")
+    m_vals, v_vals = read_operands(config, ledger, mat_handle, vec_handle)
+    w = invoke(solver, ledger, field, m_vals, v_vals, rng)
+    if verify_product(ledger, field, m_vals, v_vals, w, config, rng):
         return w
     return None

@@ -41,7 +41,7 @@ from mvamp.solver import (
     exact_average_success,
     invoke,
 )
-from mvamp.verify import VerifierConfig, charged_queries, verify_product
+from mvamp.verify import VerifierConfig, charged_queries, read_operands, verify_product
 from mvamp.harness import (
     experiment_config_from_values,
     run_campaign,
@@ -182,7 +182,7 @@ def test_criterion_3_verifier_contract():
     for _ in range(100000):
         m = random_matrix(4, 4, f5, rng)
         v = random_vector(4, f5, rng)
-        if not verify_product(wrap_matrix(m, led), wrap_vector(v, led), matvec(m, v), cfg, rng):
+        if not verify_product(led, f5, m.values, v.values, matvec(m, v), cfg, rng):
             completeness_failures += 1
     assert completeness_failures == 0
     # soundness: false-accept rate <= eps + 3 sigma, both failure modes
@@ -197,8 +197,8 @@ def test_criterion_3_verifier_contract():
             for _ in range(trials):
                 m = random_matrix(4, 4, f5, rng)
                 v = random_vector(4, f5, rng)
-                w = invoke(solver, wrap_matrix(m, led), wrap_vector(v, led), rng)
-                accepts += verify_product(wrap_matrix(m, led), wrap_vector(v, led), w, vcfg, rng)
+                w = invoke(solver, led, f5, m.values, v.values, rng)
+                accepts += verify_product(led, f5, m.values, v.values, w, vcfg, rng)
             rates[(eps, mode)] = accepts / trials
             assert rates[(eps, mode)] <= bound, (eps, mode, rates[(eps, mode)], bound)
     # charged cost: exactly ceil(r^(3/2) * ceil(log2(1/eps))) per call
@@ -212,13 +212,9 @@ def test_criterion_3_verifier_contract():
             probe = QueryLedger()
             mm = random_matrix(rows, rows, f5, rng)
             vv = random_vector(rows, f5, rng)
-            verify_product(
-                wrap_matrix(mm, probe),
-                wrap_vector(vv, probe),
-                matvec(mm, vv),
-                VerifierConfig(epsilon=eps, accounting="paper"),
-                rng,
-            )
+            paper = VerifierConfig(epsilon=eps, accounting="paper")
+            operands = read_operands(paper, probe, wrap_matrix(mm, probe), wrap_vector(vv, probe))
+            verify_product(probe, f5, *operands, matvec(mm, vv), paper, rng)
             assert probe.snapshot() == {SOURCE_VERIFIER: expect}
     worst = max(rates.values())
     report(

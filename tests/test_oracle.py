@@ -27,8 +27,6 @@ from mvamp.oracle import (
     extract_subvector,
     pad_square_matrix,
     pad_vector,
-    plant_rows,
-    plant_vector,
     sum_vector_oracles,
     wrap_matrix,
     wrap_vector,
@@ -305,87 +303,6 @@ def test_sum_vector_oracles_validates_lengths():
         sum_vector_oracles([a, b])
 
 
-# ----------------------------------------------------------------- planting
-
-
-def _planted_pair(led, slot, k=3):
-    """The same planted instance two ways: plant_rows over one array, and
-    concat_rows of scratch-wrapped co-strips around the live strip. The
-    live strip is rows 3..4 of a 5x5 instance padded to 6, so its padded
-    column is structural."""
-    rng = np.random.default_rng(slot)
-    live = extract_submatrix(pad_square_matrix(wrap_matrix(random_matrix(5, 5, F5, rng), led), 6), 3, 2)
-    co = rng.integers(0, 5, size=(k - 1, 2, 6), dtype=np.int64)
-    with led.paused():
-        live_vals = live.read_all()
-    planted = np.concatenate([co[:slot], live_vals[None], co[slot:]]).reshape(2 * k, 6)
-    parts = [wrap_matrix(FpMatrix(F5, c), led, SOURCE_SCRATCH) for c in co]
-    parts.insert(slot, live)
-    return plant_rows(planted, live, slot), concat_rows(parts)
-
-
-def test_plant_rows_reads_and_charges_like_a_row_concatenation():
-    for slot in range(3):
-        for r0 in range(6):
-            for nr in range(1, 7 - r0):
-                led_p, led_c = QueryLedger(), QueryLedger()
-                planted, concat = _planted_pair(led_p, slot)[0], _planted_pair(led_c, slot)[1]
-                got = extract_submatrix(planted, r0, nr).read_all()
-                assert np.array_equal(got, extract_submatrix(concat, r0, nr).read_all())
-                assert led_p.snapshot() == led_c.snapshot(), (slot, r0, nr)
-        # square windows of every size that tiles the 6x6 instance
-        for d in (1, 2, 3):
-            for bi in range(6 // d):
-                for bj in range(6 // d):
-                    led_p, led_c = QueryLedger(), QueryLedger()
-                    planted, concat = _planted_pair(led_p, slot)[0], _planted_pair(led_c, slot)[1]
-                    got = extract_block(planted, bi, bj, d).read_all()
-                    assert np.array_equal(got, extract_block(concat, bi, bj, d).read_all())
-                    assert led_p.snapshot() == led_c.snapshot(), (slot, d, bi, bj)
-        led_p, led_c = QueryLedger(), QueryLedger()
-        planted, concat = _planted_pair(led_p, slot)[0], _planted_pair(led_c, slot)[1]
-        assert entry_scan_cost(planted) == entry_scan_cost(concat)
-        assert led_p.snapshot() == led_c.snapshot()
-
-
-def _planted_vector_pair(led, slot):
-    """The vector counterpart of _planted_pair: the live segment is entries
-    2..3 of a length-3 vector padded to 4, so its last entry is structural."""
-    live = extract_subvector(pad_vector(wrap_vector(FpVector(F5, [1, 2, 3]), led), 4), 2, 2)
-    co = np.array([[4, 0], [1, 1]], dtype=np.int64)
-    flat = np.concatenate([co[:slot], np.array([[3, 0]]), co[slot:]]).reshape(6)
-    parts = [wrap_vector(FpVector(F5, c), led, SOURCE_SCRATCH) for c in co]
-    parts.insert(slot, live)
-    return plant_vector(flat, live, slot), concat_vectors(parts)
-
-
-def test_plant_vector_reads_and_charges_like_a_concatenation():
-    for slot in range(3):
-        for off in range(6):
-            for n in range(1, 7 - off):
-                led_p, led_c = QueryLedger(), QueryLedger()
-                planted, concat = _planted_vector_pair(led_p, slot)[0], _planted_vector_pair(led_c, slot)[1]
-                got = extract_subvector(planted, off, n).read_all()
-                assert np.array_equal(got, extract_subvector(concat, off, n).read_all())
-                assert led_p.snapshot() == led_c.snapshot(), (slot, off, n)
-
-
-def test_plant_validates_buffer_shape_and_slot():
-    led = QueryLedger()
-    live = wrap_matrix(FpMatrix(F5, [[1, 2, 3], [4, 0, 1]]), led)
-    with pytest.raises(ValueError):
-        plant_rows(np.zeros((5, 3), dtype=np.int64), live, 0)
-    with pytest.raises(ValueError):
-        plant_rows(np.zeros((4, 2), dtype=np.int64), live, 0)
-    with pytest.raises(IndexError):
-        plant_rows(np.zeros((4, 3), dtype=np.int64), live, 2)
-    vec = wrap_vector(FpVector(F5, [1, 2]), led)
-    with pytest.raises(ValueError):
-        plant_vector(np.zeros(5, dtype=np.int64), vec, 0)
-    with pytest.raises(IndexError):
-        plant_vector(np.zeros(4, dtype=np.int64), vec, -1)
-
-
 # --------------------------------------------------- conservation property
 
 
@@ -444,8 +361,6 @@ def vector_compositions(led):
     yield wrap_vector(FpVector(F5, a), led), a
     yield concat_vectors([wrap_vector(FpVector(F5, a), led, "a"), wrap_vector(FpVector(F5, b), led, "b")]), a + b
     yield extract_subvector(wrap_vector(FpVector(F5, a + b), led), 2, 3), (a + b)[2:5]
-    live = extract_subvector(pad_vector(wrap_vector(FpVector(F5, a), led), 4), 2, 2)
-    yield plant_vector(np.array([4, 0, 3, 0, 1, 1], dtype=np.int64), live, 1), [4, 0, 3, 0, 1, 1]
     yield pad_vector(wrap_vector(FpVector(F5, a), led), 5), a + [0, 0]
     summed = [(x + y) % 5 for x, y in zip(a, b)]
     yield sum_vector_oracles([wrap_vector(FpVector(F5, a), led, "a"), wrap_vector(FpVector(F5, b), led, "b")]), summed
@@ -454,7 +369,7 @@ def vector_compositions(led):
 def test_vector_bulk_read_equals_entry_scan_cost_and_values():
     # the conservation property of test_bulk_read_equals_entry_scan_cost_and_values,
     # for every vector constructor
-    for which in range(6):
+    for which in range(5):
         led_bulk, led_scan = QueryLedger(), QueryLedger()
         handle_bulk, expect = list(vector_compositions(led_bulk))[which]
         handle_scan = list(vector_compositions(led_scan))[which][0]

@@ -1,28 +1,37 @@
-"""The names perfbench/tracing.py patches must exist in the package.
+"""What perfbench/ relies on in the package must hold in the package.
 
 The benchmark's tracer looks up every function in FUNCTION_LAYERS with
 getattr and every READ_METHODS attribute in its class __dict__, so a
 deletion in src that it still names breaks `perfbench/run.py --trace 1`.
 It counts reads on the base handle classes only, so a handle class that
-overrode a read method would read uncounted. These tests make both a test
-failure instead.
+overrode a read method would read uncounted. The benchmark also checks
+every trial's ledger against the identities of `workloads.ledger_problems`.
+These tests make each of those a test failure instead.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mvamp import oracle
 from mvamp.field import PrimeField
-from mvamp.linalg import FpMatrix, FpVector
+from mvamp.harness import (
+    ExperimentConfig,
+    _trial_input,
+    build_reduction_config,
+    build_solver,
+    trial_rng,
+)
+from mvamp.linalg import FpMatrix, FpVector, matvec
+from mvamp.reduction import worst_case_matvec
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, PERFBENCH)
 try:
     import tracing
+    from workloads import ledger_problems
 finally:
     sys.path.remove(PERFBENCH)
 
@@ -38,7 +47,6 @@ def test_function_layers_resolve(layer):
 def test_read_methods_are_defined_on_their_class():
     missing = [f"{cls.__name__}.{attr}" for cls, attr in tracing.READ_METHODS if attr not in cls.__dict__]
     assert not missing, missing
-
 
 
 def test_built_handles_read_through_the_traced_methods():
@@ -61,8 +69,6 @@ def test_built_handles_read_through_the_traced_methods():
         "pad_square_matrix": (m, 3),
         "pad_vector": (v, 3),
         "sum_vector_oracles": ([v, v],),
-        "plant_rows": (np.zeros((4, 2), dtype=np.int64), m, 1),
-        "plant_vector": (np.zeros(4, dtype=np.int64), v, 1),
     }
     home, builders = tracing.FUNCTION_LAYERS["oracle.build"]
     assert home == "mvamp.oracle"
@@ -74,3 +80,35 @@ def test_built_handles_read_through_the_traced_methods():
         assert traced, f"{name} returned an untraced {type(handle).__name__}"
         overridden = [attr for cls, attr in traced if getattr(type(handle), attr) is not cls.__dict__[attr]]
         assert not overridden, f"{name}: {type(handle).__name__} overrides {overridden}"
+
+
+@pytest.mark.parametrize("queries_per_call", [None, 7])
+@pytest.mark.parametrize("accounting", ["paper", "actual"])
+@pytest.mark.parametrize("n", [4, 5])  # k = 2 divides 4; 5 is padded to 6
+def test_pipeline_ledgers_satisfy_the_benchmark_identities(n, accounting, queries_per_call):
+    # a goodbad solver with a small stage-1 budget makes stage 3 and the
+    # boost loop retry, so every term of the identities is exercised
+    config = ExperimentConfig(
+        modulus=5, n=n, trials=4, alpha=0.5, seed=3, profile="goodbad", predicate="v_first_even",
+        alpha_good=0.9, alpha_bad=0.2, k=2, c1=2.0, accounting=accounting,
+        queries_per_call=queries_per_call,
+    )
+    field = PrimeField(config.modulus)
+    retried = False
+    for trial in range(config.trials):
+        rng = trial_rng(config.seed, trial)
+        matrix, vector = _trial_input(config, field, trial, rng)
+        ledger = oracle.QueryLedger()
+        outcome = worst_case_matvec(
+            oracle.wrap_matrix(matrix, ledger),
+            oracle.wrap_vector(vector, ledger),
+            build_solver(config),
+            build_reduction_config(config),
+            rng,
+        )
+        assert outcome.result is None or outcome.result == matvec(matrix, vector)
+        stats = outcome.stats
+        retried |= stats.stage3_iters > stats.boost_rounds_total * 2
+        problems = ledger_problems(config, ledger.snapshot(), stats, outcome.block_count, outcome.padded_n)
+        assert not problems, (trial, problems)
+    assert retried

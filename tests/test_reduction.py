@@ -92,6 +92,13 @@ def test_choose_block_count_validation():
         choose_block_count(1.2)
     with pytest.raises(ValueError):
         choose_block_count(0.5, mode="guess")
+    # a non-positive or non-finite c0 is refused by name, also with n passed by position
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="c0"):
+            choose_block_count(0.5, c0=bad)
+        with pytest.raises(ValueError, match="c0"):
+            choose_block_count(0.5, 8, "desk", bad)
+    assert choose_block_count(0.5, 8) == choose_block_count(0.5)
 
 
 def test_boost_rounds_matches_formula():
@@ -163,10 +170,18 @@ def test_solve_strip_perfect_solver_exhaustive():
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
             stats = fresh_stats()
-            out = solve_strip(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng, stats)
+            out = solve_strip(led, f, m.values, v.values, PERFECT, cfg, rng, stats)
             assert out == matvec(m, v)
             assert stats.stage1_iters == 1
-            assert led.get(SOURCE_ALG) == 1
+            # one call on the 2x2 planted instance, its verification, and
+            # the accepted 1-entry window of the output read from scratch
+            assert led.snapshot() == {
+                SOURCE_ALG: 1,
+                SOURCE_MATRIX: 4,
+                SOURCE_VECTOR: 2,
+                SOURCE_VERIFIER: charged_queries(2, cfg.verifier.epsilon),
+                SOURCE_SCRATCH: 1,
+            }
 
 
 def test_solve_strip_square_strip():
@@ -175,7 +190,7 @@ def test_solve_strip_square_strip():
     m = random_matrix(2, 6, F5, rng)  # 3 slots
     v = random_vector(6, F5, rng)
     led = QueryLedger()
-    out = solve_strip(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
+    out = solve_strip(led, F5, m.values, v.values, PERFECT, cfg, rng)
     assert out == matvec(m, v)
 
 
@@ -186,19 +201,27 @@ def test_solve_strip_exhausts_budget_and_returns_none():
     v = random_vector(3, F5, rng)
     led = QueryLedger()
     stats = fresh_stats()
-    out = solve_strip(wrap_matrix(m, led), wrap_vector(v, led), NEVER, cfg, rng, stats)
+    out = solve_strip(led, F5, m.values, v.values, NEVER, cfg, rng, stats)
     assert out is None
     assert stats.stage1_iters == 16
     assert led.get(SOURCE_ALG) == 16
+    # under actual accounting each verification reads the 3x3 planted
+    # instance and the vector from scratch
+    led = QueryLedger()
+    actual = ReductionConfig(alpha=0.5, c1=8.0, verifier=VerifierConfig(accounting="actual"))
+    assert solve_strip(led, F5, m.values, v.values, NEVER, actual, rng) is None
+    assert led.snapshot() == {SOURCE_ALG: 16, SOURCE_MATRIX: 16 * 9, SOURCE_VECTOR: 16 * 3, SOURCE_SCRATCH: 16 * 12}
 
 
 def test_solve_strip_rejects_bad_shape():
     rng = np.random.default_rng(0)
     cfg = ReductionConfig(alpha=1.0)
-    m = FpMatrix(F5, [[1, 2, 3], [4, 0, 1]])  # 2 does not divide 3
+    m = np.array([[1, 2, 3], [4, 0, 1]], dtype=np.int64)  # 2 does not divide 3
     led = QueryLedger()
     with pytest.raises(ValueError):
-        solve_strip(wrap_matrix(m, led), wrap_vector(FpVector(F5, [1, 2, 3]), led), PERFECT, cfg, rng)
+        solve_strip(led, F5, m, np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
+    with pytest.raises(ValueError):
+        solve_strip(led, F5, m[:1], np.array([1, 2], dtype=np.int64), PERFECT, cfg, rng)
 
 
 class RecordingNeverProfile(SolverProfile):
@@ -231,9 +254,9 @@ def test_solve_strip_plants_at_uniform_slot_among_uniform_co_rows():
     profile = RecordingNeverProfile()
     cfg = ReductionConfig(alpha=1.0, c1=float(attempts), verifier=VerifierConfig(mode="exact"))
     led = QueryLedger()
-    m_h = wrap_matrix(FpMatrix(f, [live]), led)
-    v_h = wrap_vector(FpVector(f, vec), led)
-    assert solve_strip(m_h, v_h, NoisySolver(profile), cfg, np.random.default_rng(2024)) is None
+    m_vals = np.array([live], dtype=np.int64)
+    v_vals = np.array(vec, dtype=np.int64)
+    assert solve_strip(led, f, m_vals, v_vals, NoisySolver(profile), cfg, np.random.default_rng(2024)) is None
 
     assert len(profile.seen) == attempts
     assert {v for _, v in profile.seen} == {vec}
@@ -251,7 +274,7 @@ def test_solve_strip_any_matrix_perfect():
         m = random_matrix(rows, cols, F5, rng)
         v = random_vector(cols, F5, rng)
         led = QueryLedger()
-        out = solve_strip_any_matrix(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
+        out = solve_strip_any_matrix(wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
         assert out == matvec(m, v)
 
 
@@ -264,7 +287,7 @@ def test_solve_strip_any_matrix_charges_the_split_read():
     m = random_matrix(2, 4, F5, rng)
     v = random_vector(4, F5, rng)
     led = QueryLedger()
-    solve_strip_any_matrix(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
+    solve_strip_any_matrix(wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
     assert led.get(SOURCE_ALG) == 2
     assert led.get(SOURCE_MATRIX) == 2 * 4 + 2 * 4 * 4
     assert led.get(SOURCE_VECTOR) == 2 * 4
@@ -277,7 +300,7 @@ def test_solve_strip_any_matrix_exhaustive_tiny():
     for m in enumerate_matrices(f, 1, 2):
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
-            out = solve_strip_any_matrix(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
+            out = solve_strip_any_matrix(wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
             assert out == matvec(m, v)
 
 
@@ -291,7 +314,7 @@ def test_solve_block_perfect_exhaustive_tiny():
     for m in enumerate_matrices(f, 1, 1):
         for v in enumerate_vectors(f, 1):
             led = QueryLedger()
-            out = solve_block(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
+            out = solve_block(wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
             assert out == matvec(m, v)
 
 
@@ -303,7 +326,7 @@ def test_solve_block_perfect_random():
         v = random_vector(d, F5, rng)
         led = QueryLedger()
         stats = fresh_stats()
-        out = solve_block(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng, stats)
+        out = solve_block(wrap_matrix(m, led), v.values, PERFECT, cfg, rng, stats)
         assert out == matvec(m, v)
         assert stats.verify_calls >= 1
 
@@ -314,7 +337,10 @@ def test_solve_block_requires_square():
     led = QueryLedger()
     m = FpMatrix(F5, [[1, 2, 3], [4, 0, 1]])
     with pytest.raises(ValueError):
-        solve_block(wrap_matrix(m, led), wrap_vector(FpVector(F5, [1, 2, 3]), led), PERFECT, cfg, rng)
+        solve_block(wrap_matrix(m, led), np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
+    square = wrap_matrix(FpMatrix(F5, [[1, 2], [3, 4]]), led)
+    with pytest.raises(ValueError):
+        solve_block(square, np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
 
 
 def test_solve_block_any_input_perfect():
@@ -332,15 +358,18 @@ def test_solve_block_any_input_perfect():
 
 # ------------------------------------- live input handles outside the pipeline
 #
-# The pipeline only hands solve_strip and solve_block scratch-wrapped
-# halves of its additive splits. Called directly, the live strip, block and
-# vector are the caller's handles: their reads charge their own sources,
-# and structural zeros of a padded input charge nothing.
+# The pipeline hands the strip stage a widened block and the block stage a
+# block, both cut from its padded input, and both stages a vector it drew
+# itself (a half of the vector split). Called directly on the caller's
+# handles, the strip and block reads charge their own sources, structural
+# zeros of a padded input charge nothing, and the vector operand is read
+# from scratch. solve_strip itself takes arrays only, so the strip case
+# runs the strip stage's handle entry, solve_strip_any_matrix.
 
 
 def _live_inputs(kind: str, shape: str, rng):
     """Live (matrix, vector) handles on a fresh ledger, and the number of
-    input entries one full read of each reaches.
+    input entries one full read of the matrix reaches.
 
     shape "strip" is a 3x6 strip with a length-6 vector; "block" is a 3x3
     block with a length-3 vector. kind "plain" wraps them as U_M / U_v;
@@ -352,13 +381,19 @@ def _live_inputs(kind: str, shape: str, rng):
     if kind == "plain":
         m = random_matrix(3, cols, F5, rng)
         v = random_vector(cols, F5, rng)
-        return led, wrap_matrix(m, led), wrap_vector(v, led), 3 * cols, cols
+        return led, wrap_matrix(m, led), wrap_vector(v, led), 3 * cols
     padded_m = pad_square_matrix(wrap_matrix(random_matrix(5, 5, F5, rng), led), 6)
     padded_v = pad_vector(wrap_vector(random_vector(5, F5, rng), led), 6)
     if shape == "strip":  # rows 3..5: 2 real rows of 5 real entries
-        return led, extract_submatrix(padded_m, 3, 3), padded_v, 2 * 5, 5
+        return led, extract_submatrix(padded_m, 3, 3), padded_v, 2 * 5
     # the (1, 1) block of the 3-tiling and its segment: a 2x2 real corner
-    return led, extract_block(padded_m, 1, 1, 3), extract_subvector(padded_v, 3, 3), 2 * 2, 2
+    return led, extract_block(padded_m, 1, 1, 3), extract_subvector(padded_v, 3, 3), 2 * 2
+
+
+def _reference(led, mat, vec):
+    """The true product and the vector's values, read without a charge."""
+    with led.paused():
+        return matvec(mat.to_matrix(), vec.to_vector()), vec.read_all()
 
 
 def _nonzero(counts: dict) -> dict:
@@ -370,30 +405,31 @@ def _nonzero(counts: dict) -> dict:
 def test_solve_strip_charges_live_handles_to_their_sources(accounting, kind):
     rng = np.random.default_rng(41)
     d, n = 3, 6
-    led, mat, vec, live_m, live_v = _live_inputs(kind, "strip", rng)
-    k = n // d
+    led, mat, vec, live_m = _live_inputs(kind, "strip", rng)
+    truth, v_vals = _reference(led, mat, vec)
     eps = 1e-4
     cfg = ReductionConfig(alpha=0.5, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
     solver = NoisySolver(UniformProfile(0.5))
     stats = fresh_stats()
-    out = solve_strip(mat, vec, solver, cfg, rng, stats)
-    assert out == matvec(mat.to_matrix(), vec.to_vector())
+    out = solve_strip_any_matrix(mat, v_vals, solver, cfg, rng, stats)
+    assert out == truth
     a = stats.stage1_iters
-    assert a >= 1 and stats.verify_calls == a
-    # per attempt: one ALG call billed n^2 matrix and n vector queries;
-    # the accepted product's d-entry window is read from scratch
-    want = {SOURCE_ALG: a, SOURCE_MATRIX: a * n * n, SOURCE_VECTOR: a * n, SOURCE_SCRATCH: d}
+    assert a >= 2 and stats.verify_calls == a
+    # the split reads the live strip once; per attempt: one ALG call billed
+    # n^2 matrix and n vector queries; each half's accepted d-entry window
+    # and the sum of the two halves are read from scratch
+    want = {
+        SOURCE_ALG: a,
+        SOURCE_MATRIX: live_m + a * n * n,
+        SOURCE_VECTOR: a * n,
+        SOURCE_SCRATCH: 2 * d + 2 * d,
+    }
     if accounting == "paper":
-        want[SOURCE_VERIFIER] = a * charged_queries(k * d, eps)
+        want[SOURCE_VERIFIER] = a * charged_queries(n, eps)
     else:
-        # each verification reads the live strip and the vector through their
-        # own handles, and the k-1 co-strips from scratch
-        want[SOURCE_MATRIX] += a * live_m
-        want[SOURCE_VECTOR] += a * live_v
-        want[SOURCE_SCRATCH] += a * (k - 1) * d * n
-    # the to_matrix/to_vector reads above are part of the ledger too
-    want[SOURCE_MATRIX] += live_m
-    want[SOURCE_VECTOR] += live_v
+        # each verification reads the n x n planted instance and the vector,
+        # all of them values the pipeline drew, from scratch
+        want[SOURCE_SCRATCH] += a * (n * n + n)
     assert _nonzero(led.snapshot()) == want
 
 
@@ -404,12 +440,14 @@ def test_solve_block_charges_live_handles_to_their_sources(accounting, kind):
     # strip split makes two stage-1 attempts, each accepted at once
     rng = np.random.default_rng(42)
     d, k = 3, 2
-    led, mat, vec, live_m, live_v = _live_inputs(kind, "block", rng)
+    led, mat, vec, live_m = _live_inputs(kind, "block", rng)
+    truth, v_vals = _reference(led, mat, vec)
     n = k * d
     eps = 1e-4
     cfg = ReductionConfig(alpha=1.0, k=k, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
     stats = fresh_stats()
-    out = solve_block(mat, vec, PERFECT, cfg, rng, stats)
+    out = solve_block(mat, v_vals, PERFECT, cfg, rng, stats)
+    assert out == truth
     assert (stats.stage1_iters, stats.stage3_iters, stats.verify_calls) == (2, 1, 3)
     want = {
         SOURCE_ALG: 2,
@@ -423,16 +461,12 @@ def test_solve_block_charges_live_handles_to_their_sources(accounting, kind):
     if accounting == "paper":
         want[SOURCE_VERIFIER] = 2 * charged_queries(n, eps) + charged_queries(d, eps)
     else:
-        # stage-1 verifications read a scratch half strip, k-1 scratch
-        # co-strips and the widened vector (live segment plus k-1 scratch
-        # co-vectors); the stage-3 verification reads the widened block and
-        # the widened vector
-        want[SOURCE_SCRATCH] += 2 * (d * n + (k - 1) * d * n + (k - 1) * d) + (k - 1) * d
+        # the two stage-1 verifications read their n x n planted instance and
+        # the widened vector from scratch; the stage-3 verification re-reads
+        # the widened block through its handle and the widened vector (the
+        # live vector and k-1 co-vectors) from scratch
+        want[SOURCE_SCRATCH] += 2 * (n * n + n) + k * d
         want[SOURCE_MATRIX] += live_m
-        want[SOURCE_VECTOR] += 3 * live_v
-    assert out == matvec(mat.to_matrix(), vec.to_vector())
-    want[SOURCE_MATRIX] += live_m
-    want[SOURCE_VECTOR] += live_v
     assert _nonzero(led.snapshot()) == want
 
 

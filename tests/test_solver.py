@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mvamp.field import PrimeField
-from mvamp.linalg import FpMatrix, FpVector, enumerate_matrices, enumerate_vectors, matvec, random_matrix, random_vector
-from mvamp.oracle import SOURCE_ALG, SOURCE_MATRIX, SOURCE_VECTOR, QueryLedger, wrap_matrix, wrap_vector
+from mvamp.linalg import FpVector, enumerate_matrices, enumerate_vectors, matvec, random_matrix, random_vector
+from mvamp.oracle import SOURCE_ALG, SOURCE_MATRIX, SOURCE_VECTOR, QueryLedger
 from mvamp.solver import (
     GoodBadProfile,
     NoisySolver,
@@ -112,7 +112,7 @@ def test_invoke_perfect_solver_returns_truth_and_charges():
     led = QueryLedger()
     m, v = make_instance(n=3)
     solver = NoisySolver(UniformProfile(1.0))
-    out = invoke(solver, wrap_matrix(m, led), wrap_vector(v, led), np.random.default_rng(0))
+    out = invoke(solver, led, F5, m.values, v.values, np.random.default_rng(0))
     assert out == matvec(m, v)
     assert led.get(SOURCE_ALG) == 1
     assert led.get(SOURCE_MATRIX) == 9  # default budget is n^2
@@ -123,7 +123,7 @@ def test_invoke_queries_per_call_override():
     led = QueryLedger()
     m, v = make_instance(n=3)
     solver = NoisySolver(UniformProfile(1.0), queries_per_call=5)
-    invoke(solver, wrap_matrix(m, led), wrap_vector(v, led), np.random.default_rng(0))
+    invoke(solver, led, F5, m.values, v.values, np.random.default_rng(0))
     assert led.get(SOURCE_MATRIX) == 5
     assert led.get(SOURCE_VECTOR) == 3
 
@@ -135,7 +135,7 @@ def test_invoke_zero_solver_never_correct():
     solver = NoisySolver(UniformProfile(0.0))
     rng = np.random.default_rng(1)
     for _ in range(50):
-        out = invoke(solver, wrap_matrix(m, led), wrap_vector(v, led), rng)
+        out = invoke(solver, led, F5, m.values, v.values, rng)
         assert out != truth
 
 
@@ -146,7 +146,7 @@ def test_invoke_perturb_mode_differs_in_one_coordinate():
     solver = NoisySolver(UniformProfile(0.0), failure_mode="perturb")
     rng = np.random.default_rng(2)
     for _ in range(50):
-        out = invoke(solver, wrap_matrix(m, led), wrap_vector(v, led), rng)
+        out = invoke(solver, led, F5, m.values, v.values, rng)
         diffs = sum(1 for a, b in zip(out.to_list(), truth.to_list()) if a != b)
         assert diffs == 1
 
@@ -155,16 +155,18 @@ def test_invoke_rejects_bad_shapes():
     led = QueryLedger()
     solver = NoisySolver(UniformProfile(1.0))
     rng = np.random.default_rng(0)
-    rect = wrap_matrix(FpMatrix(F5, [[1, 2, 3], [4, 0, 1]]), led)
-    vec3 = wrap_vector(FpVector(F5, [1, 2, 3]), led)
+    rect = np.array([[1, 2, 3], [4, 0, 1]], dtype=np.int64)
+    vec3 = np.array([1, 2, 3], dtype=np.int64)
     with pytest.raises(ValueError):
-        invoke(solver, rect, vec3, rng)
-    sq = wrap_matrix(FpMatrix(F5, [[1, 2], [3, 4]]), led)
+        invoke(solver, led, F5, rect, vec3, rng)
+    sq = np.array([[1, 2], [3, 4]], dtype=np.int64)
     with pytest.raises(ValueError):
-        invoke(solver, sq, vec3, rng)
-    other = wrap_vector(FpVector(PrimeField(7), [1, 2]), led)
+        invoke(solver, led, F5, sq, vec3, rng)
+    column = np.array([[1], [2]], dtype=np.int64)
     with pytest.raises(ValueError):
-        invoke(solver, sq, other, rng)
+        invoke(solver, led, F5, sq, column, rng)
+    # a rejected call charges nothing
+    assert led.snapshot() == {}
 
 
 def test_invoke_failure_mode_validated():

@@ -14,6 +14,7 @@ from mvamp.field import PrimeField
 from mvamp.linalg import FpMatrix, FpVector, enumerate_matrices, enumerate_vectors, matvec, random_matrix, random_vector
 from mvamp.oracle import (
     SOURCE_MATRIX,
+    SOURCE_SCRATCH,
     SOURCE_VECTOR,
     SOURCE_VERIFIER,
     QueryLedger,
@@ -21,7 +22,14 @@ from mvamp.oracle import (
     wrap_vector,
 )
 from mvamp.solver import NoisySolver, UniformProfile
-from mvamp.verify import VerifierConfig, challenge_rounds, charged_queries, verified_call, verify_product
+from mvamp.verify import (
+    VerifierConfig,
+    challenge_rounds,
+    charged_queries,
+    read_operands,
+    verified_call,
+    verify_product,
+)
 
 F5 = PrimeField(5)
 
@@ -78,7 +86,7 @@ def test_completeness_exhaustive_tiny():
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
             prod = matvec(m, v)
-            assert verify_product(wrap_matrix(m, led), wrap_vector(v, led), prod, cfg, rng)
+            assert verify_product(led, f, m.values, v.values, prod, cfg, rng)
 
 
 def test_exact_mode_is_deterministic():
@@ -89,11 +97,10 @@ def test_exact_mode_is_deterministic():
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
             truth = matvec(m, v)
-            hm, hv = wrap_matrix(m, led), wrap_vector(v, led)
-            assert verify_product(hm, hv, truth, cfg, rng)
+            assert verify_product(led, f, m.values, v.values, truth, cfg, rng)
             for w in enumerate_vectors(f, 2):
                 if w != truth:
-                    assert not verify_product(hm, hv, w, cfg, rng)
+                    assert not verify_product(led, f, m.values, v.values, w, cfg, rng)
 
 
 def test_false_accept_rate_matches_closed_form():
@@ -107,9 +114,8 @@ def test_false_accept_rate_matches_closed_form():
     truth = matvec(m, v)
     wrong = FpVector(F5, [(truth.values[0] + 1) % 5, truth.values[1]])
     led = QueryLedger()
-    hm, hv = wrap_matrix(m, led), wrap_vector(v, led)
     trials = 10000
-    accepts = sum(verify_product(hm, hv, wrong, cfg, rng) for _ in range(trials))
+    accepts = sum(verify_product(led, F5, m.values, v.values, wrong, cfg, rng) for _ in range(trials))
     # 4 sigma of binomial(10000, 0.2) is 0.016
     assert abs(accepts / trials - 0.2) < 0.016
 
@@ -124,9 +130,8 @@ def test_false_accept_rate_two_rounds():
     truth = matvec(m, v)
     wrong = FpVector(F5, [truth.values[0], (truth.values[1] + 2) % 5])
     led = QueryLedger()
-    hm, hv = wrap_matrix(m, led), wrap_vector(v, led)
     trials = 10000
-    accepts = sum(verify_product(hm, hv, wrong, cfg, rng) for _ in range(trials))
+    accepts = sum(verify_product(led, F5, m.values, v.values, wrong, cfg, rng) for _ in range(trials))
     # 4 sigma of binomial(10000, 0.04) is 0.008
     assert abs(accepts / trials - 0.04) < 0.008
 
@@ -136,7 +141,10 @@ def test_paper_accounting_charges_formula_only():
     m, v = random_matrix(4, 4, F5, rng), random_vector(4, F5, rng)
     led = QueryLedger()
     cfg = VerifierConfig(epsilon=1e-4, accounting="paper")
-    verify_product(wrap_matrix(m, led), wrap_vector(v, led), matvec(m, v), cfg, rng)
+    # handle and array operands alike are read without a charge
+    operands = read_operands(cfg, led, wrap_matrix(m, led), wrap_vector(v, led))
+    assert read_operands(cfg, led, m.values, v.values)[0] is m.values
+    verify_product(led, F5, *operands, matvec(m, v), cfg, rng)
     assert led.snapshot() == {SOURCE_VERIFIER: charged_queries(4, 1e-4)}
 
 
@@ -145,21 +153,37 @@ def test_actual_accounting_counts_physical_reads():
     m, v = random_matrix(4, 4, F5, rng), random_vector(4, F5, rng)
     led = QueryLedger()
     cfg = VerifierConfig(epsilon=1e-4, accounting="actual")
-    verify_product(wrap_matrix(m, led), wrap_vector(v, led), matvec(m, v), cfg, rng)
+    operands = read_operands(cfg, led, wrap_matrix(m, led), wrap_vector(v, led))
+    assert all(np.array_equal(a, b) for a, b in zip(operands, (m.values, v.values)))
+    verify_product(led, F5, *operands, matvec(m, v), cfg, rng)
     assert led.snapshot() == {SOURCE_MATRIX: 16, SOURCE_VECTOR: 4}
+    # arrays the pipeline drew itself are read from scratch
+    read_operands(cfg, led, m.values, v.values)
+    assert led.snapshot() == {SOURCE_MATRIX: 16, SOURCE_VECTOR: 4, SOURCE_SCRATCH: 20}
 
 
 def test_verify_product_validates_inputs():
     rng = np.random.default_rng(0)
     led = QueryLedger()
-    m = FpMatrix(F5, [[1, 2], [3, 4]])
-    v = FpVector(F5, [1, 1])
-    hm, hv = wrap_matrix(m, led), wrap_vector(v, led)
+    m = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    v = np.array([1, 1], dtype=np.int64)
     cfg = VerifierConfig()
     with pytest.raises(ValueError):
-        verify_product(hm, hv, FpVector(F5, [1, 2, 3]), cfg, rng)
+        verify_product(led, F5, m, v, FpVector(F5, [1, 2, 3]), cfg, rng)
     with pytest.raises(ValueError):
-        verify_product(hm, hv, FpVector(PrimeField(7), [1, 2]), cfg, rng)
+        verify_product(led, F5, m, v, FpVector(PrimeField(7), [1, 2]), cfg, rng)
+    with pytest.raises(ValueError):
+        verify_product(led, F5, m, np.array([1, 1, 1], dtype=np.int64), FpVector(F5, [1, 2]), cfg, rng)
+    with pytest.raises(ValueError):
+        verified_call(
+            NoisySolver(UniformProfile(1.0)),
+            wrap_matrix(FpMatrix(F5, m), led),
+            wrap_vector(FpVector(PrimeField(7), v), led),
+            cfg,
+            rng,
+        )
+    # a rejected call charges nothing
+    assert led.snapshot() == {}
 
 
 def test_large_modulus_verification_falls_back_exactly():
@@ -170,12 +194,11 @@ def test_large_modulus_verification_falls_back_exactly():
     m = FpMatrix(f, [[p - 1, p - 2], [p - 3, p - 4]])
     v = FpVector(f, [p - 1, p - 5])
     led = QueryLedger()
-    hm, hv = wrap_matrix(m, led), wrap_vector(v, led)
     cfg = VerifierConfig(epsilon=0.5)
     truth = matvec(m, v)
-    assert verify_product(hm, hv, truth, cfg, rng)
+    assert verify_product(led, f, m.values, v.values, truth, cfg, rng)
     wrong = FpVector(f, [(truth.values[0] + 1) % p, truth.values[1]])
-    rejections = sum(not verify_product(hm, hv, wrong, cfg, rng) for _ in range(30))
+    rejections = sum(not verify_product(led, f, m.values, v.values, wrong, cfg, rng) for _ in range(30))
     # per-round false accept is 1/p ~ 5e-10, all 30 must reject
     assert rejections == 30
 
