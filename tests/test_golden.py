@@ -81,6 +81,19 @@ CASES = {
         "accounting": "actual",
         "seed": 5,
     },
+    # p = 2^31 - 1: every product leaves the direct int64 path; n = 15 padded to 16
+    "large_modulus": {
+        "modulus": 2147483647,
+        "n": 15,
+        "trials": 4,
+        "alpha": 0.5,
+        "profile": "uniform",
+        "failure_mode": "perturb",
+        "pipeline": "full",
+        "k": 2,
+        "accounting": "actual",
+        "seed": 7,
+    },
 }
 
 # campaigns whose summary.json is pinned; the baseline twin stays out of
