@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import PrimeField
+from .field import MAX_MODULUS, PrimeField
 
 
 def _canonical_values(field: PrimeField, values, expect_ndim: int) -> np.ndarray:
@@ -109,21 +109,36 @@ class FpMatrix:
 # arithmetic on raw value arrays
 # ---------------------------------------------------------------------------
 
-# int64 products stay exact while terms * (p-1)^2 < 2^63; beyond that the
-# product is taken over Python ints, which cannot overflow.
+# One exact (a @ b) mod p in int64, three ways: a direct matmul while
+# terms * (p-1)^2 < 2^63; past that, the right operand split into 16-bit limbs,
+# one matmul per limb, recombined as (hi * 2^16 + lo) mod p (the delayed
+# reduction of FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008); and sums longer
+# than 2^16 terms taken in chunks of 2^16 whose limb products add mod p.
 _INT64_LIMIT = 2**63
+# a residue times a limb is below 2^(_RESIDUE_BITS + _LIMB_BITS): _CHUNK of them sum below 2^63
+_RESIDUE_BITS = (MAX_MODULUS - 1).bit_length()
+_LIMB_BITS = (_RESIDUE_BITS + 1) // 2
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_CHUNK = _INT64_LIMIT >> (_RESIDUE_BITS + _LIMB_BITS)
 
 
-def _fits_int64(n_terms: int, modulus: int) -> bool:
-    return n_terms * (modulus - 1) ** 2 < _INT64_LIMIT
+def _limb_product(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    hi = (a @ (b >> _LIMB_BITS)) % modulus
+    lo = (a @ (b & _LIMB_MASK)) % modulus
+    return ((hi << _LIMB_BITS) + lo) % modulus
 
 
 def _product_values(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact (a @ b) mod p on int64 residues, for any shapes matmul accepts."""
-    if _fits_int64(a.shape[-1], modulus):
+    terms = a.shape[-1]
+    if terms * (modulus - 1) ** 2 < _INT64_LIMIT:
         return (a @ b) % modulus
-    # asarray: a 1-D by 1-D object product is a Python int, not an array
-    return np.asarray((a.astype(object) @ b.astype(object)) % modulus).astype(np.int64)
+    if terms <= _CHUNK:
+        return _limb_product(a, b, modulus)
+    total = 0
+    for s in range(0, terms, _CHUNK):
+        total += _limb_product(a[..., s : s + _CHUNK], b[s : s + _CHUNK], modulus)
+    return total % modulus
 
 
 def matvec_values(m_vals: np.ndarray, v_vals: np.ndarray, modulus: int) -> np.ndarray:

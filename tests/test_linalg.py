@@ -4,11 +4,16 @@ Products are checked against plain-Python loops, exhaustively where the
 instance count allows it.
 """
 
+from math import isqrt
+
 import numpy as np
 import pytest
 
-from mvamp.field import PrimeField
+from mvamp.field import MAX_MODULUS, PrimeField, is_prime
 from mvamp.linalg import (
+    _CHUNK,
+    _LIMB_BITS,
+    _LIMB_MASK,
     FpMatrix,
     FpVector,
     count_matrices,
@@ -148,6 +153,78 @@ def test_value_kernels_match_python_int_reference(p):
             assert matvec_values(stack, r, p).tolist() == matvec_reference(sl, rl, p)
             assert dot_values(v, v, p) == matvec_reference([vl], vl, p)[0]
             assert matvec_values(m, v, p).dtype == vecmat_values(stack, m, p).dtype == np.int64
+
+
+def product_reference(a, b, p):
+    # schoolbook (a @ b) mod p over Python ints, for 1-D or 2-D operands
+    rows = a.tolist() if a.ndim == 2 else [a.tolist()]
+    cols = [list(c) for c in zip(*b.tolist())] if b.ndim == 2 else [b.tolist()]
+    out = [[sum(x * y for x, y in zip(r, c)) % p for c in cols] for r in rows]
+    if b.ndim == 1:
+        out = [row[0] for row in out]
+    return out if a.ndim == 2 else out[0]
+
+
+def first_prime_past_direct_path(terms):
+    """The smallest prime p whose sums of `terms` products leave int64."""
+    q = isqrt(2**63 // terms)
+    while not (is_prime(q) and terms * (q - 1) ** 2 >= 2**63):
+        q += 1
+    return q
+
+
+P_CROSS = first_prime_past_direct_path(64)
+LIMB_EDGES = (2**16 - 1, 2**16, 2**16 + 1)
+
+
+@pytest.mark.parametrize(
+    "path, p, terms",
+    [
+        ("direct", 65521, 64),
+        ("direct", P_CROSS, 63),  # the last length that fits int64 at P_CROSS
+        ("limb", P_CROSS, 64),
+        ("limb", 2**31 - 1, 64),
+        ("chunked", 2**31 - 1, 2**16 + 3),
+    ],
+)
+def test_value_kernels_are_exact_on_each_product_path(path, p, terms):
+    fits_int64 = terms * (p - 1) ** 2 < 2**63
+    assert fits_int64 == (path == "direct")
+    assert (terms > _CHUNK) == (path == "chunked")
+    edges = [e for e in LIMB_EDGES if e < p] + [p - 1]
+    rng = np.random.default_rng(terms)
+    # short sums run every output shape on random operands too; the chunked
+    # sums, 2^16 + 3 terms long, keep the sizes the Python reference can afford
+    rows, cols = (3, 4) if path != "chunked" else (2, 2)
+    for fill in ("random", "max", "edges") if path != "chunked" else ("max", "edges"):
+
+        def draw(*shape):
+            if fill == "random":
+                return rng.integers(0, p, size=shape)
+            if fill == "max":
+                return np.full(shape, p - 1, dtype=np.int64)
+            return rng.choice(np.array(edges, dtype=np.int64), size=shape)
+
+        a_1d, a_2d, b_1d, b_2d = draw(terms), draw(rows, terms), draw(terms), draw(terms, cols)
+        cases = (
+            (matvec_values, a_1d, b_1d, 0),
+            (vecmat_values, a_1d, b_2d, 1),
+            (matvec_values, a_2d, b_1d, 1),
+            (vecmat_values, a_2d, b_2d, 2),
+        )
+        for kernel, a, b, ndim in cases:
+            got = np.asarray(kernel(a, b, p))
+            assert got.ndim == ndim and got.dtype == np.int64
+            assert got.tolist() == product_reference(a, b, p)
+        assert dot_values(a_1d, b_1d, p) == product_reference(a_1d, b_1d, p)
+
+
+def test_limb_split_bound_covers_the_modulus_cap():
+    # a chunk of residue-times-limb products stays below 2^63 for every
+    # supported modulus, and a residue's high limb fits the limb width
+    assert _CHUNK * (MAX_MODULUS - 1) * _LIMB_MASK < 2**63
+    assert (MAX_MODULUS - 1) >> _LIMB_BITS <= _LIMB_MASK
+    assert (_LIMB_BITS, _CHUNK) == (16, 2**16)
 
 
 def test_pad_preserves_product_exhaustive_tiny():
