@@ -188,8 +188,7 @@ LIMB_EDGES = (2**16 - 1, 2**16, 2**16 + 1)
     ],
 )
 def test_value_kernels_are_exact_on_each_product_path(path, p, terms):
-    fits_int64 = terms * (p - 1) ** 2 < 2**63
-    assert fits_int64 == (path == "direct")
+    assert (terms * (p - 1) ** 2 < 2**63) == (path == "direct")
     assert (terms > _CHUNK) == (path == "chunked")
     edges = [e for e in LIMB_EDGES if e < p] + [p - 1]
     rng = np.random.default_rng(terms)
