@@ -94,6 +94,18 @@ CASES = {
         "accounting": "actual",
         "seed": 7,
     },
+    # the exact verifier: strict recomputation of M v, no challenges drawn
+    "verifier_exact": {
+        "modulus": 5,
+        "n": 6,
+        "trials": 4,
+        "alpha": 0.5,
+        "profile": "uniform",
+        "pipeline": "full",
+        "k": 2,
+        "verifier_mode": "exact",
+        "seed": 11,
+    },
 }
 
 # campaigns whose summary.json is pinned; the baseline twin stays out of
