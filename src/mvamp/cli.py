@@ -189,7 +189,7 @@ def _cmd_verify_bench(args) -> int:
     for _ in range(args.trials):
         m = random_matrix(args.rows, args.cols, field, rng)
         v = random_vector(args.cols, field, rng)
-        w = matvec(m, v)
+        w = matvec(m, v).values
         if not verify_product(ledger, field, m.values, v.values, w, config, rng):
             completeness_failures += 1
 

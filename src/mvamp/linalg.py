@@ -172,17 +172,20 @@ def matvec(matrix: FpMatrix, vector: FpVector) -> FpVector:
 # sampling
 # ---------------------------------------------------------------------------
 
+# rng.integers(0, p, dtype=int64) draws fresh canonical residues, so the
+# samplers skip the range scan and copy of the validating constructors.
+
 
 def random_matrix(rows: int, cols: int, field: PrimeField, rng: np.random.Generator) -> FpMatrix:
     if rows <= 0 or cols <= 0:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    return FpMatrix(field, rng.integers(0, field.modulus, size=(rows, cols), dtype=np.int64))
+    return FpMatrix._trusted(field, rng.integers(0, field.modulus, size=(rows, cols), dtype=np.int64))
 
 
 def random_vector(n: int, field: PrimeField, rng: np.random.Generator) -> FpVector:
     if n <= 0:
         raise ValueError(f"vector length must be positive, got {n}")
-    return FpVector(field, rng.integers(0, field.modulus, size=n, dtype=np.int64))
+    return FpVector._trusted(field, rng.integers(0, field.modulus, size=n, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ spending O(1/alpha^2) solver calls. It is built in stages:
                          n, solve each of the k^2 blocks under a boost
                          loop, then assemble row sums.
 
+Inside the pipeline every operand and partial product is an int64 array
+of canonical residues (None for a failed stage); only worst_case_matvec's
+result is wrapped in an FpVector.
+
 Vector "goodness" (the solver succeeding on an above-half-of-alpha share
 of matrices for that vector) is an analysis device: the pipeline never
 tests it, while good_fraction_exhaustive measures it exactly offline.
@@ -214,7 +218,7 @@ def solve_strip(
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
-) -> Optional[FpVector]:
+) -> Optional[np.ndarray]:
     """Product of a d x n strip with a full vector, assuming the vector is good.
 
     Each attempt plants the strip at a uniform block position among fresh
@@ -250,7 +254,7 @@ def solve_strip(
         if verify_product(ledger, field, *operands, w, config.verifier, rng):
             # the strip's block of the output, read as a scratch window
             ledger.charge(SOURCE_SCRATCH, d)
-            return FpVector._trusted(field, w.values[slot * d : (slot + 1) * d])
+            return w[slot * d : (slot + 1) * d]
     return None
 
 
@@ -261,7 +265,7 @@ def solve_strip_any_matrix(
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
-) -> Optional[FpVector]:
+) -> Optional[np.ndarray]:
     """solve_strip for an arbitrary strip, via a uniform additive split.
 
     Draws R1 uniform, reads the strip once (d*n charged oracle queries) to
@@ -289,7 +293,7 @@ def solve_strip_any_matrix(
     if w2 is None:
         return None
     ledger.charge(SOURCE_SCRATCH, 2 * d)
-    return FpVector._trusted(field, (w1.values + w2.values) % p)
+    return (w1 + w2) % p
 
 
 def solve_block(
@@ -299,7 +303,7 @@ def solve_block(
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
-) -> Optional[FpVector]:
+) -> Optional[np.ndarray]:
     """Product of a d x d block with a length-d vector, randomized over vectors.
 
     Each attempt plants the vector at a uniform slot of a concatenation
@@ -349,7 +353,7 @@ def solve_block_any_input(
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
-) -> Optional[FpVector]:
+) -> Optional[np.ndarray]:
     """solve_block for an arbitrary vector, via a uniform additive split.
 
     Draws r1 uniform, reads the vector once (d charged oracle queries) to
@@ -379,14 +383,14 @@ def solve_block_any_input(
     if w2 is None:
         return None
     ledger.charge(SOURCE_SCRATCH, 2 * d)
-    return FpVector._trusted(field, (w1.values + w2.values) % p)
+    return (w1 + w2) % p
 
 
 def boost(
-    attempt: Callable[[], Optional[FpVector]],
+    attempt: Callable[[], Optional[np.ndarray]],
     rounds: int,
     stats: Optional[StageStats] = None,
-) -> Optional[FpVector]:
+) -> Optional[np.ndarray]:
     """Retry a fallible computation, returning its first non-None result."""
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
@@ -463,7 +467,7 @@ def worst_case_matvec(
                 return ReductionOutcome(
                     result=None, stats=stats, block_count=k, padded_n=n_padded, original_n=n
                 )
-            block_products[i, j] = out.values
+            block_products[i, j] = out
 
     ledger.charge(SOURCE_SCRATCH, k * k * d + k * d)
     assembled = block_products.sum(axis=1) % field.modulus

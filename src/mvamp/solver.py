@@ -26,7 +26,6 @@ from .linalg import (
     enumerate_matrices,
     enumerate_vectors,
     matvec_values,
-    random_vector,
 )
 from .oracle import SOURCE_ALG, SOURCE_MATRIX, SOURCE_VECTOR, QueryLedger
 
@@ -188,18 +187,18 @@ class NoisySolver:
             raise ValueError("queries_per_call must be nonnegative")
 
 
-def _wrong_output(truth: FpVector, mode: str, rng: np.random.Generator) -> FpVector:
-    field = truth.field
-    n = truth.length
+def _wrong_output(truth: np.ndarray, mode: str, modulus: int, rng: np.random.Generator) -> np.ndarray:
+    n = truth.shape[0]
     if mode == "perturb":
-        vals = truth.values.copy()
+        vals = truth.copy()
         i = int(rng.integers(n))
-        shift = 1 + int(rng.integers(field.modulus - 1))
-        vals[i] = (vals[i] + shift) % field.modulus
-        return FpVector(field, vals)
+        shift = 1 + int(rng.integers(modulus - 1))
+        vals[i] = (vals[i] + shift) % modulus
+        return vals
     while True:
-        w = random_vector(n, field, rng)
-        if w != truth:
+        # the draw random_vector makes, without the FpVector around it
+        w = rng.integers(0, modulus, size=n, dtype=np.int64)
+        if not np.array_equal(w, truth):
             return w
 
 
@@ -210,12 +209,13 @@ def invoke(
     m_vals: np.ndarray,
     v_vals: np.ndarray,
     rng: np.random.Generator,
-) -> FpVector:
+) -> np.ndarray:
     """One solver call on a square instance given as canonical residues.
 
     Charges 1 to ALG, Q to U_M, and n to U_v; the solver's own reads of
-    the instance are not itemized. Returns the true product on success
-    and a wrong vector (never equal to the truth) on failure.
+    the instance are not itemized. Returns the output as an int64 residue
+    array: the true product on success and a wrong vector (never equal to
+    the truth) on failure.
     """
     n = m_vals.shape[0]
     if m_vals.shape != (n, n):
@@ -227,11 +227,12 @@ def invoke(
     ledger.charge(SOURCE_MATRIX, q)
     ledger.charge(SOURCE_VECTOR, n)
 
+    p = field.modulus
+    truth = matvec_values(m_vals, v_vals, p)
     matrix = FpMatrix._trusted(field, m_vals)
     vector = FpVector._trusted(field, v_vals)
-    truth = FpVector._trusted(field, matvec_values(m_vals, v_vals, field.modulus))
     if rng.random() < solver.profile.success_probability(matrix, vector):
         return truth
-    wrong = _wrong_output(truth, solver.failure_mode, rng)
-    assert wrong != truth
+    wrong = _wrong_output(truth, solver.failure_mode, p, rng)
+    assert not np.array_equal(wrong, truth)
     return wrong

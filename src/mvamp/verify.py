@@ -2,10 +2,11 @@
 
 A claimed product w for (M, v) is checked either exactly (ground-truth
 recomputation, a test-only mode) or probabilistically: t independent
-uniform challenges r test r.w == (r.M).v, where t is the smallest count
-driving the per-round false-accept probability 1/p below epsilon. A
-correct w is never rejected; a wrong one survives with probability at
-most epsilon.
+uniform challenges r test r.(M.v - w) == 0, where t is the smallest count
+driving the per-round false-accept probability 1/p below epsilon. That is
+Freivalds' identity r.w == (r.M).v taken as one residual: M.v - w is formed
+once, and each challenge is a dot product with it. A correct w is never
+rejected; a wrong one survives with probability at most epsilon.
 
 Cost accounting has two modes. "paper" charges the closed-form budget
 ceil(r^{3/2} * ceil(log2(1/eps))) to the verifier source and mutes the
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .field import PrimeField
-from .linalg import FpVector, matvec_values, vecmat_values
+from .linalg import FpVector, matvec_values
 from .oracle import (
     SOURCE_SCRATCH,
     SOURCE_VERIFIER,
@@ -113,35 +114,35 @@ def verify_product(
     field: PrimeField,
     m_vals: np.ndarray,
     v_vals: np.ndarray,
-    product: FpVector,
+    product: np.ndarray,
     config: VerifierConfig,
     rng: np.random.Generator,
 ) -> bool:
     """Accept or reject a claimed product for the instance (m_vals, v_vals).
 
-    Never rejects a correct product. In probabilistic mode a wrong product
-    is accepted with probability at most epsilon; in exact mode never.
+    All three are int64 residue arrays. Never rejects a correct product.
+    In probabilistic mode it draws (rounds, rows) uniform challenges R and
+    accepts iff R.((M.v - w) mod p) == 0 mod p, which holds exactly when
+    R.w == (R.M).v does; a wrong product is accepted with probability at
+    most epsilon. In exact mode it accepts iff M.v == w, drawing nothing.
     Under paper accounting it charges charged_queries(rows, epsilon) to
     the verifier; the reads of actual accounting are read_operands'.
     """
     rows, cols = m_vals.shape
-    if product.length != rows:
-        raise ValueError(f"product length {product.length} does not match {rows} rows")
+    if product.shape != (rows,):
+        raise ValueError(f"product shape {product.shape} does not match {rows} rows")
     if v_vals.shape != (cols,):
         raise ValueError(f"vector shape {v_vals.shape} does not match {cols} columns")
-    if product.field != field:
-        raise ValueError("field mismatch between the product and the instance")
     if config.accounting == "paper":
         ledger.charge(SOURCE_VERIFIER, charged_queries(rows, config.epsilon))
 
     p = field.modulus
     if config.mode == "exact":
-        return bool(np.array_equal(matvec_values(m_vals, v_vals, p), product.values))
+        return bool(np.array_equal(matvec_values(m_vals, v_vals, p), product))
     rounds = challenge_rounds(p, config.epsilon)
     challenges = rng.integers(0, p, size=(rounds, rows), dtype=np.int64)
-    lhs = matvec_values(challenges, product.values, p)
-    rhs = matvec_values(vecmat_values(challenges, m_vals, p), v_vals, p)
-    return bool(np.array_equal(lhs, rhs))
+    residual = (matvec_values(m_vals, v_vals, p) - product) % p
+    return not matvec_values(challenges, residual, p).any()
 
 
 def verified_call(
@@ -163,5 +164,5 @@ def verified_call(
     m_vals, v_vals = read_operands(config, ledger, mat_handle, vec_handle)
     w = invoke(solver, ledger, field, m_vals, v_vals, rng)
     if verify_product(ledger, field, m_vals, v_vals, w, config, rng):
-        return w
+        return FpVector._trusted(field, w)
     return None

@@ -182,7 +182,7 @@ def test_criterion_3_verifier_contract():
     for _ in range(100000):
         m = random_matrix(4, 4, f5, rng)
         v = random_vector(4, f5, rng)
-        if not verify_product(led, f5, m.values, v.values, matvec(m, v), cfg, rng):
+        if not verify_product(led, f5, m.values, v.values, matvec(m, v).values, cfg, rng):
             completeness_failures += 1
     assert completeness_failures == 0
     # soundness: false-accept rate <= eps + 3 sigma, both failure modes
@@ -214,7 +214,7 @@ def test_criterion_3_verifier_contract():
             vv = random_vector(rows, f5, rng)
             paper = VerifierConfig(epsilon=eps, accounting="paper")
             operands = read_operands(paper, probe, wrap_matrix(mm, probe), wrap_vector(vv, probe))
-            verify_product(probe, f5, *operands, matvec(mm, vv), paper, rng)
+            verify_product(probe, f5, *operands, matvec(mm, vv).values, paper, rng)
             assert probe.snapshot() == {SOURCE_VERIFIER: expect}
     worst = max(rates.values())
     report(

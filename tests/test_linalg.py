@@ -272,6 +272,25 @@ def test_random_generators_validate_dims():
     assert all(0 <= x < 5 for row in m.to_lists() for x in row)
 
 
+@pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
+def test_random_generators_draw_raw_canonical_residues(p):
+    # the samplers skip validation, so check here what it would: int64,
+    # the asked shape, entries in [0, p), and the very draw of rng.integers
+    f = PrimeField(p)
+    rng, raw = np.random.default_rng(17), np.random.default_rng(17)
+    for rows, cols in ((1, 1), (3, 4), (40, 25)):
+        m = random_matrix(rows, cols, f, rng)
+        v = random_vector(cols, f, rng)
+        want_m = raw.integers(0, p, size=(rows, cols), dtype=np.int64)
+        want_v = raw.integers(0, p, size=cols, dtype=np.int64)
+        for got, want in ((m.values, want_m), (v.values, want_v)):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.min() >= 0 and got.max() < p
+            assert np.array_equal(got, want)
+        assert m.field == f and v.field == f
+    assert rng.bit_generator.state == raw.bit_generator.state
+
+
 def test_matrix_add_sub_eq():
     f = PrimeField(5)
     a = FpMatrix(f, [[1, 2], [3, 4]])

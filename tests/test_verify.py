@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 from mvamp.field import PrimeField
-from mvamp.linalg import FpMatrix, FpVector, enumerate_matrices, enumerate_vectors, matvec, random_matrix, random_vector
+from mvamp.linalg import (
+    FpMatrix,
+    FpVector,
+    enumerate_matrices,
+    enumerate_vectors,
+    matvec,
+    matvec_values,
+    random_matrix,
+    random_vector,
+    vecmat_values,
+)
 from mvamp.oracle import (
     SOURCE_MATRIX,
     SOURCE_SCRATCH,
@@ -85,7 +95,7 @@ def test_completeness_exhaustive_tiny():
     led = QueryLedger()
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
-            prod = matvec(m, v)
+            prod = matvec(m, v).values
             assert verify_product(led, f, m.values, v.values, prod, cfg, rng)
 
 
@@ -97,10 +107,10 @@ def test_exact_mode_is_deterministic():
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
             truth = matvec(m, v)
-            assert verify_product(led, f, m.values, v.values, truth, cfg, rng)
+            assert verify_product(led, f, m.values, v.values, truth.values, cfg, rng)
             for w in enumerate_vectors(f, 2):
                 if w != truth:
-                    assert not verify_product(led, f, m.values, v.values, w, cfg, rng)
+                    assert not verify_product(led, f, m.values, v.values, w.values, cfg, rng)
 
 
 def test_false_accept_rate_matches_closed_form():
@@ -112,7 +122,7 @@ def test_false_accept_rate_matches_closed_form():
     m = FpMatrix(F5, [[1, 2], [3, 4]])
     v = FpVector(F5, [1, 1])
     truth = matvec(m, v)
-    wrong = FpVector(F5, [(truth.values[0] + 1) % 5, truth.values[1]])
+    wrong = np.array([(truth.values[0] + 1) % 5, truth.values[1]], dtype=np.int64)
     led = QueryLedger()
     trials = 10000
     accepts = sum(verify_product(led, F5, m.values, v.values, wrong, cfg, rng) for _ in range(trials))
@@ -128,7 +138,7 @@ def test_false_accept_rate_two_rounds():
     m = FpMatrix(F5, [[0, 1], [2, 2]])
     v = FpVector(F5, [3, 1])
     truth = matvec(m, v)
-    wrong = FpVector(F5, [truth.values[0], (truth.values[1] + 2) % 5])
+    wrong = np.array([truth.values[0], (truth.values[1] + 2) % 5], dtype=np.int64)
     led = QueryLedger()
     trials = 10000
     accepts = sum(verify_product(led, F5, m.values, v.values, wrong, cfg, rng) for _ in range(trials))
@@ -144,7 +154,7 @@ def test_paper_accounting_charges_formula_only():
     # handle and array operands alike are read without a charge
     operands = read_operands(cfg, led, wrap_matrix(m, led), wrap_vector(v, led))
     assert read_operands(cfg, led, m.values, v.values)[0] is m.values
-    verify_product(led, F5, *operands, matvec(m, v), cfg, rng)
+    verify_product(led, F5, *operands, matvec(m, v).values, cfg, rng)
     assert led.snapshot() == {SOURCE_VERIFIER: charged_queries(4, 1e-4)}
 
 
@@ -155,7 +165,7 @@ def test_actual_accounting_counts_physical_reads():
     cfg = VerifierConfig(epsilon=1e-4, accounting="actual")
     operands = read_operands(cfg, led, wrap_matrix(m, led), wrap_vector(v, led))
     assert all(np.array_equal(a, b) for a, b in zip(operands, (m.values, v.values)))
-    verify_product(led, F5, *operands, matvec(m, v), cfg, rng)
+    verify_product(led, F5, *operands, matvec(m, v).values, cfg, rng)
     assert led.snapshot() == {SOURCE_MATRIX: 16, SOURCE_VECTOR: 4}
     # arrays the pipeline drew itself are read from scratch
     read_operands(cfg, led, m.values, v.values)
@@ -169,11 +179,11 @@ def test_verify_product_validates_inputs():
     v = np.array([1, 1], dtype=np.int64)
     cfg = VerifierConfig()
     with pytest.raises(ValueError):
-        verify_product(led, F5, m, v, FpVector(F5, [1, 2, 3]), cfg, rng)
+        verify_product(led, F5, m, v, np.array([1, 2, 3], dtype=np.int64), cfg, rng)
     with pytest.raises(ValueError):
-        verify_product(led, F5, m, v, FpVector(PrimeField(7), [1, 2]), cfg, rng)
+        verify_product(led, F5, m, v, np.array([[1], [2]], dtype=np.int64), cfg, rng)
     with pytest.raises(ValueError):
-        verify_product(led, F5, m, np.array([1, 1, 1], dtype=np.int64), FpVector(F5, [1, 2]), cfg, rng)
+        verify_product(led, F5, m, np.array([1, 1, 1], dtype=np.int64), np.array([1, 2], dtype=np.int64), cfg, rng)
     with pytest.raises(ValueError):
         verified_call(
             NoisySolver(UniformProfile(1.0)),
@@ -196,8 +206,8 @@ def test_large_modulus_verification_falls_back_exactly():
     led = QueryLedger()
     cfg = VerifierConfig(epsilon=0.5)
     truth = matvec(m, v)
-    assert verify_product(led, f, m.values, v.values, truth, cfg, rng)
-    wrong = FpVector(f, [(truth.values[0] + 1) % p, truth.values[1]])
+    assert verify_product(led, f, m.values, v.values, truth.values, cfg, rng)
+    wrong = np.array([(truth.values[0] + 1) % p, truth.values[1]], dtype=np.int64)
     rejections = sum(not verify_product(led, f, m.values, v.values, wrong, cfg, rng) for _ in range(30))
     # per-round false accept is 1/p ~ 5e-10, all 30 must reject
     assert rejections == 30
@@ -238,3 +248,65 @@ def test_verified_call_false_accepts_near_per_call_bound():
     )
     # expected 0.04; 4 sigma of binomial(4000, 0.04) is 0.0124
     assert passed / trials < 0.04 + 0.0124
+
+
+# ----------------------------------------- residual form against three products
+
+
+def verify_three_products(field, m_vals, v_vals, product, config, rng):
+    """The check as Freivalds states it, R.w == (R.M).v, in three products.
+
+    A test-only reference for verify_product's probabilistic mode: it draws
+    the same challenges and compares the two sides row by row.
+    """
+    p = field.modulus
+    rounds = challenge_rounds(p, config.epsilon)
+    challenges = rng.integers(0, p, size=(rounds, m_vals.shape[0]), dtype=np.int64)
+    lhs = matvec_values(challenges, product, p)
+    rhs = matvec_values(vecmat_values(challenges, m_vals, p), v_vals, p)
+    return bool(np.array_equal(lhs, rhs))
+
+
+def _claimed_products(truth, p, rng):
+    """The truth, every single-coordinate perturbation of it (three shifts
+    per coordinate past p = 5), uniform vectors, and all-(p-1)."""
+    shifts = range(1, p) if p <= 5 else (1, p // 2, p - 1)
+    yield truth
+    for i in range(truth.shape[0]):
+        for s in shifts:
+            w = truth.copy()
+            w[i] = (w[i] + s) % p
+            yield w
+    for _ in range(20):
+        yield rng.integers(0, p, size=truth.shape[0], dtype=np.int64)
+    yield np.full(truth.shape[0], p - 1, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [5, 65521, 2**31 - 1])
+@pytest.mark.parametrize("shape", ["square", "wide"])
+@pytest.mark.parametrize("epsilon", [0.1, 1e-4])
+def test_residual_check_matches_three_product_check(p, shape, epsilon):
+    # square: the n x n instance of a stage-1 attempt or a verified_call;
+    # wide: the d x (k*d) widened block of a stage-3 iteration
+    f = PrimeField(p)
+    rows, cols = (6, 6) if shape == "square" else (3, 12)
+    cfg = VerifierConfig(epsilon=epsilon)
+    led = QueryLedger()
+    data = np.random.default_rng(p + rows)
+    ours, ref = np.random.default_rng(91), np.random.default_rng(91)
+    instances = [
+        (data.integers(0, p, size=(rows, cols), dtype=np.int64), data.integers(0, p, size=cols, dtype=np.int64))
+        for _ in range(3)
+    ]
+    instances.append((np.full((rows, cols), p - 1, dtype=np.int64), np.full(cols, p - 1, dtype=np.int64)))
+    accepted = rejected = 0
+    for m_vals, v_vals in instances:
+        truth = matvec_values(m_vals, v_vals, p)
+        for w in _claimed_products(truth, p, data):
+            got = verify_product(led, f, m_vals, v_vals, w, cfg, ours)
+            want = verify_three_products(f, m_vals, v_vals, w, cfg, ref)
+            assert got is want
+            assert ours.bit_generator.state == ref.bit_generator.state
+            accepted += got
+            rejected += not got
+    assert accepted >= len(instances) and rejected > 0
