@@ -196,7 +196,7 @@ def _wrong_output(truth: np.ndarray, mode: str, modulus: int, rng: np.random.Gen
         vals[i] = (vals[i] + shift) % modulus
         return vals
     while True:
-        # the draw random_vector makes, without the FpVector around it
+        # random_vector's draw, as a bare array
         w = rng.integers(0, modulus, size=n, dtype=np.int64)
         if not np.array_equal(w, truth):
             return w
