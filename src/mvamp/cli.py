@@ -17,6 +17,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .field import PrimeField
 from .harness import (
     ConfigError,
@@ -29,7 +31,7 @@ from .harness import (
     write_summary_json,
     write_trials_csv,
 )
-from .linalg import matvec, random_matrix, random_vector
+from .linalg import matvec_values, random_matrix, random_vector
 from .sampler import (
     BaseDomain,
     DenseSet,
@@ -175,6 +177,13 @@ def _cmd_sampler_check(args) -> int:
     return 0
 
 
+def _int_product(m_vals, v_vals, modulus: int):
+    """M v mod p in Python integers, on a path independent of matvec_values."""
+    vec = v_vals.tolist()
+    rows = [sum(a * b for a, b in zip(row, vec)) % modulus for row in m_vals.tolist()]
+    return np.array(rows, dtype=np.int64)
+
+
 def _cmd_verify_bench(args) -> int:
     field = PrimeField(args.modulus)
     config = VerifierConfig(epsilon=args.eps)
@@ -189,8 +198,8 @@ def _cmd_verify_bench(args) -> int:
     for _ in range(args.trials):
         m = random_matrix(args.rows, args.cols, field, rng)
         v = random_vector(args.cols, field, rng)
-        w = matvec(m, v).values
-        if not verify_product(ledger, field, m.values, v.values, w, config, rng):
+        w = _int_product(m.values, v.values, args.modulus)
+        if not verify_product(ledger, field, matvec_values(m.values, v.values, args.modulus), w, config, rng):
             completeness_failures += 1
 
     false_accepts = {}
@@ -201,8 +210,9 @@ def _cmd_verify_bench(args) -> int:
         for _ in range(args.trials):
             m = random_matrix(args.rows, args.rows, field, rng)
             v = random_vector(args.rows, field, rng)
-            w = invoke(wrong_solver, ledger, field, m.values, v.values, rng)
-            if verify_product(ledger, field, m.values, v.values, w, config, rng):
+            truth = matvec_values(m.values, v.values, args.modulus)
+            w = invoke(wrong_solver, ledger, field, m.values, v.values, truth, rng)
+            if verify_product(ledger, field, truth, w, config, rng):
                 accepted += 1
         false_accepts[mode] = accepted / args.trials
 

@@ -7,8 +7,9 @@ spending O(1/alpha^2) solver calls. It is built in stages:
   solve_strip            a d x n strip against a solver-friendly vector,
                          by planting the strip at a random block position
                          of a fresh uniform square instance and verifying;
-  solve_strip_any_matrix the same for every strip, via a uniform additive
-                         split M = R1 + R2 solved strip-wise;
+  solve_strip_any_matrix the same for every strip given as an array, via a
+                         uniform additive split M = R1 + R2 solved
+                         strip-wise;
   solve_block            a d x d block against a solver-friendly vector,
                          by planting the vector in a random concatenation
                          and widening the block with structural zeros;
@@ -20,7 +21,9 @@ spending O(1/alpha^2) solver calls. It is built in stages:
 
 Inside the pipeline every operand and partial product is an int64 array
 of canonical residues (None for a failed stage); only worst_case_matvec's
-result is wrapped in an FpVector.
+result is wrapped in an FpVector. Each verified solver call computes its
+instance's product M v once: the simulated solver takes it as ground truth
+and the verifier as its own M v.
 
 Vector "goodness" (the solver succeeding on an above-half-of-alpha share
 of matrices for that vector) is an analysis device: the pipeline never
@@ -42,6 +45,7 @@ from .linalg import (
     count_vectors,
     enumerate_matrices,
     enumerate_vectors,
+    matvec_values,
     random_matrix,
     random_vector,
 )
@@ -54,14 +58,13 @@ from .oracle import (
     MatrixOracleHandle,
     QueryLedger,
     VectorOracleHandle,
-    embed_block_matrix,
     extract_block,
     extract_subvector,
     pad_square_matrix,
     pad_vector,
 )
 from .solver import MAX_EXHAUSTIVE_PAIRS, NoisySolver, invoke
-from .verify import VerifierConfig, read_operands, verify_product
+from .verify import VerifierConfig, verify_product
 
 # Per-attempt failure bound for the final stage on worst-case inputs; the
 # boost round count is sized against it.
@@ -227,7 +230,8 @@ def solve_strip(
     the strip's block of the output. Up to ceil(c1/alpha) attempts.
     Requires d | n. The strip (a half of the strip split) and the vector
     (stage 3's widened vector) are values the pipeline drew, so under
-    actual accounting each verification reads n^2 + n entries of scratch.
+    actual accounting each verification reads n^2 + n entries of scratch,
+    charged here in closed form.
     """
     if stats is None:
         stats = StageStats()
@@ -238,6 +242,7 @@ def solve_strip(
         raise ValueError(f"vector shape {v_vals.shape} does not match width {n}")
     k = n // d
     p = field.modulus
+    actual = config.verifier.accounting == "actual"
 
     planted = np.empty((k, d, n), dtype=np.int64)
     instance = planted.reshape(n, n)
@@ -248,10 +253,12 @@ def solve_strip(
         planted[:slot] = co_vals[:slot]
         planted[slot] = m_vals
         planted[slot + 1 :] = co_vals[slot:]
-        w = invoke(solver, ledger, field, instance, v_vals, rng)
+        truth = matvec_values(instance, v_vals, p)
+        w = invoke(solver, ledger, field, instance, v_vals, truth, rng)
         stats.verify_calls += 1
-        operands = read_operands(config.verifier, ledger, instance, v_vals)
-        if verify_product(ledger, field, *operands, w, config.verifier, rng):
+        if actual:
+            ledger.charge(SOURCE_SCRATCH, n * n + n)
+        if verify_product(ledger, field, truth, w, config.verifier, rng):
             # the strip's block of the output, read as a scratch window
             ledger.charge(SOURCE_SCRATCH, d)
             return w[slot * d : (slot + 1) * d]
@@ -259,7 +266,9 @@ def solve_strip(
 
 
 def solve_strip_any_matrix(
-    mat_handle: MatrixOracleHandle,
+    ledger: QueryLedger,
+    field: PrimeField,
+    m_vals: np.ndarray,
     v_vals: np.ndarray,
     solver: NoisySolver,
     config: ReductionConfig,
@@ -268,21 +277,18 @@ def solve_strip_any_matrix(
 ) -> Optional[np.ndarray]:
     """solve_strip for an arbitrary strip, via a uniform additive split.
 
-    Draws R1 uniform, reads the strip once (d*n charged oracle queries) to
-    form R2 = M - R1, solves both halves strip-wise, and returns the sum.
-    Both halves are uniformly distributed, which is what solve_strip's
-    guarantee needs. Summing reads both length-d partial products as
-    scratch: 2*d scratch queries.
+    The strip comes as an array the caller has already read (solve_block
+    charges its block read). Draws R1 uniform, forms R2 = M - R1, solves
+    both halves strip-wise, and returns the sum. Both halves are uniformly
+    distributed, which is what solve_strip's guarantee needs. Summing reads
+    both length-d partial products as scratch: 2*d scratch queries.
     """
     if stats is None:
         stats = StageStats()
-    d, n = mat_handle.rows, mat_handle.cols
-    field = mat_handle.field
-    ledger = mat_handle.ledger
+    d, n = m_vals.shape
     p = field.modulus
 
     r1 = random_matrix(d, n, field, rng).values
-    m_vals = mat_handle.read_all()
     r2 = (m_vals - r1) % p
     assert np.array_equal((r1 + r2) % p, m_vals), "additive split must recompose"
 
@@ -307,13 +313,15 @@ def solve_block(
     """Product of a d x d block with a length-d vector, randomized over vectors.
 
     Each attempt plants the vector at a uniform slot of a concatenation
-    with fresh uniform co-vectors, widens the block to d x (k*d) with
-    structural zeros, solves that strip for the concatenated vector, and
-    verifies the result against the widened instance before returning it.
-    Up to ceil(c2/alpha) attempts. The vector is a value the pipeline drew
-    (a half of the vector split), so under actual accounting each
-    verification reads the widened block through its handle and k*d
-    entries of scratch.
+    with fresh uniform co-vectors, reads the block once through its handle
+    (d*d charged oracle queries), widens it to d x (k*d) with structural
+    zeros, solves that strip for the concatenated vector, and verifies the
+    result against the widened instance before returning it. The widened
+    product equals the block times the planted vector, so that is the
+    verifier's M v. Up to ceil(c2/alpha) attempts. The vector is a value
+    the pipeline drew (a half of the vector split), so under actual
+    accounting each verification re-reads the block through its handle and
+    k*d entries of scratch.
     """
     if stats is None:
         stats = StageStats()
@@ -325,23 +333,29 @@ def solve_block(
     k = config.resolved_k()
     field = mat_handle.field
     ledger = mat_handle.ledger
+    p = field.modulus
+    actual = config.verifier.accounting == "actual"
 
     planted = np.empty((k, d), dtype=np.int64)
     widened = planted.reshape(k * d)
     for _ in range(config.stage3_budget()):
         stats.stage3_iters += 1
         slot = int(rng.integers(k))
-        co_vals = rng.integers(0, field.modulus, size=(k - 1, d), dtype=np.int64)
+        co_vals = rng.integers(0, p, size=(k - 1, d), dtype=np.int64)
         planted[:slot] = co_vals[:slot]
         planted[slot] = v_vals
         planted[slot + 1 :] = co_vals[slot:]
-        widened_mat = embed_block_matrix(mat_handle, slot, k)
-        w = solve_strip_any_matrix(widened_mat, widened, solver, config, rng, stats)
+        block = mat_handle.read_all()
+        wide_block = np.zeros((d, k * d), dtype=np.int64)
+        wide_block[:, slot * d : (slot + 1) * d] = block
+        w = solve_strip_any_matrix(ledger, field, wide_block, widened, solver, config, rng, stats)
         if w is None:
             continue
         stats.verify_calls += 1
-        operands = read_operands(config.verifier, ledger, widened_mat, widened)
-        if verify_product(ledger, field, *operands, w, config.verifier, rng):
+        if actual:
+            block = mat_handle.read_all()
+            ledger.charge(SOURCE_SCRATCH, k * d)
+        if verify_product(ledger, field, matvec_values(block, v_vals, p), w, config.verifier, rng):
             return w
     return None
 

@@ -4,7 +4,8 @@ A profile maps each concrete (M, v) pair to a success probability. The map
 is a deterministic function of the input (and the profile's own seed), so
 repeated calls on the same input draw from the same Bernoulli; adversarial
 profiles cannot be washed out by retrying the identical input. An invoke
-takes the instance as arrays and charges the modeled access cost (one ALG
+takes the instance as arrays, together with its true product as the
+simulation's ground truth, and charges the modeled access cost (one ALG
 call, Q matrix reads, n vector reads) to the canonical sources.
 """
 
@@ -25,7 +26,6 @@ from .linalg import (
     count_vectors,
     enumerate_matrices,
     enumerate_vectors,
-    matvec_values,
 )
 from .oracle import SOURCE_ALG, SOURCE_MATRIX, SOURCE_VECTOR, QueryLedger
 
@@ -198,7 +198,7 @@ def _wrong_output(truth: np.ndarray, mode: str, modulus: int, rng: np.random.Gen
     while True:
         # random_vector's draw, as a bare array
         w = rng.integers(0, modulus, size=n, dtype=np.int64)
-        if not np.array_equal(w, truth):
+        if (w != truth).any():
             return w
 
 
@@ -208,31 +208,34 @@ def invoke(
     field: PrimeField,
     m_vals: np.ndarray,
     v_vals: np.ndarray,
+    truth: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One solver call on a square instance given as canonical residues.
 
-    Charges 1 to ALG, Q to U_M, and n to U_v; the solver's own reads of
-    the instance are not itemized. Returns the output as an int64 residue
-    array: the true product on success and a wrong vector (never equal to
-    the truth) on failure.
+    truth is the instance's product M v, which the caller computes once and
+    also hands to the verifier; invoke computes no product itself. Charges
+    1 to ALG, Q to U_M, and n to U_v; the solver's own reads of the
+    instance are not itemized. Returns the output as an int64 residue
+    array: truth itself on success and a wrong vector (never equal to it)
+    on failure.
     """
     n = m_vals.shape[0]
     if m_vals.shape != (n, n):
         raise ValueError(f"solver expects a square matrix, got shape {m_vals.shape}")
     if v_vals.shape != (n,):
         raise ValueError(f"dimension mismatch: matrix shape {m_vals.shape}, vector shape {v_vals.shape}")
+    if truth.shape != (n,):
+        raise ValueError(f"product shape {truth.shape} does not match {n} rows")
     q = solver.queries_per_call if solver.queries_per_call is not None else n * n
     ledger.charge(SOURCE_ALG, 1)
     ledger.charge(SOURCE_MATRIX, q)
     ledger.charge(SOURCE_VECTOR, n)
 
-    p = field.modulus
-    truth = matvec_values(m_vals, v_vals, p)
     matrix = FpMatrix._trusted(field, m_vals)
     vector = FpVector._trusted(field, v_vals)
     if rng.random() < solver.profile.success_probability(matrix, vector):
         return truth
-    wrong = _wrong_output(truth, solver.failure_mode, p, rng)
-    assert not np.array_equal(wrong, truth)
+    wrong = _wrong_output(truth, solver.failure_mode, field.modulus, rng)
+    assert (wrong != truth).any()
     return wrong

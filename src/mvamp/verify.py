@@ -1,12 +1,15 @@
 """Product verification with one-sided error.
 
-A claimed product w for (M, v) is checked either exactly (ground-truth
-recomputation, a test-only mode) or probabilistically: t independent
-uniform challenges r test r.(M.v - w) == 0, where t is the smallest count
-driving the per-round false-accept probability 1/p below epsilon. That is
-Freivalds' identity r.w == (r.M).v taken as one residual: M.v - w is formed
-once, and each challenge is a dot product with it. A correct w is never
-rejected; a wrong one survives with probability at most epsilon.
+A claimed product w is checked against the instance's own product M.v,
+which the caller computes once from the instance it holds (never from the
+solver's output) and also hands the solver as its ground truth. The check
+is either exact (w == M.v, a test-only mode) or probabilistic: t
+independent uniform challenges r test r.(M.v - w) == 0, where t is the
+smallest count driving the per-round false-accept probability 1/p below
+epsilon. That is Freivalds' identity r.w == (r.M).v taken as one residual:
+M.v - w is formed once, and each challenge is a dot product with it. A
+correct w is never rejected; a wrong one survives with probability at most
+epsilon.
 
 Cost accounting has two modes. "paper" charges the closed-form budget
 ceil(r^{3/2} * ceil(log2(1/eps))) to the verifier source and mutes the
@@ -91,10 +94,12 @@ def read_operands(config: VerifierConfig, ledger: QueryLedger, *operands) -> lis
     """The verifier's reads of its operands, returned as arrays.
 
     A handle operand is read through the handle, charging its sources; an
-    array operand is a value the pipeline drew itself, and reading it
+    array operand is a value the caller drew itself, and reading it
     charges one scratch query per entry. Those are the charges of actual
     accounting. Under paper accounting the reads are muted, because
-    verify_product charges the modeled budget instead.
+    verify_product charges the modeled budget instead. verified_call reads
+    its handles here; the pipeline stages, which already hold their
+    operands, charge the same reads in closed form.
     """
     if config.accounting == "paper":
         with ledger.paused():
@@ -112,36 +117,34 @@ def _read(operand, ledger: QueryLedger) -> np.ndarray:
 def verify_product(
     ledger: QueryLedger,
     field: PrimeField,
-    m_vals: np.ndarray,
-    v_vals: np.ndarray,
+    mv: np.ndarray,
     product: np.ndarray,
     config: VerifierConfig,
     rng: np.random.Generator,
 ) -> bool:
-    """Accept or reject a claimed product for the instance (m_vals, v_vals).
+    """Accept or reject a claimed product against the instance's product mv.
 
-    All three are int64 residue arrays. Never rejects a correct product.
-    In probabilistic mode it draws (rounds, rows) uniform challenges R and
-    accepts iff R.((M.v - w) mod p) == 0 mod p, which holds exactly when
+    Both are 1-D int64 residue arrays; mv is M.v, computed by the caller
+    from the instance itself. Never rejects a correct product. In
+    probabilistic mode it draws (rounds, rows) uniform challenges R and
+    accepts iff R.((mv - w) mod p) == 0 mod p, which holds exactly when
     R.w == (R.M).v does; a wrong product is accepted with probability at
-    most epsilon. In exact mode it accepts iff M.v == w, drawing nothing.
+    most epsilon. In exact mode it accepts iff mv == w, drawing nothing.
     Under paper accounting it charges charged_queries(rows, epsilon) to
-    the verifier; the reads of actual accounting are read_operands'.
+    the verifier; the reads of actual accounting are the caller's.
     """
-    rows, cols = m_vals.shape
-    if product.shape != (rows,):
-        raise ValueError(f"product shape {product.shape} does not match {rows} rows")
-    if v_vals.shape != (cols,):
-        raise ValueError(f"vector shape {v_vals.shape} does not match {cols} columns")
+    if mv.ndim != 1 or product.shape != mv.shape:
+        raise ValueError(f"product shape {product.shape} does not match instance product shape {mv.shape}")
+    rows = mv.shape[0]
     if config.accounting == "paper":
         ledger.charge(SOURCE_VERIFIER, charged_queries(rows, config.epsilon))
 
     p = field.modulus
     if config.mode == "exact":
-        return bool(np.array_equal(matvec_values(m_vals, v_vals, p), product))
+        return bool(np.array_equal(mv, product))
     rounds = challenge_rounds(p, config.epsilon)
     challenges = rng.integers(0, p, size=(rounds, rows), dtype=np.int64)
-    residual = (matvec_values(m_vals, v_vals, p) - product) % p
+    residual = (mv - product) % p
     return not matvec_values(challenges, residual, p).any()
 
 
@@ -154,15 +157,17 @@ def verified_call(
 ) -> Optional[FpVector]:
     """One solver invocation on an input given by handles, gated by verification.
 
-    Reads the handles once (read_operands), then charges exactly one ALG
-    query (inside invoke) plus the verifier cost. Returns the solver
-    output when it verifies, None otherwise.
+    Reads the handles once (read_operands) and computes the instance's
+    product once, for invoke's ground truth and the verifier alike; then
+    charges exactly one ALG query (inside invoke) plus the verifier cost.
+    Returns the solver output when it verifies, None otherwise.
     """
     ledger, field = mat_handle.ledger, mat_handle.field
     if vec_handle.field != field:
         raise ValueError("field mismatch between matrix and vector handles")
     m_vals, v_vals = read_operands(config, ledger, mat_handle, vec_handle)
-    w = invoke(solver, ledger, field, m_vals, v_vals, rng)
-    if verify_product(ledger, field, m_vals, v_vals, w, config, rng):
+    truth = matvec_values(m_vals, v_vals, field.modulus)
+    w = invoke(solver, ledger, field, m_vals, v_vals, truth, rng)
+    if verify_product(ledger, field, truth, w, config, rng):
         return FpVector._trusted(field, w)
     return None

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mvamp.field import PrimeField
-from mvamp.linalg import FpMatrix, FpVector, matvec, random_matrix, random_vector
+from mvamp.linalg import FpMatrix, FpVector, matvec, matvec_values, random_matrix, random_vector
 from mvamp.oracle import (
     SOURCE_VERIFIER,
     QueryLedger,
@@ -172,17 +172,25 @@ def test_criterion_2_good_vector_fraction():
     report(2, "good-vector fraction", True, f"{cases} profiles, min slack {worst:.3f}")
 
 
+def int_product(m_vals, v_vals, p):
+    """M v mod p in Python integers, independent of the verifier's matvec_values."""
+    vec = v_vals.tolist()
+    return np.array([sum(a * b for a, b in zip(row, vec)) % p for row in m_vals.tolist()], dtype=np.int64)
+
+
 def test_criterion_3_verifier_contract():
     f5 = PrimeField(5)
     rng = np.random.default_rng(300)
     led = QueryLedger()
-    # completeness: zero rejections over 1e5 correct pairs
+    # completeness: zero rejections over 1e5 correct pairs, each product
+    # claimed in Python integers and checked against the verifier's own M v
     cfg = VerifierConfig(epsilon=1e-3)
     completeness_failures = 0
     for _ in range(100000):
         m = random_matrix(4, 4, f5, rng)
         v = random_vector(4, f5, rng)
-        if not verify_product(led, f5, m.values, v.values, matvec(m, v).values, cfg, rng):
+        mv = matvec_values(m.values, v.values, 5)
+        if not verify_product(led, f5, mv, int_product(m.values, v.values, 5), cfg, rng):
             completeness_failures += 1
     assert completeness_failures == 0
     # soundness: false-accept rate <= eps + 3 sigma, both failure modes
@@ -197,8 +205,9 @@ def test_criterion_3_verifier_contract():
             for _ in range(trials):
                 m = random_matrix(4, 4, f5, rng)
                 v = random_vector(4, f5, rng)
-                w = invoke(solver, led, f5, m.values, v.values, rng)
-                accepts += verify_product(led, f5, m.values, v.values, w, vcfg, rng)
+                truth = matvec_values(m.values, v.values, 5)
+                w = invoke(solver, led, f5, m.values, v.values, truth, rng)
+                accepts += verify_product(led, f5, truth, w, vcfg, rng)
             rates[(eps, mode)] = accepts / trials
             assert rates[(eps, mode)] <= bound, (eps, mode, rates[(eps, mode)], bound)
     # charged cost: exactly ceil(r^(3/2) * ceil(log2(1/eps))) per call
@@ -214,7 +223,7 @@ def test_criterion_3_verifier_contract():
             vv = random_vector(rows, f5, rng)
             paper = VerifierConfig(epsilon=eps, accounting="paper")
             operands = read_operands(paper, probe, wrap_matrix(mm, probe), wrap_vector(vv, probe))
-            verify_product(probe, f5, *operands, matvec(mm, vv).values, paper, rng)
+            verify_product(probe, f5, matvec_values(*operands, 5), matvec(mm, vv).values, paper, rng)
             assert probe.snapshot() == {SOURCE_VERIFIER: expect}
     worst = max(rates.values())
     report(

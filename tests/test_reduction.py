@@ -50,7 +50,7 @@ from mvamp.reduction import (
     solve_strip_any_matrix,
     worst_case_matvec,
 )
-from mvamp.solver import GoodBadProfile, NoisySolver, SolverProfile, UniformProfile
+from mvamp.solver import FAILURE_MODES, GoodBadProfile, NoisySolver, SolverProfile, UniformProfile
 from mvamp.verify import VerifierConfig, charged_queries
 
 F5 = PrimeField(5)
@@ -273,12 +273,13 @@ def test_solve_strip_any_matrix_perfect():
         m = random_matrix(rows, cols, F5, rng)
         v = random_vector(cols, F5, rng)
         led = QueryLedger()
-        out = solve_strip_any_matrix(wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
+        out = solve_strip_any_matrix(led, F5, m.values, v.values, PERFECT, cfg, rng)
         assert np.array_equal(out, matvec(m, v).values)
 
 
 def test_solve_strip_any_matrix_charges_the_split_read():
-    # splitting M = R1 + R2 reads all d*n entries of the input once; on top
+    # the caller reads all d*n entries of the input once (as solve_block
+    # reads its block) and the split M = R1 + R2 works on that array; on top
     # of that each of the two strip calls makes one solver invocation, and
     # an invocation is billed n^2 matrix and n vector queries
     rng = np.random.default_rng(4)
@@ -286,7 +287,7 @@ def test_solve_strip_any_matrix_charges_the_split_read():
     m = random_matrix(2, 4, F5, rng)
     v = random_vector(4, F5, rng)
     led = QueryLedger()
-    solve_strip_any_matrix(wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
+    solve_strip_any_matrix(led, F5, wrap_matrix(m, led).read_all(), v.values, PERFECT, cfg, rng)
     assert led.get(SOURCE_ALG) == 2
     assert led.get(SOURCE_MATRIX) == 2 * 4 + 2 * 4 * 4
     assert led.get(SOURCE_VECTOR) == 2 * 4
@@ -299,7 +300,7 @@ def test_solve_strip_any_matrix_exhaustive_tiny():
     for m in enumerate_matrices(f, 1, 2):
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
-            out = solve_strip_any_matrix(wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
+            out = solve_strip_any_matrix(led, f, m.values, v.values, PERFECT, cfg, rng)
             assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -362,8 +363,9 @@ def test_solve_block_any_input_perfect():
 # itself (a half of the vector split). Called directly on the caller's
 # handles, the strip and block reads charge their own sources, structural
 # zeros of a padded input charge nothing, and the vector operand is read
-# from scratch. solve_strip itself takes arrays only, so the strip case
-# runs the strip stage's handle entry, solve_strip_any_matrix.
+# from scratch. The strip stages take arrays only, so the strip case reads
+# the live strip through its handle, as solve_block reads its block, and
+# runs solve_strip_any_matrix on the values.
 
 
 def _live_inputs(kind: str, shape: str, rng):
@@ -410,11 +412,11 @@ def test_solve_strip_charges_live_handles_to_their_sources(accounting, kind):
     cfg = ReductionConfig(alpha=0.5, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
     solver = NoisySolver(UniformProfile(0.5))
     stats = fresh_stats()
-    out = solve_strip_any_matrix(mat, v_vals, solver, cfg, rng, stats)
+    out = solve_strip_any_matrix(led, F5, mat.read_all(), v_vals, solver, cfg, rng, stats)
     assert np.array_equal(out, truth.values)
     a = stats.stage1_iters
     assert a >= 2 and stats.verify_calls == a
-    # the split reads the live strip once; per attempt: one ALG call billed
+    # the live strip is read once; per attempt: one ALG call billed
     # n^2 matrix and n vector queries; each half's accepted d-entry window
     # and the sum of the two halves are read from scratch
     want = {
@@ -450,8 +452,8 @@ def test_solve_block_charges_live_handles_to_their_sources(accounting, kind):
     assert (stats.stage1_iters, stats.stage3_iters, stats.verify_calls) == (2, 1, 3)
     want = {
         SOURCE_ALG: 2,
-        # two calls on the n x n planted instance, plus the strip split's
-        # read of the widened block (only the live block is charged)
+        # two calls on the n x n planted instance, plus the stage-3
+        # iteration's read of the block (only live entries are charged)
         SOURCE_MATRIX: 2 * n * n + live_m,
         SOURCE_VECTOR: 2 * n,
         # two accepted d-windows, then the sum of the split halves reads both
@@ -462,7 +464,7 @@ def test_solve_block_charges_live_handles_to_their_sources(accounting, kind):
     else:
         # the two stage-1 verifications read their n x n planted instance and
         # the widened vector from scratch; the stage-3 verification re-reads
-        # the widened block through its handle and the widened vector (the
+        # the block through its handle and the widened vector (the
         # live vector and k-1 co-vectors) from scratch
         want[SOURCE_SCRATCH] += 2 * (n * n + n) + k * d
         want[SOURCE_MATRIX] += live_m
@@ -477,6 +479,36 @@ def test_solve_block_any_input_never_solver():
     led = QueryLedger()
     out = solve_block_any_input(wrap_matrix(m, led), wrap_vector(v, led), NEVER, cfg, rng)
     assert out is None
+
+
+@pytest.mark.parametrize("failure_mode", FAILURE_MODES)
+@pytest.mark.parametrize("verifier_mode", ["exact", "probabilistic"])
+def test_wrong_outputs_are_never_accepted(verifier_mode, failure_mode):
+    # every output of a never-succeeding solver is wrong, and each attempt
+    # checks it against the instance's own product: no attempt may pass, so
+    # every stage spends its whole budget and every call verifies once. At
+    # p = 65521 one challenge round leaves a false accept at 1/65521.
+    f = PrimeField(65521)
+    rng = np.random.default_rng(43)
+    solver = NoisySolver(UniformProfile(0.0), failure_mode=failure_mode)
+    cfg = ReductionConfig(alpha=0.5, k=3, c1=8.0, c2=4.0, verifier=VerifierConfig(mode=verifier_mode))
+    d = 2
+    m, v = random_matrix(d, 3 * d, f, rng), random_vector(3 * d, f, rng)
+    stats = fresh_stats()
+    assert solve_strip(QueryLedger(), f, m.values, v.values, solver, cfg, rng, stats) is None
+    assert stats.stage1_iters == stats.verify_calls == cfg.stage1_budget()
+
+    block, segment = random_matrix(d, d, f, rng), random_vector(d, f, rng)
+    led = QueryLedger()
+    stats = fresh_stats()
+    out = solve_block_any_input(wrap_matrix(block, led), wrap_vector(segment, led), solver, cfg, rng, stats)
+    assert out is None
+    # the first half's stage 3 exhausts its budget, each iteration's strip
+    # split failing on its first half, so no stage-3 verification runs
+    budget = cfg.stage3_budget() * cfg.stage1_budget()
+    assert stats.stage3_iters == cfg.stage3_budget()
+    assert stats.stage1_iters == stats.verify_calls == budget
+    assert led.get(SOURCE_ALG) == budget
 
 
 # ----------------------------------------------------------------- boost

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from mvamp.field import PrimeField
-from mvamp.linalg import FpVector, enumerate_matrices, enumerate_vectors, matvec, random_matrix, random_vector
+from mvamp.linalg import (
+    FpVector,
+    enumerate_matrices,
+    enumerate_vectors,
+    matvec,
+    matvec_values,
+    random_matrix,
+    random_vector,
+)
 from mvamp.oracle import SOURCE_ALG, SOURCE_MATRIX, SOURCE_VECTOR, QueryLedger
 from mvamp.solver import (
     GoodBadProfile,
@@ -21,6 +29,12 @@ F5 = PrimeField(5)
 def make_instance(n=3, seed=0, field=F5):
     rng = np.random.default_rng(seed)
     return random_matrix(n, n, field, rng), random_vector(n, field, rng)
+
+
+def call(solver, led, m, v, rng):
+    """invoke on an FpMatrix/FpVector pair, with its product as the ground truth."""
+    truth = matvec_values(m.values, v.values, m.field.modulus)
+    return invoke(solver, led, m.field, m.values, v.values, truth, rng)
 
 
 def test_uniform_profile_constant():
@@ -112,7 +126,7 @@ def test_invoke_perfect_solver_returns_truth_and_charges():
     led = QueryLedger()
     m, v = make_instance(n=3)
     solver = NoisySolver(UniformProfile(1.0))
-    out = invoke(solver, led, F5, m.values, v.values, np.random.default_rng(0))
+    out = call(solver, led, m, v, np.random.default_rng(0))
     assert np.array_equal(out, matvec(m, v).values)
     assert led.get(SOURCE_ALG) == 1
     assert led.get(SOURCE_MATRIX) == 9  # default budget is n^2
@@ -123,7 +137,7 @@ def test_invoke_queries_per_call_override():
     led = QueryLedger()
     m, v = make_instance(n=3)
     solver = NoisySolver(UniformProfile(1.0), queries_per_call=5)
-    invoke(solver, led, F5, m.values, v.values, np.random.default_rng(0))
+    call(solver, led, m, v, np.random.default_rng(0))
     assert led.get(SOURCE_MATRIX) == 5
     assert led.get(SOURCE_VECTOR) == 3
 
@@ -135,7 +149,7 @@ def test_invoke_zero_solver_never_correct():
     solver = NoisySolver(UniformProfile(0.0))
     rng = np.random.default_rng(1)
     for _ in range(50):
-        out = invoke(solver, led, F5, m.values, v.values, rng)
+        out = call(solver, led, m, v, rng)
         assert not np.array_equal(out, truth.values)
 
 
@@ -146,7 +160,7 @@ def test_invoke_perturb_mode_differs_in_one_coordinate():
     solver = NoisySolver(UniformProfile(0.0), failure_mode="perturb")
     rng = np.random.default_rng(2)
     for _ in range(50):
-        out = invoke(solver, led, F5, m.values, v.values, rng)
+        out = call(solver, led, m, v, rng)
         diffs = int(np.count_nonzero(out != truth.values))
         assert diffs == 1
 
@@ -157,14 +171,20 @@ def test_invoke_rejects_bad_shapes():
     rng = np.random.default_rng(0)
     rect = np.array([[1, 2, 3], [4, 0, 1]], dtype=np.int64)
     vec3 = np.array([1, 2, 3], dtype=np.int64)
+    vec2 = np.array([1, 1], dtype=np.int64)
     with pytest.raises(ValueError):
-        invoke(solver, led, F5, rect, vec3, rng)
+        invoke(solver, led, F5, rect, vec3, vec2, rng)
     sq = np.array([[1, 2], [3, 4]], dtype=np.int64)
     with pytest.raises(ValueError):
-        invoke(solver, led, F5, sq, vec3, rng)
+        invoke(solver, led, F5, sq, vec3, vec2, rng)
     column = np.array([[1], [2]], dtype=np.int64)
     with pytest.raises(ValueError):
-        invoke(solver, led, F5, sq, column, rng)
+        invoke(solver, led, F5, sq, column, vec2, rng)
+    # the ground truth must be the n-entry product of the instance
+    with pytest.raises(ValueError):
+        invoke(solver, led, F5, sq, vec2, vec3, rng)
+    with pytest.raises(ValueError):
+        invoke(solver, led, F5, sq, vec2, column, rng)
     # a rejected call charges nothing
     assert led.snapshot() == {}
 

@@ -23,6 +23,7 @@ from mvamp.linalg import (
     vecmat_values,
 )
 from mvamp.oracle import (
+    SOURCE_ALG,
     SOURCE_MATRIX,
     SOURCE_SCRATCH,
     SOURCE_VECTOR,
@@ -31,7 +32,7 @@ from mvamp.oracle import (
     wrap_matrix,
     wrap_vector,
 )
-from mvamp.solver import NoisySolver, UniformProfile
+from mvamp.solver import FAILURE_MODES, NoisySolver, UniformProfile
 from mvamp.verify import (
     VerifierConfig,
     challenge_rounds,
@@ -42,6 +43,17 @@ from mvamp.verify import (
 )
 
 F5 = PrimeField(5)
+
+
+def mv_of(m, v):
+    """The verifier's M v for an FpMatrix/FpVector pair, as its callers compute it."""
+    return matvec_values(m.values, v.values, m.field.modulus)
+
+
+def int_product(m, v):
+    """M v mod p in Python integers, independent of matvec_values."""
+    p, vec = m.field.modulus, v.to_list()
+    return np.array([sum(a * b for a, b in zip(row, vec)) % p for row in m.values.tolist()], dtype=np.int64)
 
 
 def rounds_reference(p, eps):
@@ -95,8 +107,7 @@ def test_completeness_exhaustive_tiny():
     led = QueryLedger()
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
-            prod = matvec(m, v).values
-            assert verify_product(led, f, m.values, v.values, prod, cfg, rng)
+            assert verify_product(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
 
 
 def test_exact_mode_is_deterministic():
@@ -107,10 +118,10 @@ def test_exact_mode_is_deterministic():
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
             truth = matvec(m, v)
-            assert verify_product(led, f, m.values, v.values, truth.values, cfg, rng)
+            assert verify_product(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
             for w in enumerate_vectors(f, 2):
                 if w != truth:
-                    assert not verify_product(led, f, m.values, v.values, w.values, cfg, rng)
+                    assert not verify_product(led, f, mv_of(m, v), w.values, cfg, rng)
 
 
 def test_false_accept_rate_matches_closed_form():
@@ -125,7 +136,7 @@ def test_false_accept_rate_matches_closed_form():
     wrong = np.array([(truth.values[0] + 1) % 5, truth.values[1]], dtype=np.int64)
     led = QueryLedger()
     trials = 10000
-    accepts = sum(verify_product(led, F5, m.values, v.values, wrong, cfg, rng) for _ in range(trials))
+    accepts = sum(verify_product(led, F5, mv_of(m, v), wrong, cfg, rng) for _ in range(trials))
     # 4 sigma of binomial(10000, 0.2) is 0.016
     assert abs(accepts / trials - 0.2) < 0.016
 
@@ -141,7 +152,7 @@ def test_false_accept_rate_two_rounds():
     wrong = np.array([truth.values[0], (truth.values[1] + 2) % 5], dtype=np.int64)
     led = QueryLedger()
     trials = 10000
-    accepts = sum(verify_product(led, F5, m.values, v.values, wrong, cfg, rng) for _ in range(trials))
+    accepts = sum(verify_product(led, F5, mv_of(m, v), wrong, cfg, rng) for _ in range(trials))
     # 4 sigma of binomial(10000, 0.04) is 0.008
     assert abs(accepts / trials - 0.04) < 0.008
 
@@ -154,7 +165,7 @@ def test_paper_accounting_charges_formula_only():
     # handle and array operands alike are read without a charge
     operands = read_operands(cfg, led, wrap_matrix(m, led), wrap_vector(v, led))
     assert read_operands(cfg, led, m.values, v.values)[0] is m.values
-    verify_product(led, F5, *operands, matvec(m, v).values, cfg, rng)
+    verify_product(led, F5, matvec_values(*operands, 5), matvec(m, v).values, cfg, rng)
     assert led.snapshot() == {SOURCE_VERIFIER: charged_queries(4, 1e-4)}
 
 
@@ -165,7 +176,7 @@ def test_actual_accounting_counts_physical_reads():
     cfg = VerifierConfig(epsilon=1e-4, accounting="actual")
     operands = read_operands(cfg, led, wrap_matrix(m, led), wrap_vector(v, led))
     assert all(np.array_equal(a, b) for a, b in zip(operands, (m.values, v.values)))
-    verify_product(led, F5, *operands, matvec(m, v).values, cfg, rng)
+    verify_product(led, F5, matvec_values(*operands, 5), matvec(m, v).values, cfg, rng)
     assert led.snapshot() == {SOURCE_MATRIX: 16, SOURCE_VECTOR: 4}
     # arrays the pipeline drew itself are read from scratch
     read_operands(cfg, led, m.values, v.values)
@@ -177,13 +188,15 @@ def test_verify_product_validates_inputs():
     led = QueryLedger()
     m = np.array([[1, 2], [3, 4]], dtype=np.int64)
     v = np.array([1, 1], dtype=np.int64)
+    mv = matvec_values(m, v, 5)
     cfg = VerifierConfig()
     with pytest.raises(ValueError):
-        verify_product(led, F5, m, v, np.array([1, 2, 3], dtype=np.int64), cfg, rng)
+        verify_product(led, F5, mv, np.array([1, 2, 3], dtype=np.int64), cfg, rng)
     with pytest.raises(ValueError):
-        verify_product(led, F5, m, v, np.array([[1], [2]], dtype=np.int64), cfg, rng)
+        verify_product(led, F5, mv, np.array([[1], [2]], dtype=np.int64), cfg, rng)
+    # the instance's product is a vector too, not a stack of them
     with pytest.raises(ValueError):
-        verify_product(led, F5, m, np.array([1, 1, 1], dtype=np.int64), np.array([1, 2], dtype=np.int64), cfg, rng)
+        verify_product(led, F5, mv.reshape(2, 1), np.array([[1], [2]], dtype=np.int64), cfg, rng)
     with pytest.raises(ValueError):
         verified_call(
             NoisySolver(UniformProfile(1.0)),
@@ -206,9 +219,9 @@ def test_large_modulus_verification_falls_back_exactly():
     led = QueryLedger()
     cfg = VerifierConfig(epsilon=0.5)
     truth = matvec(m, v)
-    assert verify_product(led, f, m.values, v.values, truth.values, cfg, rng)
+    assert verify_product(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
     wrong = np.array([(truth.values[0] + 1) % p, truth.values[1]], dtype=np.int64)
-    rejections = sum(not verify_product(led, f, m.values, v.values, wrong, cfg, rng) for _ in range(30))
+    rejections = sum(not verify_product(led, f, mv_of(m, v), wrong, cfg, rng) for _ in range(30))
     # per-round false accept is 1/p ~ 5e-10, all 30 must reject
     assert rejections == 30
 
@@ -231,6 +244,23 @@ def test_verified_call_exact_filter_blocks_all_wrong_answers():
     solver = NoisySolver(UniformProfile(0.0))
     for _ in range(40):
         assert verified_call(solver, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng) is None
+
+
+@pytest.mark.parametrize("failure_mode", FAILURE_MODES)
+@pytest.mark.parametrize("verifier_mode", ["exact", "probabilistic"])
+def test_verified_call_never_accepts_a_never_succeeding_solver(verifier_mode, failure_mode):
+    # the verifier checks each wrong output against the instance's own
+    # product, so no call may return; at p = 65521 a false accept is 1/65521
+    f = PrimeField(65521)
+    rng = np.random.default_rng(10)
+    m, v = random_matrix(4, 4, f, rng), random_vector(4, f, rng)
+    led = QueryLedger()
+    cfg = VerifierConfig(mode=verifier_mode)
+    solver = NoisySolver(UniformProfile(0.0), failure_mode=failure_mode)
+    calls = 64
+    for _ in range(calls):
+        assert verified_call(solver, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng) is None
+    assert led.get(SOURCE_ALG) == calls
 
 
 def test_verified_call_false_accepts_near_per_call_bound():
@@ -303,7 +333,7 @@ def test_residual_check_matches_three_product_check(p, shape, epsilon):
     for m_vals, v_vals in instances:
         truth = matvec_values(m_vals, v_vals, p)
         for w in _claimed_products(truth, p, data):
-            got = verify_product(led, f, m_vals, v_vals, w, cfg, ours)
+            got = verify_product(led, f, truth, w, cfg, ours)
             want = verify_three_products(f, m_vals, v_vals, w, cfg, ref)
             assert got is want
             assert ours.bit_generator.state == ref.bit_generator.state
