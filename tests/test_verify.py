@@ -29,6 +29,8 @@ from mvamp.oracle import (
     SOURCE_VECTOR,
     SOURCE_VERIFIER,
     QueryLedger,
+    pad_square_matrix,
+    pad_vector,
     wrap_matrix,
     wrap_vector,
 )
@@ -244,6 +246,28 @@ def test_verified_call_exact_filter_blocks_all_wrong_answers():
     solver = NoisySolver(UniformProfile(0.0))
     for _ in range(40):
         assert verified_call(solver, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng) is None
+
+
+@pytest.mark.parametrize("accounting", ["paper", "actual"])
+@pytest.mark.parametrize("size", [6, 5])
+def test_verified_call_charges_its_whole_ledger(size, accounting):
+    # a 6x6 input, or a 5x5 one padded to 6: the solver's modeled reads
+    # cover the padded instance, while actual accounting's verifier reads
+    # charge only the input's real entries (padding is structural)
+    rng = np.random.default_rng(size)
+    led = QueryLedger()
+    m, v = random_matrix(size, size, F5, rng), random_vector(size, F5, rng)
+    mat, vec = wrap_matrix(m, led), wrap_vector(v, led)
+    if size < 6:
+        mat, vec = pad_square_matrix(mat, 6), pad_vector(vec, 6)
+    cfg = VerifierConfig(epsilon=1e-4, accounting=accounting)
+    out = verified_call(NoisySolver(UniformProfile(1.0)), mat, vec, cfg, rng)
+    assert out is not None and out.values[:size].tolist() == matvec(m, v).to_list()
+    if accounting == "paper":
+        expect = {SOURCE_ALG: 1, SOURCE_MATRIX: 36, SOURCE_VECTOR: 6, SOURCE_VERIFIER: charged_queries(6, 1e-4)}
+    else:
+        expect = {SOURCE_ALG: 1, SOURCE_MATRIX: 36 + size * size, SOURCE_VECTOR: 6 + size}
+    assert led.snapshot() == expect
 
 
 @pytest.mark.parametrize("failure_mode", FAILURE_MODES)
