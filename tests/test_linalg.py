@@ -254,6 +254,18 @@ def test_enumeration_counts_and_bijection():
     assert tuple(map(tuple, matrix_by_index(f, 2, 2, 80).to_lists())) == mats[80]
 
 
+def test_index_decoders_reject_out_of_range_indices():
+    f = PrimeField(3)
+    for bad in (-1, 3**2):
+        with pytest.raises(IndexError, match="vector index"):
+            vector_by_index(f, 2, bad)
+    for bad in (-1, 3**6):
+        with pytest.raises(IndexError, match="matrix index"):
+            matrix_by_index(f, 2, 3, bad)
+    assert vector_by_index(f, 2, 3**2 - 1).to_list() == [2, 2]
+    assert matrix_by_index(f, 2, 3, 3**6 - 1).to_lists() == [[2, 2, 2], [2, 2, 2]]
+
+
 def test_enumeration_is_lexicographic_first_entry_most_significant():
     f = PrimeField(2)
     vecs = [v.to_list() for v in enumerate_vectors(f, 2)]
