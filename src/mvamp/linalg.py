@@ -210,19 +210,14 @@ def vector_by_index(field: PrimeField, n: int, index: int) -> FpVector:
     for t in range(n - 1, -1, -1):
         vals[t] = index % p
         index //= p
-    return FpVector(field, vals)
+    return FpVector._trusted(field, vals)
 
 
 def matrix_by_index(field: PrimeField, rows: int, cols: int, index: int) -> FpMatrix:
     """Decode the index-th rows-by-cols matrix in row-major lexicographic order."""
-    p = field.modulus
-    if not 0 <= index < p ** (rows * cols):
+    if not 0 <= index < field.modulus ** (rows * cols):
         raise IndexError(f"matrix index {index} out of range")
-    vals = np.empty(rows * cols, dtype=np.int64)
-    for t in range(rows * cols - 1, -1, -1):
-        vals[t] = index % p
-        index //= p
-    return FpMatrix(field, vals.reshape(rows, cols))
+    return FpMatrix(field, vector_by_index(field, rows * cols, index).values.reshape(rows, cols))
 
 
 def enumerate_vectors(field: PrimeField, n: int):

@@ -46,8 +46,8 @@ class QueryLedger:
     """Monotone per-source query counters with a mute switch.
 
     `paused()` suppresses charging inside simulation internals (for example
-    a simulated solver materializing its input, which is billed separately
-    at its modeled cost rather than per physical read).
+    the baseline's verified_call reading its handles for the simulated
+    solver, which invoke bills at its modeled cost instead).
     """
 
     __slots__ = ("counts", "_pause_depth")

@@ -39,16 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .field import PrimeField
-from .linalg import (
-    FpVector,
-    count_matrices,
-    count_vectors,
-    enumerate_matrices,
-    enumerate_vectors,
-    matvec_values,
-    random_matrix,
-    random_vector,
-)
+from .linalg import FpVector, matvec_values, random_matrix, random_vector
 from .oracle import (
     SOURCE_ALG,
     SOURCE_MATRIX,
@@ -63,7 +54,7 @@ from .oracle import (
     pad_square_matrix,
     pad_vector,
 )
-from .solver import MAX_EXHAUSTIVE_PAIRS, NoisySolver, invoke
+from .solver import NoisySolver, invoke, vector_success_exhaustive
 from .verify import VerifierConfig, verify_product
 
 # Per-attempt failure bound for the final stage on worst-case inputs; the
@@ -192,24 +183,47 @@ def good_fraction_exhaustive(
     Uses the profile's per-input probabilities directly (no sampling) and
     enumerates the whole domain, so it is restricted to tiny sizes.
     """
-    pairs = count_matrices(field, n, n) * count_vectors(field, n)
-    if pairs > MAX_EXHAUSTIVE_PAIRS:
-        raise ValueError(f"domain has {pairs} pairs, beyond exhaustive bound {MAX_EXHAUSTIVE_PAIRS}")
-    threshold = alpha / 2.0
-    matrices = list(enumerate_matrices(field, n, n))
-    good = 0
-    total_vectors = count_vectors(field, n)
-    for v in enumerate_vectors(field, n):
-        mean = sum(solver.profile.success_probability(m, v) for m in matrices) / len(matrices)
-        # 1e-12 slack keeps float summation from dropping exact-boundary vectors
-        if mean >= threshold - 1e-12:
-            good += 1
-    return good / total_vectors
+    table = vector_success_exhaustive(solver.profile, n, field)
+    # 1e-12 slack keeps float summation from dropping exact-boundary vectors
+    return sum(mean >= alpha / 2.0 - 1e-12 for mean in table) / len(table)
 
 
 # ---------------------------------------------------------------------------
 # pipeline stages
 # ---------------------------------------------------------------------------
+
+
+def _plant(planted: np.ndarray, x_vals: np.ndarray, rng: np.random.Generator, p: int) -> int:
+    """Fill the preallocated (k,) + x_vals.shape array planted with x_vals at
+    a uniform slot among fresh uniform co-values; return the slot. Draws the
+    slot first, then the (k-1,) + x_vals.shape co-values."""
+    k = planted.shape[0]
+    slot = int(rng.integers(k))
+    co_vals = rng.integers(0, p, size=(k - 1,) + x_vals.shape, dtype=np.int64)
+    planted[:slot] = co_vals[:slot]
+    planted[slot] = x_vals
+    planted[slot + 1 :] = co_vals[slot:]
+    return slot
+
+
+def _sum_of_halves(
+    ledger: QueryLedger, x_vals: np.ndarray, r1: np.ndarray, p: int, solve_half: Callable
+) -> Optional[np.ndarray]:
+    """Solve x through its uniform additive split x = r1 + r2 (Blum, Luby, Rubinfeld).
+
+    Returns None as soon as a half fails; otherwise the sum of the two
+    length-d partial products, read as scratch: 2*d queries.
+    """
+    r2 = (x_vals - r1) % p
+    assert np.array_equal((r1 + r2) % p, x_vals), "additive split must recompose"
+    w1 = solve_half(r1)
+    if w1 is None:
+        return None
+    w2 = solve_half(r2)
+    if w2 is None:
+        return None
+    ledger.charge(SOURCE_SCRATCH, 2 * w1.shape[0])
+    return (w1 + w2) % p
 
 
 def solve_strip(
@@ -228,10 +242,9 @@ def solve_strip(
     uniform co-strips, runs one solver call on the assembled square
     instance, verifies the answer against it, and on acceptance extracts
     the strip's block of the output. Up to ceil(c1/alpha) attempts.
-    Requires d | n. The strip (a half of the strip split) and the vector
-    (stage 3's widened vector) are values the pipeline drew, so under
-    actual accounting each verification reads n^2 + n entries of scratch,
-    charged here in closed form.
+    Requires d | n. The verifier's operands are the planted instance and
+    the vector, both values the pipeline drew, so under actual accounting
+    each verification reads n^2 + n entries of scratch.
     """
     if stats is None:
         stats = StageStats()
@@ -240,25 +253,17 @@ def solve_strip(
         raise ValueError(f"strip height {d} does not divide width {n}")
     if v_vals.shape != (n,):
         raise ValueError(f"vector shape {v_vals.shape} does not match width {n}")
-    k = n // d
     p = field.modulus
-    actual = config.verifier.accounting == "actual"
 
-    planted = np.empty((k, d, n), dtype=np.int64)
+    planted = np.empty((n // d, d, n), dtype=np.int64)
     instance = planted.reshape(n, n)
     for _ in range(config.stage1_budget()):
         stats.stage1_iters += 1
-        slot = int(rng.integers(k))
-        co_vals = rng.integers(0, p, size=(k - 1, d, n), dtype=np.int64)
-        planted[:slot] = co_vals[:slot]
-        planted[slot] = m_vals
-        planted[slot + 1 :] = co_vals[slot:]
+        slot = _plant(planted, m_vals, rng, p)
         truth = matvec_values(instance, v_vals, p)
         w = invoke(solver, ledger, field, instance, v_vals, truth, rng)
         stats.verify_calls += 1
-        if actual:
-            ledger.charge(SOURCE_SCRATCH, n * n + n)
-        if verify_product(ledger, field, truth, w, config.verifier, rng):
+        if verify_product(ledger, field, truth, w, config.verifier, rng, (instance, v_vals)):
             # the strip's block of the output, read as a scratch window
             ledger.charge(SOURCE_SCRATCH, d)
             return w[slot * d : (slot + 1) * d]
@@ -278,28 +283,15 @@ def solve_strip_any_matrix(
     """solve_strip for an arbitrary strip, via a uniform additive split.
 
     The strip comes as an array the caller has already read (solve_block
-    charges its block read). Draws R1 uniform, forms R2 = M - R1, solves
-    both halves strip-wise, and returns the sum. Both halves are uniformly
-    distributed, which is what solve_strip's guarantee needs. Summing reads
-    both length-d partial products as scratch: 2*d scratch queries.
+    charges its block read). Draws R1 uniform and solves both halves of
+    M = R1 + R2 strip-wise (_sum_of_halves).
     """
-    if stats is None:
-        stats = StageStats()
-    d, n = m_vals.shape
-    p = field.modulus
 
-    r1 = random_matrix(d, n, field, rng).values
-    r2 = (m_vals - r1) % p
-    assert np.array_equal((r1 + r2) % p, m_vals), "additive split must recompose"
+    def solve_half(half):
+        return solve_strip(ledger, field, half, v_vals, solver, config, rng, stats)
 
-    w1 = solve_strip(ledger, field, r1, v_vals, solver, config, rng, stats)
-    if w1 is None:
-        return None
-    w2 = solve_strip(ledger, field, r2, v_vals, solver, config, rng, stats)
-    if w2 is None:
-        return None
-    ledger.charge(SOURCE_SCRATCH, 2 * d)
-    return (w1 + w2) % p
+    r1 = random_matrix(*m_vals.shape, field, rng).values
+    return _sum_of_halves(ledger, m_vals, r1, field.modulus, solve_half)
 
 
 def solve_block(
@@ -318,10 +310,10 @@ def solve_block(
     zeros, solves that strip for the concatenated vector, and verifies the
     result against the widened instance before returning it. The widened
     product equals the block times the planted vector, so that is the
-    verifier's M v. Up to ceil(c2/alpha) attempts. The vector is a value
-    the pipeline drew (a half of the vector split), so under actual
-    accounting each verification re-reads the block through its handle and
-    k*d entries of scratch.
+    verifier's M v. Up to ceil(c2/alpha) attempts. The verifier's operands
+    are the block's handle and the widened vector, a value the pipeline
+    drew, so under actual accounting each verification re-reads the block
+    through its handle and k*d entries of scratch.
     """
     if stats is None:
         stats = StageStats()
@@ -331,20 +323,15 @@ def solve_block(
     if v_vals.shape != (d,):
         raise ValueError(f"vector shape {v_vals.shape} does not match block size {d}")
     k = config.resolved_k()
-    field = mat_handle.field
-    ledger = mat_handle.ledger
+    ledger, field = mat_handle.ledger, mat_handle.field
     p = field.modulus
-    actual = config.verifier.accounting == "actual"
 
     planted = np.empty((k, d), dtype=np.int64)
     widened = planted.reshape(k * d)
+    operands = (mat_handle, widened)
     for _ in range(config.stage3_budget()):
         stats.stage3_iters += 1
-        slot = int(rng.integers(k))
-        co_vals = rng.integers(0, p, size=(k - 1, d), dtype=np.int64)
-        planted[:slot] = co_vals[:slot]
-        planted[slot] = v_vals
-        planted[slot + 1 :] = co_vals[slot:]
+        slot = _plant(planted, v_vals, rng, p)
         block = mat_handle.read_all()
         wide_block = np.zeros((d, k * d), dtype=np.int64)
         wide_block[:, slot * d : (slot + 1) * d] = block
@@ -352,10 +339,7 @@ def solve_block(
         if w is None:
             continue
         stats.verify_calls += 1
-        if actual:
-            block = mat_handle.read_all()
-            ledger.charge(SOURCE_SCRATCH, k * d)
-        if verify_product(ledger, field, matvec_values(block, v_vals, p), w, config.verifier, rng):
+        if verify_product(ledger, field, matvec_values(block, v_vals, p), w, config.verifier, rng, operands):
             return w
     return None
 
@@ -370,34 +354,22 @@ def solve_block_any_input(
 ) -> Optional[np.ndarray]:
     """solve_block for an arbitrary vector, via a uniform additive split.
 
-    Draws r1 uniform, reads the vector once (d charged oracle queries) to
-    form r2 = v - r1, solves the block against both halves, and sums,
-    reading both length-d partial products as scratch: 2*d scratch queries.
+    Draws r1 uniform, reads the vector once (d charged oracle queries) and
+    solves the block against both halves of v = r1 + r2 (_sum_of_halves).
     """
-    if stats is None:
-        stats = StageStats()
     if mat_handle.rows != mat_handle.cols:
         raise ValueError(f"expected a square block, got {mat_handle.rows}x{mat_handle.cols}")
     d = mat_handle.rows
     if vec_handle.length != d:
         raise ValueError(f"vector length {vec_handle.length} does not match block size {d}")
     field = mat_handle.field
-    ledger = mat_handle.ledger
-    p = field.modulus
+
+    def solve_half(half):
+        return solve_block(mat_handle, half, solver, config, rng, stats)
 
     r1 = random_vector(d, field, rng).values
     v_vals = vec_handle.read_all()
-    r2 = (v_vals - r1) % p
-    assert np.array_equal((r1 + r2) % p, v_vals), "additive split must recompose"
-
-    w1 = solve_block(mat_handle, r1, solver, config, rng, stats)
-    if w1 is None:
-        return None
-    w2 = solve_block(mat_handle, r2, solver, config, rng, stats)
-    if w2 is None:
-        return None
-    ledger.charge(SOURCE_SCRATCH, 2 * d)
-    return (w1 + w2) % p
+    return _sum_of_halves(mat_handle.ledger, v_vals, r1, field.modulus, solve_half)
 
 
 def boost(

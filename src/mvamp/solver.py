@@ -151,19 +151,24 @@ class PlantedAdversarialProfile(SolverProfile):
         )
 
 
-def exact_average_success(profile: SolverProfile, n: int, field: PrimeField) -> float:
-    """Average success probability over every (M, v) pair, by enumeration.
+def vector_success_exhaustive(profile: SolverProfile, n: int, field: PrimeField) -> list[float]:
+    """Each vector's success probability averaged over all n x n matrices, by enumeration.
 
-    Refuses domains larger than MAX_EXHAUSTIVE_PAIRS pairs.
+    The list follows enumerate_vectors' order. Refuses domains larger than MAX_EXHAUSTIVE_PAIRS pairs.
     """
     pairs = count_matrices(field, n, n) * count_vectors(field, n)
     if pairs > MAX_EXHAUSTIVE_PAIRS:
         raise ValueError(f"domain has {pairs} pairs, beyond exhaustive bound {MAX_EXHAUSTIVE_PAIRS}")
-    total = 0.0
-    for m in enumerate_matrices(field, n, n):
-        for v in enumerate_vectors(field, n):
-            total += profile.success_probability(m, v)
-    return total / pairs
+    matrices = list(enumerate_matrices(field, n, n))
+    return [
+        sum(profile.success_probability(m, v) for m in matrices) / len(matrices)
+        for v in enumerate_vectors(field, n)
+    ]
+
+
+def exact_average_success(profile: SolverProfile, n: int, field: PrimeField) -> float:
+    """Average success probability over every (M, v) pair, by enumeration."""
+    return float(np.mean(vector_success_exhaustive(profile, n, field)))
 
 
 @dataclass

@@ -11,11 +11,11 @@ M.v - w is formed once, and each challenge is a dot product with it. A
 correct w is never rejected; a wrong one survives with probability at most
 epsilon.
 
-Cost accounting has two modes. "paper" charges the closed-form budget
-ceil(r^{3/2} * ceil(log2(1/eps))) to the verifier source and mutes the
-physical reads behind it; "actual" itemizes the real reads (r*c matrix
-entries plus c vector entries per call) instead: a handle operand charges
-its own sources, an array the pipeline drew charges scratch.
+Cost accounting has two modes, both applied inside verify_product. "paper"
+charges the closed-form budget ceil(r^{3/2} * ceil(log2(1/eps))) to the
+verifier source and reads nothing; "actual" reads each operand the caller
+passes once (r*c matrix entries plus c vector entries per call): a handle
+charges its own sources, an array the pipeline drew charges scratch.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,28 +90,13 @@ def challenge_rounds(modulus: int, epsilon: float) -> int:
     return t
 
 
-def read_operands(config: VerifierConfig, ledger: QueryLedger, *operands) -> list:
-    """The verifier's reads of its operands, returned as arrays.
-
-    A handle operand is read through the handle, charging its sources; an
-    array operand is a value the caller drew itself, and reading it
-    charges one scratch query per entry. Those are the charges of actual
-    accounting. Under paper accounting the reads are muted, because
-    verify_product charges the modeled budget instead. verified_call reads
-    its handles here; the pipeline stages, which already hold their
-    operands, charge the same reads in closed form.
-    """
-    if config.accounting == "paper":
-        with ledger.paused():
-            return [_read(op, ledger) for op in operands]
-    return [_read(op, ledger) for op in operands]
-
-
-def _read(operand, ledger: QueryLedger) -> np.ndarray:
+def _read(operand, ledger: QueryLedger):
+    """Actual accounting's read of one operand: a handle charges its own
+    sources; an array the pipeline drew charges one scratch query per entry."""
     if isinstance(operand, np.ndarray):
         ledger.charge(SOURCE_SCRATCH, operand.size)
-        return operand
-    return operand.read_all()
+    else:
+        operand.read_all()
 
 
 def verify_product(
@@ -121,6 +106,7 @@ def verify_product(
     product: np.ndarray,
     config: VerifierConfig,
     rng: np.random.Generator,
+    operands: Sequence = (),
 ) -> bool:
     """Accept or reject a claimed product against the instance's product mv.
 
@@ -130,14 +116,17 @@ def verify_product(
     accepts iff R.((mv - w) mod p) == 0 mod p, which holds exactly when
     R.w == (R.M).v does; a wrong product is accepted with probability at
     most epsilon. In exact mode it accepts iff mv == w, drawing nothing.
-    Under paper accounting it charges charged_queries(rows, epsilon) to
-    the verifier; the reads of actual accounting are the caller's.
+    Under paper accounting it charges charged_queries(rows, epsilon) to the
+    verifier; under actual it reads each of the instance's operands once.
     """
     if mv.ndim != 1 or product.shape != mv.shape:
         raise ValueError(f"product shape {product.shape} does not match instance product shape {mv.shape}")
     rows = mv.shape[0]
     if config.accounting == "paper":
         ledger.charge(SOURCE_VERIFIER, charged_queries(rows, config.epsilon))
+    else:
+        for operand in operands:
+            _read(operand, ledger)
 
     p = field.modulus
     if config.mode == "exact":
@@ -157,17 +146,18 @@ def verified_call(
 ) -> Optional[FpVector]:
     """One solver invocation on an input given by handles, gated by verification.
 
-    Reads the handles once (read_operands) and computes the instance's
-    product once, for invoke's ground truth and the verifier alike; then
-    charges exactly one ALG query (inside invoke) plus the verifier cost.
-    Returns the solver output when it verifies, None otherwise.
+    Reads the handles once, uncharged, and computes the instance's product
+    once for invoke's ground truth and the verifier alike. Charges one ALG
+    query (inside invoke) plus the verification, which takes the handles as
+    its operands. Returns the solver output when it verifies, else None.
     """
     ledger, field = mat_handle.ledger, mat_handle.field
     if vec_handle.field != field:
         raise ValueError("field mismatch between matrix and vector handles")
-    m_vals, v_vals = read_operands(config, ledger, mat_handle, vec_handle)
+    with ledger.paused():
+        m_vals, v_vals = mat_handle.read_all(), vec_handle.read_all()
     truth = matvec_values(m_vals, v_vals, field.modulus)
     w = invoke(solver, ledger, field, m_vals, v_vals, truth, rng)
-    if verify_product(ledger, field, truth, w, config, rng):
+    if verify_product(ledger, field, truth, w, config, rng, (mat_handle, vec_handle)):
         return FpVector._trusted(field, w)
     return None

@@ -41,7 +41,7 @@ from mvamp.solver import (
     exact_average_success,
     invoke,
 )
-from mvamp.verify import VerifierConfig, charged_queries, read_operands, verify_product
+from mvamp.verify import VerifierConfig, charged_queries, verify_product
 from mvamp.harness import (
     experiment_config_from_values,
     run_campaign,
@@ -222,8 +222,9 @@ def test_criterion_3_verifier_contract():
             mm = random_matrix(rows, rows, f5, rng)
             vv = random_vector(rows, f5, rng)
             paper = VerifierConfig(epsilon=eps, accounting="paper")
-            operands = read_operands(paper, probe, wrap_matrix(mm, probe), wrap_vector(vv, probe))
-            verify_product(probe, f5, matvec_values(*operands, 5), matvec(mm, vv).values, paper, rng)
+            operands = (wrap_matrix(mm, probe), wrap_vector(vv, probe))
+            mv = matvec_values(mm.values, vv.values, 5)
+            verify_product(probe, f5, mv, matvec(mm, vv).values, paper, rng, operands)
             assert probe.snapshot() == {SOURCE_VERIFIER: expect}
     worst = max(rates.values())
     report(

@@ -39,7 +39,6 @@ from mvamp.verify import (
     VerifierConfig,
     challenge_rounds,
     charged_queries,
-    read_operands,
     verified_call,
     verify_product,
 )
@@ -162,13 +161,13 @@ def test_false_accept_rate_two_rounds():
 def test_paper_accounting_charges_formula_only():
     rng = np.random.default_rng(0)
     m, v = random_matrix(4, 4, F5, rng), random_vector(4, F5, rng)
-    led = QueryLedger()
     cfg = VerifierConfig(epsilon=1e-4, accounting="paper")
     # handle and array operands alike are read without a charge
-    operands = read_operands(cfg, led, wrap_matrix(m, led), wrap_vector(v, led))
-    assert read_operands(cfg, led, m.values, v.values)[0] is m.values
-    verify_product(led, F5, matvec_values(*operands, 5), matvec(m, v).values, cfg, rng)
-    assert led.snapshot() == {SOURCE_VERIFIER: charged_queries(4, 1e-4)}
+    for as_handles in (True, False):
+        led = QueryLedger()
+        operands = (wrap_matrix(m, led), wrap_vector(v, led)) if as_handles else (m.values, v.values)
+        assert verify_product(led, F5, mv_of(m, v), matvec(m, v).values, cfg, rng, operands)
+        assert led.snapshot() == {SOURCE_VERIFIER: charged_queries(4, 1e-4)}
 
 
 def test_actual_accounting_counts_physical_reads():
@@ -176,12 +175,11 @@ def test_actual_accounting_counts_physical_reads():
     m, v = random_matrix(4, 4, F5, rng), random_vector(4, F5, rng)
     led = QueryLedger()
     cfg = VerifierConfig(epsilon=1e-4, accounting="actual")
-    operands = read_operands(cfg, led, wrap_matrix(m, led), wrap_vector(v, led))
-    assert all(np.array_equal(a, b) for a, b in zip(operands, (m.values, v.values)))
-    verify_product(led, F5, matvec_values(*operands, 5), matvec(m, v).values, cfg, rng)
+    operands = (wrap_matrix(m, led), wrap_vector(v, led))
+    assert verify_product(led, F5, mv_of(m, v), matvec(m, v).values, cfg, rng, operands)
     assert led.snapshot() == {SOURCE_MATRIX: 16, SOURCE_VECTOR: 4}
     # arrays the pipeline drew itself are read from scratch
-    read_operands(cfg, led, m.values, v.values)
+    assert verify_product(led, F5, mv_of(m, v), matvec(m, v).values, cfg, rng, (m.values, v.values))
     assert led.snapshot() == {SOURCE_MATRIX: 16, SOURCE_VECTOR: 4, SOURCE_SCRATCH: 20}
 
 
