@@ -242,9 +242,8 @@ def solve_strip(
     uniform co-strips, runs one solver call on the assembled square
     instance, verifies the answer against it, and on acceptance extracts
     the strip's block of the output. Up to ceil(c1/alpha) attempts.
-    Requires d | n. The verifier's operands are the planted instance and
-    the vector, both values the pipeline drew, so under actual accounting
-    each verification reads n^2 + n entries of scratch.
+    Requires d | n. Under actual accounting each verification reads the
+    planted instance and the vector, n^2 + n entries of scratch.
     """
     if stats is None:
         stats = StageStats()
@@ -310,10 +309,9 @@ def solve_block(
     zeros, solves that strip for the concatenated vector, and verifies the
     result against the widened instance before returning it. The widened
     product equals the block times the planted vector, so that is the
-    verifier's M v. Up to ceil(c2/alpha) attempts. The verifier's operands
-    are the block's handle and the widened vector, a value the pipeline
-    drew, so under actual accounting each verification re-reads the block
-    through its handle and k*d entries of scratch.
+    verifier's M v. Up to ceil(c2/alpha) attempts. Under actual accounting
+    each verification re-reads the block through its handle and reads the
+    widened vector, which the pipeline drew: k*d entries of scratch.
     """
     if stats is None:
         stats = StageStats()
@@ -323,7 +321,8 @@ def solve_block(
     if v_vals.shape != (d,):
         raise ValueError(f"vector shape {v_vals.shape} does not match block size {d}")
     k = config.resolved_k()
-    ledger, field = mat_handle.ledger, mat_handle.field
+    field = mat_handle.field
+    ledger = mat_handle.ledger
     p = field.modulus
 
     planted = np.empty((k, d), dtype=np.int64)
