@@ -197,7 +197,7 @@ def _plant(planted: np.ndarray, x_vals: np.ndarray, rng: np.random.Generator, p:
     """Fill the preallocated (k,) + x_vals.shape array planted with x_vals at
     a uniform slot among fresh uniform co-values; return the slot. Draws the
     slot first, then the (k-1,) + x_vals.shape co-values."""
-    k = planted.shape[0]
+    k = len(planted)
     slot = int(rng.integers(k))
     co_vals = rng.integers(0, p, size=(k - 1,) + x_vals.shape, dtype=np.int64)
     planted[:slot] = co_vals[:slot]
@@ -256,13 +256,14 @@ def solve_strip(
 
     planted = np.empty((n // d, d, n), dtype=np.int64)
     instance = planted.reshape(n, n)
+    operands = (instance, v_vals)
     for _ in range(config.stage1_budget()):
         stats.stage1_iters += 1
         slot = _plant(planted, m_vals, rng, p)
         truth = matvec_values(instance, v_vals, p)
         w = invoke(solver, ledger, field, instance, v_vals, truth, rng)
         stats.verify_calls += 1
-        if verify_product(ledger, field, truth, w, config.verifier, rng, (instance, v_vals)):
+        if verify_product(ledger, field, truth, w, config.verifier, rng, operands):
             # the strip's block of the output, read as a scratch window
             ledger.charge(SOURCE_SCRATCH, d)
             return w[slot * d : (slot + 1) * d]
