@@ -152,9 +152,9 @@ class PlantedAdversarialProfile(SolverProfile):
 
 
 def vector_success_exhaustive(profile: SolverProfile, n: int, field: PrimeField) -> list[float]:
-    """Each vector's success probability averaged over all n x n matrices, by enumeration.
+    """Each vector's success probability averaged over all n x n matrices.
 
-    The list follows enumerate_vectors' order. Refuses domains larger than MAX_EXHAUSTIVE_PAIRS pairs.
+    Exact, in enumerate_vectors' order; refuses more than MAX_EXHAUSTIVE_PAIRS pairs.
     """
     pairs = count_matrices(field, n, n) * count_vectors(field, n)
     if pairs > MAX_EXHAUSTIVE_PAIRS:
