@@ -32,7 +32,14 @@ from .linalg import (
     vector_by_index,
 )
 from .oracle import QueryLedger, wrap_matrix, wrap_vector
-from .reduction import K_MODES, ReductionConfig, ReductionReport, StageStats, worst_case_matvec
+from .reduction import (
+    K_MODES,
+    ReductionConfig,
+    ReductionReport,
+    StageStats,
+    choose_block_count,
+    worst_case_matvec,
+)
 from .solver import (
     FAILURE_MODES,
     MAX_EXHAUSTIVE_PAIRS,
@@ -87,6 +94,11 @@ RANGES = {
     "queries_per_call": ("be nonnegative", lambda x: x >= 0),
     "profile_seed": ("fit in 64 signed bits", lambda x: -(2**63) <= x < 2**63),
 }
+
+
+# Largest padded instance, in entries, a full-pipeline config may ask for:
+# every stage-1 attempt fills an int64 array of padded n^2 entries (32 MiB).
+MAX_INSTANCE_ENTRIES = 2**22
 
 
 class ConfigError(ValueError):
@@ -146,6 +158,20 @@ class ExperimentConfig:
                 check_planted_reachable(self.alpha, self.bad_fraction)
             except ValueError as err:
                 raise ConfigError(f"config key 'alpha' with 'profile' = planted: {err}") from None
+        if self.pipeline == "full":
+            self._check_instance_size()
+
+    def _check_instance_size(self):
+        """Refuse a stage-1 instance past MAX_INSTANCE_ENTRIES, naming the key behind it."""
+        k = self.k if self.k is not None else choose_block_count(self.alpha, mode=self.k_mode, c0=self.c0)
+        n_padded = -(-self.n // k) * k
+        if n_padded * n_padded > MAX_INSTANCE_ENTRIES:
+            key = "n" if self.n * self.n > MAX_INSTANCE_ENTRIES else "k" if self.k is not None else "k_mode"
+            raise ConfigError(
+                f"config key '{key}' = {getattr(self, key)} gives k = {k} and a padded "
+                f"{n_padded}x{n_padded} stage-1 instance, {n_padded * n_padded} entries "
+                f"per attempt, above the limit of {MAX_INSTANCE_ENTRIES}"
+            )
 
 
 # ---------------------------------------------------------------------------

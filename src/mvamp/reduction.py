@@ -192,6 +192,50 @@ def good_fraction_exhaustive(
 # pipeline stages
 # ---------------------------------------------------------------------------
 
+# Draws per block of _BlockDraws: 128 KiB of int64 per (low, high) range.
+DRAW_BLOCK = 2**14
+
+
+class _BlockDraws:
+    """The two Generator calls the pipeline makes, served from blocks (draw layout v2).
+
+    Each (low, high) range of integers() keeps its own block of DRAW_BLOCK
+    uniform draws, taken from rng in one call, and serves every request as
+    the next unused slice of that block, shaped to size. A request that does
+    not fit in the rest of its block discards that rest and draws a fresh
+    block; one larger than DRAW_BLOCK goes straight to rng and leaves the
+    block alone. Every slice is fresh i.i.d. uniform draws that no other
+    request has seen, so each consumer gets the distribution it got from rng
+    directly; only which values it gets changes. Blocks are read-only, so an
+    in-place write to a handed-out draw raises. random() is rng.random.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._blocks: dict = {}  # (low, high) -> [block, next unused index]
+        self.random = rng.random
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        if dtype is not np.int64 and np.dtype(dtype) != np.int64:
+            raise ValueError(f"block draws are int64 only, got dtype {dtype!r}")
+        if high is None:
+            low, high = 0, low
+        count = 1 if size is None else math.prod(size) if isinstance(size, tuple) else size
+        if count > DRAW_BLOCK:
+            return self._rng.integers(low, high, size=size, dtype=np.int64)
+        entry = self._blocks.get((low, high))
+        if entry is None or entry[1] + count > DRAW_BLOCK:
+            block = self._rng.integers(low, high, size=DRAW_BLOCK, dtype=np.int64)
+            block.flags.writeable = False
+            entry = self._blocks[low, high] = [block, 0]
+        block, start = entry
+        entry[1] = start + count
+        if size is None:
+            return block[start]
+        draws = block[start : start + count]
+        return draws.reshape(size) if isinstance(size, tuple) else draws
+
+
 
 def _plant(planted: np.ndarray, x_vals: np.ndarray, rng: np.random.Generator, p: int) -> int:
     """Fill the preallocated (k,) + x_vals.shape array planted with x_vals at
@@ -418,7 +462,9 @@ def worst_case_matvec(
     assembles the block-row sums, and truncates the padding. Any block
     exhausting its boost budget fails the whole run (result None).
     Assembly reads the k^2 length-d block products to form the k row sums,
-    then the k row sums: k^2*d + k*d scratch queries.
+    then the k row sums: k^2*d + k*d scratch queries. The stages take their
+    uniform draws from rng in blocks (_BlockDraws), so rng ends up advanced
+    past draws the run never used.
     """
     n = mat_handle.rows
     if mat_handle.cols != n:
@@ -438,6 +484,7 @@ def worst_case_matvec(
     field = mat_handle.field
     ledger = mat_handle.ledger
     stats = StageStats()
+    rng = _BlockDraws(rng)
 
     block_products = np.empty((k, k, d), dtype=np.int64)
     for i in range(k):

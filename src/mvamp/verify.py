@@ -117,7 +117,8 @@ def verify_product(
     R.w == (R.M).v does; a wrong product is accepted with probability at
     most epsilon. In exact mode it accepts iff mv == w, drawing nothing.
     Under paper accounting it charges charged_queries(rows, epsilon) to the
-    verifier; under actual it reads each of the instance's operands once.
+    verifier; under actual it reads each of the instance's operands once,
+    and refuses a call that passes none, which would charge nothing.
     """
     if mv.ndim != 1 or product.shape != mv.shape:
         raise ValueError(f"product shape {product.shape} does not match instance product shape {mv.shape}")
@@ -125,6 +126,8 @@ def verify_product(
     if config.accounting == "paper":
         ledger.charge(SOURCE_VERIFIER, charged_queries(rows, config.epsilon))
     else:
+        if not operands:
+            raise ValueError("actual accounting needs the instance's operands to read")
         for operand in operands:
             _read(operand, ledger)
 

@@ -223,6 +223,19 @@ def test_config_validation_errors():
             experiment_config_from_values({**BASE_VALUES, **over})
 
 
+def test_config_refuses_an_astronomical_stage1_instance():
+    # paper-mode k at alpha = 0.5 is 6,655: a 354 MB array on every stage-1 attempt
+    with pytest.raises(ConfigError, match="'k_mode' = paper gives k = 6655"):
+        ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, k_mode="paper")
+    with pytest.raises(ConfigError, match="'k' = 2049"):
+        ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, k=2049)
+    with pytest.raises(ConfigError, match="'n' = 2049"):
+        ExperimentConfig(modulus=5, n=2049, trials=1, alpha=0.5, k=2)
+    # the largest allowed instance, and the baseline, which plants nothing
+    assert ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, k=2048).k == 2048
+    assert ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, k_mode="paper", pipeline="baseline")
+
+
 def test_planted_bad_mode_requires_planted_profile():
     cfg = experiment_config_from_values(
         {**BASE_VALUES, "profile": "planted", "input_mode": "planted-bad", "alpha": 0.25}

@@ -36,6 +36,7 @@ from mvamp.oracle import (
     wrap_vector,
 )
 from mvamp.reduction import (
+    DRAW_BLOCK,
     ReductionConfig,
     ReductionOutcome,
     ReductionReport,
@@ -48,6 +49,7 @@ from mvamp.reduction import (
     solve_block_any_input,
     solve_strip,
     solve_strip_any_matrix,
+    _BlockDraws,
     worst_case_matvec,
 )
 from mvamp.solver import FAILURE_MODES, GoodBadProfile, NoisySolver, SolverProfile, UniformProfile
@@ -633,6 +635,103 @@ def test_worst_case_matvec_auto_k_uses_desk_formula():
     assert out.block_count == 12
     assert out.padded_n == 12
     assert out.result == matvec(m, v)
+
+
+# ------------------------------------------------------------ block draws
+
+BLOCK_KEY = [7, 3]
+
+
+def philox(key=BLOCK_KEY):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def test_block_draws_serve_consecutive_slices_of_one_block():
+    draws = _BlockDraws(philox())
+    first = draws.integers(0, 5, size=(2, 3), dtype=np.int64)
+    second = draws.integers(0, 5, size=4, dtype=np.int64)
+    block = philox().integers(0, 5, size=DRAW_BLOCK, dtype=np.int64)
+    assert first.shape == (2, 3) and second.shape == (4,)
+    assert np.array_equal(first.reshape(6), block[:6])
+    assert np.array_equal(second, block[6:10])
+
+
+def test_block_draws_keep_one_block_per_range():
+    draws = _BlockDraws(philox())
+    head = draws.integers(0, 5, size=3, dtype=np.int64)
+    slot = draws.integers(17)  # the range (0, 17), as Generator.integers(17) reads it
+    tail = draws.integers(0, 5, size=2, dtype=np.int64)
+    ref = philox()
+    p_block = ref.integers(0, 5, size=DRAW_BLOCK, dtype=np.int64)
+    k_block = ref.integers(0, 17, size=DRAW_BLOCK, dtype=np.int64)
+    assert np.shape(slot) == ()
+    assert slot == k_block[0]
+    assert draws.integers(0, 17) == k_block[1]
+    assert np.array_equal(np.concatenate([head, tail]), p_block[:5])
+
+
+def test_block_draws_start_a_new_block_when_a_request_does_not_fit():
+    draws = _BlockDraws(philox())
+    draws.integers(0, 5, size=DRAW_BLOCK - 2, dtype=np.int64)
+    rest = draws.integers(0, 5, size=5, dtype=np.int64)
+    ref = philox()
+    ref.integers(0, 5, size=DRAW_BLOCK, dtype=np.int64)
+    assert np.array_equal(rest, ref.integers(0, 5, size=DRAW_BLOCK, dtype=np.int64)[:5])
+
+
+def test_block_draws_pass_oversized_requests_straight_to_the_stream():
+    draws = _BlockDraws(philox())
+    head = draws.integers(0, 5, size=3, dtype=np.int64)
+    big = draws.integers(0, 5, size=(2, DRAW_BLOCK // 2 + 1), dtype=np.int64)
+    tail = draws.integers(0, 5, size=2, dtype=np.int64)
+    ref = philox()
+    block = ref.integers(0, 5, size=DRAW_BLOCK, dtype=np.int64)
+    assert np.array_equal(big, ref.integers(0, 5, size=(2, DRAW_BLOCK // 2 + 1), dtype=np.int64))
+    assert np.array_equal(np.concatenate([head, tail]), block[:5])
+
+
+def test_block_draws_are_read_only_and_int64_only():
+    draws = _BlockDraws(philox())
+    vals = draws.integers(0, 5, size=(2, 2), dtype=np.int64)
+    with pytest.raises(ValueError):
+        vals[0, 0] = 1
+    with pytest.raises(ValueError):
+        draws.integers(0, 5, size=4, dtype=np.int32)
+
+
+def test_block_draws_pass_random_straight_to_the_stream():
+    draws = _BlockDraws(philox())
+    draws.integers(0, 5, size=4, dtype=np.int64)
+    ref = philox()
+    ref.integers(0, 5, size=DRAW_BLOCK, dtype=np.int64)
+    assert draws.random() == ref.random()
+
+
+class CountingRng:
+    """Forwards to a Generator, counting its integers() calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.integer_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+
+def test_worst_case_matvec_draws_integers_in_blocks():
+    # one draw per attempt at least would give ~4 integers() calls per ALG call
+    counting = CountingRng(philox([0, 0]))
+    m = random_matrix(8, 8, F5, counting.rng)
+    v = random_vector(8, F5, counting.rng)
+    led = QueryLedger()
+    solver = NoisySolver(UniformProfile(0.5))
+    out = worst_case_matvec(wrap_matrix(m, led), wrap_vector(v, led), solver, ReductionConfig(alpha=0.5, k=17), counting)
+    assert out.result == matvec(m, v)
+    assert counting.integer_calls * 8 <= led.get(SOURCE_ALG)
 
 
 # ----------------------------------------------------------------- report

@@ -183,6 +183,19 @@ def test_actual_accounting_counts_physical_reads():
     assert led.snapshot() == {SOURCE_MATRIX: 16, SOURCE_VECTOR: 4, SOURCE_SCRATCH: 20}
 
 
+def test_actual_accounting_refuses_a_call_without_operands():
+    rng = np.random.default_rng(0)
+    m, v = random_matrix(4, 4, F5, rng), random_vector(4, F5, rng)
+    mv = mv_of(m, v)
+    led = QueryLedger()
+    with pytest.raises(ValueError, match="operands"):
+        verify_product(led, F5, mv, mv, VerifierConfig(accounting="actual"), rng)
+    assert led.snapshot() == {}
+    # paper accounting reads nothing, so it needs no operands
+    assert verify_product(led, F5, mv, mv, VerifierConfig(accounting="paper"), rng)
+    assert led.snapshot() == {SOURCE_VERIFIER: charged_queries(4, 1e-4)}
+
+
 def test_verify_product_validates_inputs():
     rng = np.random.default_rng(0)
     led = QueryLedger()
