@@ -236,7 +236,6 @@ class _BlockDraws:
         return draws.reshape(size) if isinstance(size, tuple) else draws
 
 
-
 def _plant(planted: np.ndarray, x_vals: np.ndarray, rng: np.random.Generator, p: int) -> int:
     """Fill the preallocated (k,) + x_vals.shape array planted with x_vals at
     a uniform slot among fresh uniform co-values; return the slot. Draws the
