@@ -37,7 +37,6 @@ from .reduction import (
     ReductionConfig,
     ReductionReport,
     StageStats,
-    choose_block_count,
     worst_case_matvec,
 )
 from .solver import (
@@ -61,10 +60,11 @@ INPUT_MODES = ("random", "planted-bad", "exhaustive-tiny")
 PIPELINES = ("full", "baseline")
 
 # Named predicates for goodbad profiles, so configs stay picklable text.
+# Each takes the instance as residue arrays and the modulus.
 PREDICATES = {
-    "v_first_zero": lambda m, v: int(v.values[0]) == 0,
-    "v_first_even": lambda m, v: int(v.values[0]) % 2 == 0,
-    "trace_zero": lambda m, v: int(np.trace(m.values)) % m.field.modulus == 0,
+    "v_first_zero": lambda m, v, p: int(v[0]) == 0,
+    "v_first_even": lambda m, v, p: int(v[0]) % 2 == 0,
+    "trace_zero": lambda m, v, p: int(np.trace(m)) % p == 0,
 }
 
 
@@ -163,7 +163,7 @@ class ExperimentConfig:
 
     def _check_instance_size(self):
         """Refuse a stage-1 instance past MAX_INSTANCE_ENTRIES, naming the key behind it."""
-        k = self.k if self.k is not None else choose_block_count(self.alpha, mode=self.k_mode, c0=self.c0)
+        k = build_reduction_config(self).resolved_k()
         n_padded = -(-self.n // k) * k
         if n_padded * n_padded > MAX_INSTANCE_ENTRIES:
             key = "n" if self.n * self.n > MAX_INSTANCE_ENTRIES else "k" if self.k is not None else "k_mode"
@@ -313,7 +313,7 @@ def _trial_input(
         for _ in range(_PLANTED_SAMPLING_CAP):
             m = random_matrix(n, n, field, rng)
             v = random_vector(n, field, rng)
-            if profile.is_bad(m, v):
+            if profile.is_bad(m.values, v.values, field.modulus):
                 return m, v
         raise RuntimeError(
             f"found no planted-bad input in {_PLANTED_SAMPLING_CAP} draws "
@@ -341,15 +341,14 @@ def run_trial(config: ExperimentConfig, trial: int) -> ReductionReport:
     solver = build_solver(config)
     reduction_config = build_reduction_config(config)
     ledger = QueryLedger()
-    mat_handle = wrap_matrix(matrix, ledger)
-    vec_handle = wrap_vector(vector, ledger)
 
     start = time.perf_counter() if config.measure_time else None
     if config.pipeline == "baseline":
         # one unamplified, verified call: no pipeline stage runs
-        result = verified_call(solver, mat_handle, vec_handle, reduction_config.verifier, rng)
+        result = verified_call(solver, matrix, vector, ledger, reduction_config.verifier, rng)
         stats = StageStats()
     else:
+        mat_handle, vec_handle = wrap_matrix(matrix, ledger), wrap_vector(vector, ledger)
         outcome = worst_case_matvec(mat_handle, vec_handle, solver, reduction_config, rng)
         result, stats = outcome.result, outcome.stats
     wall_ms = int((time.perf_counter() - start) * 1000) if start is not None else 0

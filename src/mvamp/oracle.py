@@ -8,8 +8,10 @@ the matching matrix composition applied to that column. Handles never
 copy data at construction; every structural transformer is lazy.
 
 Handles serve the input boundary: the pipeline meters U_M and U_v through
-them and cuts its padded blocks and segments with them. Values the
-pipeline draws itself (split halves, co-strips, co-vectors, planted
+them and cuts its padded blocks and segments with them. A handle exists
+only to meter a real read, and the ledger has no mute switch, so every
+read of a handle is charged. Values the simulator already holds (the
+instance it hands the solver, split halves, co-strips, co-vectors, planted
 instances) are plain arrays, and their reads are charged to scratch in
 closed form where they happen.
 
@@ -43,25 +45,18 @@ SOURCE_SCRATCH = "scratch"
 
 
 class QueryLedger:
-    """Monotone per-source query counters with a mute switch.
+    """Monotone per-source query counters."""
 
-    `paused()` suppresses charging inside simulation internals (for example
-    the baseline's verified_call reading its handles for the simulated
-    solver, which invoke bills at its modeled cost instead).
-    """
-
-    __slots__ = ("counts", "_pause_depth")
+    __slots__ = ("counts",)
 
     def __init__(self):
         self.counts: dict[str, int] = {}
-        self._pause_depth = 0
 
     def charge(self, source: str, amount: int = 1):
         if amount < 0:
             raise ValueError(f"charge amount must be nonnegative, got {amount}")
-        if self._pause_depth > 0 or amount == 0:
-            return
-        self.counts[source] = self.counts.get(source, 0) + amount
+        if amount:
+            self.counts[source] = self.counts.get(source, 0) + amount
 
     def get(self, source: str) -> int:
         return self.counts.get(source, 0)
@@ -71,30 +66,6 @@ class QueryLedger:
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.counts)
-
-    def paused(self) -> "_Paused":
-        return _Paused(self)
-
-
-class _Paused:
-    """The context manager QueryLedger.paused returns; pauses nest.
-
-    A plain class rather than a contextlib generator: the solver and the
-    verifier enter it on every stage-1 attempt, and this costs a fraction
-    of the generator's set-up.
-    """
-
-    __slots__ = ("_ledger",)
-
-    def __init__(self, ledger: QueryLedger):
-        self._ledger = ledger
-
-    def __enter__(self) -> QueryLedger:
-        self._ledger._pause_depth += 1
-        return self._ledger
-
-    def __exit__(self, *exc_info):
-        self._ledger._pause_depth -= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Simulated average-case solvers with per-input success probabilities.
 
-A profile maps each concrete (M, v) pair to a success probability. The map
-is a deterministic function of the input (and the profile's own seed), so
-repeated calls on the same input draw from the same Bernoulli; adversarial
-profiles cannot be washed out by retrying the identical input. An invoke
-takes the instance as arrays, together with its true product as the
-simulation's ground truth, and charges the modeled access cost (one ALG
-call, Q matrix reads, n vector reads) to the canonical sources.
+A profile maps each concrete (M, v) pair, given as int64 residue arrays
+and the modulus, to a success probability. The map is a deterministic
+function of the input (and the profile's own seed), so repeated calls on
+the same input draw from the same Bernoulli; adversarial profiles cannot
+be washed out by retrying the identical input. An invoke takes the
+instance as arrays, together with its true product as the simulation's
+ground truth, hands those arrays to the profile as they are, and charges
+the modeled access cost (one ALG call, Q matrix reads, n vector reads) to
+the canonical sources.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .field import PrimeField
-from .linalg import (
-    FpMatrix,
-    FpVector,
-    count_matrices,
-    count_vectors,
-    enumerate_matrices,
-    enumerate_vectors,
-)
+from .linalg import count_matrices, count_vectors, enumerate_matrices, enumerate_vectors
 from .oracle import SOURCE_ALG, SOURCE_MATRIX, SOURCE_VECTOR, QueryLedger
 
 # Exhaustive enumeration over all (M, v) pairs is refused beyond this many
@@ -43,21 +38,13 @@ def _check_probability(name: str, x: float):
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
 
 
-def _input_digest(matrix: FpMatrix, vector: FpVector, seed: int) -> int:
+def _input_digest(m_vals: np.ndarray, v_vals: np.ndarray, modulus: int, seed: int) -> int:
     """64-bit digest of (modulus, shapes, entries, seed), stable across runs."""
+    rows, cols = m_vals.shape
     h = hashlib.blake2b(digest_size=8)
-    h.update(
-        struct.pack(
-            "<qqqqq",
-            seed,
-            matrix.field.modulus,
-            matrix.rows,
-            matrix.cols,
-            vector.length,
-        )
-    )
-    h.update(matrix.values.astype("<u8").tobytes())
-    h.update(vector.values.astype("<u8").tobytes())
+    h.update(struct.pack("<qqqqq", seed, modulus, rows, cols, v_vals.shape[0]))
+    h.update(m_vals.astype("<u8").tobytes())
+    h.update(v_vals.astype("<u8").tobytes())
     return int.from_bytes(h.digest(), "little")
 
 
@@ -77,7 +64,7 @@ def check_planted_reachable(average: float, bad_fraction: float):
 class SolverProfile:
     """Base class: a deterministic per-input success probability."""
 
-    def success_probability(self, matrix: FpMatrix, vector: FpVector) -> float:
+    def success_probability(self, m_vals: np.ndarray, v_vals: np.ndarray, modulus: int) -> float:
         raise NotImplementedError
 
 
@@ -88,7 +75,7 @@ class UniformProfile(SolverProfile):
         _check_probability("alpha", alpha)
         self.alpha = float(alpha)
 
-    def success_probability(self, matrix, vector) -> float:
+    def success_probability(self, m_vals, v_vals, modulus) -> float:
         return self.alpha
 
     def __repr__(self):
@@ -96,11 +83,11 @@ class UniformProfile(SolverProfile):
 
 
 class GoodBadProfile(SolverProfile):
-    """Inputs split by a predicate into two success levels."""
+    """Inputs split by a predicate of (m_vals, v_vals, modulus) into two success levels."""
 
     def __init__(
         self,
-        predicate: Callable[[FpMatrix, FpVector], bool],
+        predicate: Callable[[np.ndarray, np.ndarray, int], bool],
         alpha_good: float,
         alpha_bad: float,
     ):
@@ -110,8 +97,8 @@ class GoodBadProfile(SolverProfile):
         self.alpha_good = float(alpha_good)
         self.alpha_bad = float(alpha_bad)
 
-    def success_probability(self, matrix, vector) -> float:
-        return self.alpha_good if self.predicate(matrix, vector) else self.alpha_bad
+    def success_probability(self, m_vals, v_vals, modulus) -> float:
+        return self.alpha_good if self.predicate(m_vals, v_vals, modulus) else self.alpha_bad
 
     def __repr__(self):
         return f"GoodBadProfile(alpha_good={self.alpha_good}, alpha_bad={self.alpha_bad})"
@@ -136,11 +123,11 @@ class PlantedAdversarialProfile(SolverProfile):
         self.seed = int(seed)
         self._threshold = int(self.bad_fraction * 2.0**64)
 
-    def is_bad(self, matrix: FpMatrix, vector: FpVector) -> bool:
-        return _input_digest(matrix, vector, self.seed) < self._threshold
+    def is_bad(self, m_vals: np.ndarray, v_vals: np.ndarray, modulus: int) -> bool:
+        return _input_digest(m_vals, v_vals, modulus, self.seed) < self._threshold
 
-    def success_probability(self, matrix, vector) -> float:
-        if self.is_bad(matrix, vector):
+    def success_probability(self, m_vals, v_vals, modulus) -> float:
+        if self.is_bad(m_vals, v_vals, modulus):
             return 0.0
         return min(1.0, self.average / (1.0 - self.bad_fraction))
 
@@ -159,11 +146,10 @@ def vector_success_exhaustive(profile: SolverProfile, n: int, field: PrimeField)
     pairs = count_matrices(field, n, n) * count_vectors(field, n)
     if pairs > MAX_EXHAUSTIVE_PAIRS:
         raise ValueError(f"domain has {pairs} pairs, beyond exhaustive bound {MAX_EXHAUSTIVE_PAIRS}")
-    matrices = list(enumerate_matrices(field, n, n))
-    return [
-        sum(profile.success_probability(m, v) for m in matrices) / len(matrices)
-        for v in enumerate_vectors(field, n)
-    ]
+    p = field.modulus
+    matrices = [m.values for m in enumerate_matrices(field, n, n)]
+    vectors = [v.values for v in enumerate_vectors(field, n)]
+    return [sum(profile.success_probability(m, v, p) for m in matrices) / len(matrices) for v in vectors]
 
 
 def exact_average_success(profile: SolverProfile, n: int, field: PrimeField) -> float:
@@ -237,9 +223,7 @@ def invoke(
     ledger.charge(SOURCE_MATRIX, q)
     ledger.charge(SOURCE_VECTOR, n)
 
-    matrix = FpMatrix._trusted(field, m_vals)
-    vector = FpVector._trusted(field, v_vals)
-    if rng.random() < solver.profile.success_probability(matrix, vector):
+    if rng.random() < solver.profile.success_probability(m_vals, v_vals, field.modulus):
         return truth
     wrong = _wrong_output(truth, solver.failure_mode, field.modulus, rng)
     assert (wrong != truth).any()

@@ -15,7 +15,9 @@ Cost accounting has two modes, both applied inside verify_product. "paper"
 charges the closed-form budget ceil(r^{3/2} * ceil(log2(1/eps))) to the
 verifier source and reads nothing; "actual" reads each operand the caller
 passes once (r*c matrix entries plus c vector entries per call): a handle
-charges its own sources, an array the pipeline drew charges scratch.
+charges its own sources, an array the pipeline drew charges scratch. The
+verifier's read is the only read of an input handle a verified call makes;
+the simulated solver is handed the arrays the caller holds.
 """
 
 from __future__ import annotations
@@ -28,14 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .field import PrimeField
-from .linalg import FpVector, matvec_values
-from .oracle import (
-    SOURCE_SCRATCH,
-    SOURCE_VERIFIER,
-    MatrixOracleHandle,
-    QueryLedger,
-    VectorOracleHandle,
-)
+from .linalg import FpMatrix, FpVector, matvec_values
+from .oracle import SOURCE_SCRATCH, SOURCE_VERIFIER, QueryLedger, wrap_matrix, wrap_vector
 from .solver import NoisySolver, invoke
 
 ACCOUNTING_MODES = ("paper", "actual")
@@ -142,25 +138,26 @@ def verify_product(
 
 def verified_call(
     solver: NoisySolver,
-    mat_handle: MatrixOracleHandle,
-    vec_handle: VectorOracleHandle,
+    matrix: FpMatrix,
+    vector: FpVector,
+    ledger: QueryLedger,
     config: VerifierConfig,
     rng: np.random.Generator,
 ) -> Optional[FpVector]:
-    """One solver invocation on an input given by handles, gated by verification.
+    """One solver invocation on a concrete input, gated by verification.
 
-    Reads the handles once, uncharged, and computes the instance's product
-    once for invoke's ground truth and the verifier alike. Charges one ALG
-    query (inside invoke) plus the verification, which takes the handles as
-    its operands. Returns the solver output when it verifies, else None.
+    Computes the instance's product once, for invoke's ground truth and the
+    verifier alike, and hands invoke the input's arrays. Charges one ALG
+    query (inside invoke) plus the verification, whose operands are U_M/U_v
+    handles on the input: under actual accounting they are the one read of
+    the input. Returns the solver output when it verifies, else None.
     """
-    ledger, field = mat_handle.ledger, mat_handle.field
-    if vec_handle.field != field:
-        raise ValueError("field mismatch between matrix and vector handles")
-    with ledger.paused():
-        m_vals, v_vals = mat_handle.read_all(), vec_handle.read_all()
-    truth = matvec_values(m_vals, v_vals, field.modulus)
-    w = invoke(solver, ledger, field, m_vals, v_vals, truth, rng)
-    if verify_product(ledger, field, truth, w, config, rng, (mat_handle, vec_handle)):
+    field = matrix.field
+    if vector.field != field:
+        raise ValueError("field mismatch between matrix and vector")
+    truth = matvec_values(matrix.values, vector.values, field.modulus)
+    w = invoke(solver, ledger, field, matrix.values, vector.values, truth, rng)
+    operands = (wrap_matrix(matrix, ledger), wrap_vector(vector, ledger))
+    if verify_product(ledger, field, truth, w, config, rng, operands):
         return FpVector._trusted(field, w)
     return None

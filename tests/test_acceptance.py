@@ -151,8 +151,8 @@ def test_criterion_2_good_vector_fraction():
             profiles = [
                 UniformProfile(alpha),
                 UniformProfile(min(1.0, alpha * 1.5)),
-                GoodBadProfile(lambda m, v: int(v.values[0]) == 0, 1.0, 0.0),
-                GoodBadProfile(lambda m, v: int(v.values[0]) == 0, 0.75, 0.25),
+                GoodBadProfile(lambda m, v, p: int(v[0]) == 0, 1.0, 0.0),
+                GoodBadProfile(lambda m, v, p: int(v[0]) == 0, 0.75, 0.25),
             ]
             profiles += [
                 PlantedAdversarialProfile(average=alpha, bad_fraction=0.5, seed=s)

@@ -285,7 +285,7 @@ def test_trial_input_planted_bad_only_returns_bad_pairs():
     field = PrimeField(5)
     for trial in range(10):
         m, v = _trial_input(cfg, field, trial, trial_rng(cfg.seed, trial))
-        assert profile.is_bad(m, v)
+        assert profile.is_bad(m.values, v.values, field.modulus)
 
 
 def test_run_trial_full_is_deterministic_and_consistent():

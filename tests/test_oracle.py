@@ -73,17 +73,6 @@ def test_ledger_snapshot_is_a_copy():
     assert led.get("a") == 1
 
 
-def test_ledger_paused_mutes_and_nests():
-    led = QueryLedger()
-    with led.paused():
-        led.charge("a", 5)
-        with led.paused():
-            led.charge("a", 5)
-        led.charge("a", 5)  # still inside the outer pause
-    led.charge("a", 2)
-    assert led.get("a") == 2
-
-
 # ---------------------------------------------------------------- leaves
 
 

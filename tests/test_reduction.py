@@ -155,7 +155,7 @@ def test_good_fraction_goodbad_closed_form():
     # vectors with first entry 0 succeed always, others never: the good
     # fraction is exactly 1/p
     for p in (2, 3):
-        prof = GoodBadProfile(lambda m, v: int(v.values[0]) == 0, 1.0, 0.0)
+        prof = GoodBadProfile(lambda m, v, mod: int(v[0]) == 0, 1.0, 0.0)
         frac = good_fraction_exhaustive(NoisySolver(prof), 2, PrimeField(p), alpha=1.0 / p)
         assert frac == pytest.approx(1.0 / p)
 
@@ -231,8 +231,8 @@ class RecordingNeverProfile(SolverProfile):
     def __init__(self):
         self.seen = []
 
-    def success_probability(self, matrix, vector):
-        self.seen.append((tuple(matrix.values.ravel().tolist()), tuple(vector.values.tolist())))
+    def success_probability(self, m_vals, v_vals, modulus):
+        self.seen.append((tuple(m_vals.ravel().tolist()), tuple(v_vals.tolist())))
         return 0.0
 
 
@@ -394,9 +394,11 @@ def _live_inputs(kind: str, shape: str, rng):
 
 
 def _reference(led, mat, vec):
-    """The true product and the vector's values, read without a charge."""
-    with led.paused():
-        return matvec(mat.to_matrix(), vec.to_vector()), vec.read_all()
+    """The true product and the vector's values; the reads' charges are
+    cleared from the fixture's fresh ledger."""
+    truth, v_vals = matvec(mat.to_matrix(), vec.to_vector()), vec.read_all()
+    led.counts.clear()
+    return truth, v_vals
 
 
 def _nonzero(counts: dict) -> dict:

@@ -5,7 +5,6 @@ import pytest
 
 from mvamp.field import PrimeField
 from mvamp.linalg import (
-    FpVector,
     enumerate_matrices,
     enumerate_vectors,
     matvec,
@@ -31,6 +30,12 @@ def make_instance(n=3, seed=0, field=F5):
     return random_matrix(n, n, field, rng), random_vector(n, field, rng)
 
 
+def make_arrays(n=3, seed=0, field=F5):
+    """make_instance's draw as the (m_vals, v_vals, modulus) a profile takes."""
+    m, v = make_instance(n, seed, field)
+    return m.values, v.values, field.modulus
+
+
 def call(solver, led, m, v, rng):
     """invoke on an FpMatrix/FpVector pair, with its product as the ground truth."""
     truth = matvec_values(m.values, v.values, m.field.modulus)
@@ -39,26 +44,25 @@ def call(solver, led, m, v, rng):
 
 def test_uniform_profile_constant():
     prof = UniformProfile(0.3)
-    m, v = make_instance()
-    assert prof.success_probability(m, v) == 0.3
+    assert prof.success_probability(*make_arrays()) == 0.3
     for bad in (-0.1, 1.5):
         with pytest.raises(ValueError):
             UniformProfile(bad)
 
 
 def test_goodbad_profile_splits_on_predicate():
-    prof = GoodBadProfile(lambda m, v: int(v.values[0]) == 0, alpha_good=0.9, alpha_bad=0.1)
-    m, _ = make_instance()
-    assert prof.success_probability(m, FpVector(F5, [0, 1, 2])) == 0.9
-    assert prof.success_probability(m, FpVector(F5, [1, 1, 2])) == 0.1
+    prof = GoodBadProfile(lambda m, v, p: int(v[0]) == 0, alpha_good=0.9, alpha_bad=0.1)
+    m, _, p = make_arrays()
+    assert prof.success_probability(m, np.array([0, 1, 2]), p) == 0.9
+    assert prof.success_probability(m, np.array([1, 1, 2]), p) == 0.1
 
 
 def test_planted_profile_is_deterministic():
     a = PlantedAdversarialProfile(average=0.25, bad_fraction=0.5, seed=7)
     b = PlantedAdversarialProfile(average=0.25, bad_fraction=0.5, seed=7)
-    m, v = make_instance()
-    assert a.is_bad(m, v) == b.is_bad(m, v)
-    assert a.success_probability(m, v) == b.success_probability(m, v)
+    inst = make_arrays()
+    assert a.is_bad(*inst) == b.is_bad(*inst)
+    assert a.success_probability(*inst) == b.success_probability(*inst)
 
 
 def test_planted_profile_success_levels():
@@ -66,9 +70,9 @@ def test_planted_profile_success_levels():
     # off the bad set the rate is average / (1 - bad_fraction); on it, zero
     hits = {True: 0, False: 0}
     for seed in range(200):
-        m, v = make_instance(seed=seed)
-        p = prof.success_probability(m, v)
-        if prof.is_bad(m, v):
+        inst = make_arrays(seed=seed)
+        p = prof.success_probability(*inst)
+        if prof.is_bad(*inst):
             assert p == 0.0
             hits[True] += 1
         else:
@@ -85,8 +89,8 @@ def test_planted_profile_seed_changes_bad_set():
     b = PlantedAdversarialProfile(average=0.25, bad_fraction=0.5, seed=1)
     differs = False
     for seed in range(50):
-        m, v = make_instance(seed=seed)
-        if a.is_bad(m, v) != b.is_bad(m, v):
+        inst = make_arrays(seed=seed)
+        if a.is_bad(*inst) != b.is_bad(*inst):
             differs = True
             break
     assert differs
@@ -106,7 +110,7 @@ def test_exact_average_success_goodbad_closed_form():
     # predicate "first vector entry is 0" holds for exactly 1/p of inputs
     for p in (2, 3):
         f = PrimeField(p)
-        prof = GoodBadProfile(lambda m, v: int(v.values[0]) == 0, alpha_good=1.0, alpha_bad=0.0)
+        prof = GoodBadProfile(lambda m, v, mod: int(v[0]) == 0, alpha_good=1.0, alpha_bad=0.0)
         expect = 1.0 / p
         assert exact_average_success(prof, 2, f) == pytest.approx(expect)
 
@@ -117,9 +121,24 @@ def test_exact_average_success_planted_matches_manual_enumeration():
     total, count = 0.0, 0
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
-            total += prof.success_probability(m, v)
+            total += prof.success_probability(m.values, v.values, 2)
             count += 1
     assert exact_average_success(prof, 2, f) == pytest.approx(total / count)
+
+
+def test_planted_bad_set_is_pinned_over_f2():
+    # bit i is set iff the i-th (M, v) pair, matrix-major in enumeration
+    # order, is bad: pins the digest's bytes (seed, modulus, shapes, then the
+    # entries as little-endian u8) that the criterion-8 goldens rest on
+    f = PrimeField(2)
+    prof = PlantedAdversarialProfile(average=0.25, bad_fraction=0.5, seed=11)
+    mask, i = 0, 0
+    for m in enumerate_matrices(f, 2, 2):
+        for v in enumerate_vectors(f, 2):
+            mask |= prof.is_bad(m.values, v.values, 2) << i
+            i += 1
+    assert i == 64
+    assert mask == 0xF901BC030E9270BC
 
 
 def test_invoke_perfect_solver_returns_truth_and_charges():

@@ -6,6 +6,7 @@ p^(n-1) out of p^n. Every statistical check below leans on that closed form.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from mvamp.oracle import (
     SOURCE_SCRATCH,
     SOURCE_VECTOR,
     SOURCE_VERIFIER,
+    MatrixOracleHandle,
     QueryLedger,
-    pad_square_matrix,
-    pad_vector,
+    VectorOracleHandle,
     wrap_matrix,
     wrap_vector,
 )
@@ -211,13 +212,7 @@ def test_verify_product_validates_inputs():
     with pytest.raises(ValueError):
         verify_product(led, F5, mv.reshape(2, 1), np.array([[1], [2]], dtype=np.int64), cfg, rng)
     with pytest.raises(ValueError):
-        verified_call(
-            NoisySolver(UniformProfile(1.0)),
-            wrap_matrix(FpMatrix(F5, m), led),
-            wrap_vector(FpVector(PrimeField(7), v), led),
-            cfg,
-            rng,
-        )
+        verified_call(NoisySolver(UniformProfile(1.0)), FpMatrix(F5, m), FpVector(PrimeField(7), v), led, cfg, rng)
     # a rejected call charges nothing
     assert led.snapshot() == {}
 
@@ -243,9 +238,7 @@ def test_verified_call_returns_truth_for_perfect_solver():
     rng = np.random.default_rng(0)
     m, v = random_matrix(3, 3, F5, rng), random_vector(3, F5, rng)
     led = QueryLedger()
-    out = verified_call(
-        NoisySolver(UniformProfile(1.0)), wrap_matrix(m, led), wrap_vector(v, led), VerifierConfig(), rng
-    )
+    out = verified_call(NoisySolver(UniformProfile(1.0)), m, v, led, VerifierConfig(), rng)
     assert out == matvec(m, v)
 
 
@@ -256,29 +249,47 @@ def test_verified_call_exact_filter_blocks_all_wrong_answers():
     cfg = VerifierConfig(mode="exact")
     solver = NoisySolver(UniformProfile(0.0))
     for _ in range(40):
-        assert verified_call(solver, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng) is None
+        assert verified_call(solver, m, v, led, cfg, rng) is None
 
 
 @pytest.mark.parametrize("accounting", ["paper", "actual"])
 @pytest.mark.parametrize("size", [6, 5])
 def test_verified_call_charges_its_whole_ledger(size, accounting):
-    # a 6x6 input, or a 5x5 one padded to 6: the solver's modeled reads
-    # cover the padded instance, while actual accounting's verifier reads
-    # charge only the input's real entries (padding is structural)
+    # the solver's modeled reads cover the whole input; actual accounting's
+    # verifier reads it once more through U_M/U_v handles (the baseline
+    # never pads, so each size is a plain input)
     rng = np.random.default_rng(size)
     led = QueryLedger()
     m, v = random_matrix(size, size, F5, rng), random_vector(size, F5, rng)
-    mat, vec = wrap_matrix(m, led), wrap_vector(v, led)
-    if size < 6:
-        mat, vec = pad_square_matrix(mat, 6), pad_vector(vec, 6)
     cfg = VerifierConfig(epsilon=1e-4, accounting=accounting)
-    out = verified_call(NoisySolver(UniformProfile(1.0)), mat, vec, cfg, rng)
-    assert out is not None and out.values[:size].tolist() == matvec(m, v).to_list()
+    out = verified_call(NoisySolver(UniformProfile(1.0)), m, v, led, cfg, rng)
+    assert out == matvec(m, v)
+    sq = size * size
     if accounting == "paper":
-        expect = {SOURCE_ALG: 1, SOURCE_MATRIX: 36, SOURCE_VECTOR: 6, SOURCE_VERIFIER: charged_queries(6, 1e-4)}
+        expect = {SOURCE_ALG: 1, SOURCE_MATRIX: sq, SOURCE_VECTOR: size, SOURCE_VERIFIER: charged_queries(size, 1e-4)}
     else:
-        expect = {SOURCE_ALG: 1, SOURCE_MATRIX: 36 + size * size, SOURCE_VECTOR: 6 + size}
+        expect = {SOURCE_ALG: 1, SOURCE_MATRIX: 2 * sq, SOURCE_VECTOR: 2 * size}
     assert led.snapshot() == expect
+
+
+@pytest.mark.parametrize("accounting", ["paper", "actual"])
+def test_verified_call_reads_its_input_once_for_the_verifier_only(monkeypatch, accounting):
+    # the solver is handed the arrays the call holds; the only physical read
+    # of the input is the verifier's, and paper accounting reads nothing
+    reads = Counter()
+    for cls in (MatrixOracleHandle, VectorOracleHandle):
+        def counted(self, _read=cls.read_all, _name=cls.__name__):
+            reads[_name] += 1
+            return _read(self)
+
+        monkeypatch.setattr(cls, "read_all", counted)
+    rng = np.random.default_rng(3)
+    m, v = random_matrix(4, 4, F5, rng), random_vector(4, F5, rng)
+    cfg = VerifierConfig(accounting=accounting)
+    out = verified_call(NoisySolver(UniformProfile(1.0)), m, v, QueryLedger(), cfg, rng)
+    assert out == matvec(m, v)
+    once = 1 if accounting == "actual" else 0
+    assert (reads["MatrixOracleHandle"], reads["VectorOracleHandle"]) == (once, once)
 
 
 @pytest.mark.parametrize("failure_mode", FAILURE_MODES)
@@ -294,7 +305,7 @@ def test_verified_call_never_accepts_a_never_succeeding_solver(verifier_mode, fa
     solver = NoisySolver(UniformProfile(0.0), failure_mode=failure_mode)
     calls = 64
     for _ in range(calls):
-        assert verified_call(solver, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng) is None
+        assert verified_call(solver, m, v, led, cfg, rng) is None
     assert led.get(SOURCE_ALG) == calls
 
 
@@ -308,7 +319,7 @@ def test_verified_call_false_accepts_near_per_call_bound():
     solver = NoisySolver(UniformProfile(0.0))
     trials = 4000
     passed = sum(
-        verified_call(solver, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng) is not None
+        verified_call(solver, m, v, led, cfg, rng) is not None
         for _ in range(trials)
     )
     # expected 0.04; 4 sigma of binomial(4000, 0.04) is 0.0124
