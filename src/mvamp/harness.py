@@ -97,7 +97,9 @@ RANGES = {
 
 
 # Largest padded instance, in entries, a full-pipeline config may ask for:
-# every stage-1 attempt fills an int64 array of padded n^2 entries (32 MiB).
+# every stage-1 attempt fills an int64 array of padded n^2 entries (32 MiB),
+# and padding the input handle builds padded n^2 values and U_M costs once
+# per trial.
 MAX_INSTANCE_ENTRIES = 2**22
 
 

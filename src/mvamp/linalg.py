@@ -217,7 +217,7 @@ def matrix_by_index(field: PrimeField, rows: int, cols: int, index: int) -> FpMa
     """Decode the index-th rows-by-cols matrix in row-major lexicographic order."""
     if not 0 <= index < field.modulus ** (rows * cols):
         raise IndexError(f"matrix index {index} out of range")
-    return FpMatrix(field, vector_by_index(field, rows * cols, index).values.reshape(rows, cols))
+    return FpMatrix._trusted(field, vector_by_index(field, rows * cols, index).values.reshape(rows, cols))
 
 
 def enumerate_vectors(field: PrimeField, n: int):

@@ -258,6 +258,19 @@ def test_pad_square_matrix_border_is_free():
     assert led.get(SOURCE_MATRIX) == before
 
 
+def test_read_results_are_read_only():
+    # a read hands out the handle's own values: writing into them must fail,
+    # not rewrite the wrapped input or later reads
+    led = QueryLedger()
+    m = FpMatrix(F5, [[1, 2], [3, 4]])
+    for h in (wrap_matrix(m, led), pad_square_matrix(wrap_matrix(m, led), 3)):
+        with pytest.raises(ValueError):
+            h.read_all()[0, 0] = 4
+    with pytest.raises(ValueError):
+        wrap_vector(FpVector(F5, [1, 2]), led).read_all()[0] = 4
+    assert m.values[0, 0] == 1
+
+
 def test_pad_square_matrix_noop_returns_same_handle():
     led = QueryLedger()
     h = wrap_matrix(FpMatrix(F5, [[1, 2], [3, 4]]), led)
@@ -317,11 +330,16 @@ def compositions(led):
     pad_expect = [row + [0, 0] for row in m4l]
     pad_expect += [[0] * 4 + [1, 0], [0] * 5 + [1]]
     yield pad, FpMatrix(F5, pad_expect)
+    # per-source costs carried across a placement
+    two = pad_square_matrix(concat_rows([wrap_matrix(m1, led, "top"), wrap_matrix(m2, led, "bot")]), 6)
+    two_expect = [row + [0, 0] for row in m1.to_lists() + m2.to_lists()]
+    two_expect += [[0] * 4 + [1, 0], [0] * 5 + [1]]
+    yield two, FpMatrix(F5, two_expect)
 
 
 def test_bulk_read_equals_entry_scan_cost_and_values():
     # conservation: read_all total == total over 1x1 windows, values identical
-    for which in range(5):
+    for which in range(len(list(compositions(QueryLedger())))):
         led_bulk = QueryLedger()
         handle_bulk = list(compositions(led_bulk))[which][0]
         led_scan = QueryLedger()
