@@ -20,17 +20,10 @@ from .oracle import (
     MatrixOracleHandle,
     QueryLedger,
     VectorOracleHandle,
-    concat_cols,
-    concat_rows,
-    concat_vectors,
-    embed_block_matrix,
     extract_block,
-    extract_submatrix,
-    extract_submatrix_cols,
     extract_subvector,
     pad_square_matrix,
     pad_vector,
-    sum_vector_oracles,
     wrap_matrix,
     wrap_vector,
 )
@@ -84,17 +77,10 @@ __all__ = [
     "MatrixOracleHandle",
     "QueryLedger",
     "VectorOracleHandle",
-    "concat_cols",
-    "concat_rows",
-    "concat_vectors",
-    "embed_block_matrix",
     "extract_block",
-    "extract_submatrix",
-    "extract_submatrix_cols",
     "extract_subvector",
     "pad_square_matrix",
     "pad_vector",
-    "sum_vector_oracles",
     "wrap_matrix",
     "wrap_vector",
     "ReductionConfig",

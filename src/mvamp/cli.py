@@ -6,6 +6,8 @@ Subcommands:
   sampler-check sampler diagnostics for pseudorandom dense tuple sets
   verify-bench  verifier completeness/soundness/cost measurement
 
+Every subcommand takes --out DIR, which writes its JSON summary there, and
+--assert, which gates the exit code on the subcommand's threshold.
 Exit codes: 0 success, 1 a --assert threshold failed, 2 bad usage/config.
 """
 
@@ -46,10 +48,6 @@ from .solver import FAILURE_MODES, NoisySolver, UniformProfile, invoke
 from .verify import VerifierConfig, charged_queries, verify_product
 
 
-def _ensure_out(path: str):
-    os.makedirs(path, exist_ok=True)
-
-
 def _parse_alphas(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip()]
@@ -57,40 +55,42 @@ def _parse_alphas(text: str) -> list[float]:
         raise ConfigError(f"--alphas expects comma-separated floats, got {text!r}") from None
 
 
+def _finish(args, name: str, summary: dict, ok: bool, gate: str, csv_rows=None) -> int:
+    """Every subcommand's tail: write summary (and csv_rows as trials.csv) under
+    --out, then under --assert report the gate and return 1 if it failed."""
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        if csv_rows is not None:
+            write_trials_csv(csv_rows, os.path.join(args.out, "trials.csv"))
+        path = os.path.join(args.out, name)
+        write_summary_json(summary, path)
+        print(f"wrote {path}")
+    if args.assert_thresholds:
+        print(f"ASSERT {'OK' if ok else 'FAIL'}: {gate}")
+    return int(args.assert_thresholds and not ok)
+
+
 def _cmd_run(args) -> int:
     overrides = {"seed": args.seed, "trials": args.trials, "workers": args.workers}
     config = parse_config(args.config, overrides)
+    threshold = config.min_success_rate if args.min_success_rate is None else args.min_success_rate
+    if args.assert_thresholds and threshold is None:
+        print("--assert needs min_success_rate (config key or --min-success-rate)", file=sys.stderr)
+        return 2
     print(
         f"run: modulus={config.modulus} n={config.n} trials={config.trials} "
         f"profile={config.profile} alpha={config.alpha} pipeline={config.pipeline}"
     )
     report = run_campaign(config)
-    summary = campaign_summary(report)
     print(
         f"success_rate={report.success_rate:.4f} "
         f"ci=[{report.ci_low:.4f}, {report.ci_high:.4f}] "
         f"mean_alg_queries={report.mean_alg_queries:.1f} "
         f"wrong_returns={report.wrong_returns}"
     )
-    if args.out:
-        _ensure_out(args.out)
-        csv_path = os.path.join(args.out, "trials.csv")
-        json_path = os.path.join(args.out, "summary.json")
-        write_trials_csv(report.rows, csv_path)
-        write_summary_json(summary, json_path)
-        print(f"wrote {csv_path} and {json_path}")
-    if args.assert_thresholds:
-        threshold = args.min_success_rate
-        if threshold is None:
-            threshold = config.min_success_rate
-        if threshold is None:
-            print("--assert needs min_success_rate (config key or --min-success-rate)", file=sys.stderr)
-            return 2
-        if report.success_rate < threshold:
-            print(f"ASSERT FAIL: success_rate {report.success_rate:.4f} < {threshold}")
-            return 1
-        print(f"ASSERT OK: success_rate {report.success_rate:.4f} >= {threshold}")
-    return 0
+    ok = threshold is not None and report.success_rate >= threshold
+    gate = f"success_rate {report.success_rate:.4f} {'>=' if ok else '<'} {threshold}"
+    return _finish(args, "summary.json", campaign_summary(report), ok, gate, csv_rows=report.rows)
 
 
 def _cmd_sweep(args) -> int:
@@ -105,17 +105,9 @@ def _cmd_sweep(args) -> int:
             f"success_rate={entry.success_rate:.3f}"
         )
     print(f"slope={report.slope:.3f} stderr={report.slope_stderr:.3f}")
-    if args.out:
-        _ensure_out(args.out)
-        path = os.path.join(args.out, "sweep.json")
-        write_summary_json(sweep_summary(report), path)
-        print(f"wrote {path}")
-    if args.assert_thresholds:
-        if not (args.slope_min <= report.slope <= args.slope_max):
-            print(f"ASSERT FAIL: slope {report.slope:.3f} outside [{args.slope_min}, {args.slope_max}]")
-            return 1
-        print(f"ASSERT OK: slope {report.slope:.3f} in [{args.slope_min}, {args.slope_max}]")
-    return 0
+    ok = args.slope_min <= report.slope <= args.slope_max
+    gate = f"slope {report.slope:.3f} {'in' if ok else 'outside'} [{args.slope_min}, {args.slope_max}]"
+    return _finish(args, "sweep.json", sweep_summary(report), ok, gate)
 
 
 def _cmd_sampler_check(args) -> int:
@@ -150,31 +142,20 @@ def _cmd_sampler_check(args) -> int:
               f"{'ok' if ok else 'VIOLATION ABOVE delta'}")
     pass_fraction = passes / args.sets
     print(f"pass_fraction={pass_fraction:.3f}")
-
-    if args.out:
-        _ensure_out(args.out)
-        path = os.path.join(args.out, "sampler_check.json")
-        write_summary_json(
-            {
-                "x_size": graph.x_size,
-                "copies": args.copies,
-                "c": args.c,
-                "delta": args.delta,
-                "eps": args.eps,
-                "lemma_condition": lemma_ok,
-                "theorem_condition": theorem_ok,
-                "sets": results,
-                "pass_fraction": pass_fraction,
-            },
-            path,
-        )
-        print(f"wrote {path}")
-    if args.assert_thresholds:
-        if pass_fraction < args.min_pass_fraction:
-            print(f"ASSERT FAIL: pass_fraction {pass_fraction:.3f} < {args.min_pass_fraction}")
-            return 1
-        print(f"ASSERT OK: pass_fraction {pass_fraction:.3f} >= {args.min_pass_fraction}")
-    return 0
+    summary = {
+        "x_size": graph.x_size,
+        "copies": args.copies,
+        "c": args.c,
+        "delta": args.delta,
+        "eps": args.eps,
+        "lemma_condition": lemma_ok,
+        "theorem_condition": theorem_ok,
+        "sets": results,
+        "pass_fraction": pass_fraction,
+    }
+    ok = pass_fraction >= args.min_pass_fraction
+    gate = f"pass_fraction {pass_fraction:.3f} {'>=' if ok else '<'} {args.min_pass_fraction}"
+    return _finish(args, "sampler_check.json", summary, ok, gate)
 
 
 def _int_product(m_vals, v_vals, modulus: int):
@@ -221,34 +202,20 @@ def _cmd_verify_bench(args) -> int:
     for mode, rate in false_accepts.items():
         print(f"false-accept rate ({mode} wrong outputs): {rate:.5f} (bound eps={args.eps})")
     print(f"charged cost per call at {args.rows} rows: {charged}")
-
-    if args.out:
-        _ensure_out(args.out)
-        path = os.path.join(args.out, "verify_bench.json")
-        write_summary_json(
-            {
-                "rows": args.rows,
-                "cols": args.cols,
-                "modulus": args.modulus,
-                "eps": args.eps,
-                "trials": args.trials,
-                "completeness_failures": completeness_failures,
-                "false_accept_rates": false_accepts,
-                "charged_queries_per_call": charged,
-            },
-            path,
-        )
-        print(f"wrote {path}")
-    if args.assert_thresholds:
-        sigma = math.sqrt(args.eps * (1.0 - args.eps) / args.trials)
-        bound = args.eps + 3.0 * sigma
-        bad = completeness_failures > 0 or any(r > bound for r in false_accepts.values())
-        if bad:
-            print(f"ASSERT FAIL: completeness_failures={completeness_failures}, "
-                  f"false accepts vs bound {bound:.5f}: {false_accepts}")
-            return 1
-        print("ASSERT OK: completeness exact, false accepts within bound")
-    return 0
+    summary = {
+        "rows": args.rows,
+        "cols": args.cols,
+        "modulus": args.modulus,
+        "eps": args.eps,
+        "trials": args.trials,
+        "completeness_failures": completeness_failures,
+        "false_accept_rates": false_accepts,
+        "charged_queries_per_call": charged,
+    }
+    bound = args.eps + 3.0 * math.sqrt(args.eps * (1.0 - args.eps) / args.trials)
+    ok = completeness_failures == 0 and all(r <= bound for r in false_accepts.values())
+    gate = f"completeness_failures={completeness_failures}, false accepts vs bound {bound:.5f}: {false_accepts}"
+    return _finish(args, "verify_bench.json", summary, ok, gate)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,33 +224,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Worst-case amplification experiments for finite-field matrix-vector solvers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None,
+                        help="directory for the JSON summary (and run's trials.csv)")
+    common.add_argument("--assert", dest="assert_thresholds", action="store_true",
+                        help="exit 1 unless the subcommand's threshold holds")
+    campaign = argparse.ArgumentParser(add_help=False, parents=[common])
+    campaign.add_argument("config", help="path to a flat key = value config file")
+    campaign.add_argument("--seed", type=int, default=None, help="override config seed")
+    campaign.add_argument("--workers", type=int, default=None, help="override config workers")
 
-    p_run = sub.add_parser("run", help="run one campaign from a config file")
-    p_run.add_argument("config", help="path to a flat key = value config file")
-    p_run.add_argument("--seed", type=int, default=None, help="override config seed")
+    p_run = sub.add_parser("run", parents=[campaign], help="run one campaign from a config file")
     p_run.add_argument("--trials", type=int, default=None, help="override config trials")
-    p_run.add_argument("--workers", type=int, default=None, help="override config workers")
-    p_run.add_argument("--out", default=None, help="directory for trials.csv and summary.json")
-    p_run.add_argument("--assert", dest="assert_thresholds", action="store_true",
-                       help="exit 1 unless success_rate meets min_success_rate")
     p_run.add_argument("--min-success-rate", type=float, default=None,
                        help="threshold for --assert (defaults to config min_success_rate)")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run campaigns across alphas and fit a slope")
-    p_sweep.add_argument("config", help="path to a flat key = value config file")
+    p_sweep = sub.add_parser("sweep", parents=[campaign], help="run campaigns across alphas and fit a slope")
     p_sweep.add_argument("--alphas", required=True, help="comma-separated alpha values")
     p_sweep.add_argument("--trials-per-alpha", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_sweep.add_argument("--workers", type=int, default=None, help="override config workers")
-    p_sweep.add_argument("--out", default=None, help="directory for sweep.json")
-    p_sweep.add_argument("--assert", dest="assert_thresholds", action="store_true",
-                         help="exit 1 unless the fitted slope lies in [--slope-min, --slope-max]")
     p_sweep.add_argument("--slope-min", type=float, default=-2.5)
     p_sweep.add_argument("--slope-max", type=float, default=-1.5)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_samp = sub.add_parser("sampler-check", help="sampler diagnostics for dense tuple sets")
+    p_samp = sub.add_parser("sampler-check", parents=[common],
+                            help="sampler diagnostics for dense tuple sets")
     p_samp.add_argument("--modulus", type=int, default=2)
     p_samp.add_argument("--dim", type=int, default=1)
     p_samp.add_argument("--copies", type=int, required=True, help="tuple length k")
@@ -295,20 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_samp.add_argument("--y-samples", type=int, default=2000)
     p_samp.add_argument("--exact", action="store_true", help="enumerate instead of sampling")
     p_samp.add_argument("--seed", type=int, default=0)
-    p_samp.add_argument("--out", default=None)
-    p_samp.add_argument("--assert", dest="assert_thresholds", action="store_true")
     p_samp.add_argument("--min-pass-fraction", type=float, default=0.95)
     p_samp.set_defaults(func=_cmd_sampler_check)
 
-    p_ver = sub.add_parser("verify-bench", help="verifier completeness/soundness/cost bench")
+    p_ver = sub.add_parser("verify-bench", parents=[common], help="verifier completeness/soundness/cost bench")
     p_ver.add_argument("--rows", type=int, required=True)
     p_ver.add_argument("--cols", type=int, required=True)
     p_ver.add_argument("--modulus", type=int, default=5)
     p_ver.add_argument("--eps", type=float, default=1e-4)
     p_ver.add_argument("--trials", type=int, default=10000)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--assert", dest="assert_thresholds", action="store_true")
     p_ver.set_defaults(func=_cmd_verify_bench)
 
     return parser

@@ -485,13 +485,13 @@ def worst_case_matvec(
     stats = StageStats()
     rng = _BlockDraws(rng)
 
+    segments = [extract_subvector(padded_vec, j * d, d) for j in range(k)]
     block_products = np.empty((k, k, d), dtype=np.int64)
     for i in range(k):
         for j in range(k):
             block = extract_block(padded_mat, i, j, d)
-            segment = extract_subvector(padded_vec, j * d, d)
             out = boost(
-                lambda: solve_block_any_input(block, segment, solver, run_config, rng, stats),
+                lambda: solve_block_any_input(block, segments[j], solver, run_config, rng, stats),
                 rounds,
                 stats,
             )

@@ -485,6 +485,8 @@ def test_cli_run_assert_pass_and_fail(tmp_path):
 def test_cli_run_assert_without_threshold_is_usage_error(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--assert"]) == 2
+    # refused before any trial runs, so nothing is written
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_config_is_usage_error(tmp_path):
@@ -521,6 +523,16 @@ def test_cli_sweep_writes_summary(tmp_path):
     data = json.loads((out / "sweep.json").read_text())
     assert len(data["entries"]) == 3
     assert "slope" in data
+
+
+def test_cli_sweep_assert_gates_on_slope_band(tmp_path, capsys):
+    # at fixed k the solver calls grow as 1/alpha, outside the default [-2.5, -1.5] band
+    cfg = write_cfg(tmp_path)
+    sweep = ["sweep", str(cfg), "--alphas", "1.0,0.5,0.25", "--trials-per-alpha", "2", "--assert"]
+    assert main(sweep) == 1
+    assert "ASSERT FAIL: slope" in capsys.readouterr().out
+    assert main(sweep + ["--slope-min", "-1.2", "--slope-max", "-0.8"]) == 0
+    assert "ASSERT OK: slope" in capsys.readouterr().out
 
 
 def test_cli_sampler_check_exact(tmp_path):
