@@ -55,6 +55,14 @@ def _parse_alphas(text: str) -> list[float]:
         raise ConfigError(f"--alphas expects comma-separated floats, got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """argparse type of a count the subcommand divides by: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _finish(args, name: str, summary: dict, ok: bool, gate: str, csv_rows=None) -> int:
     """Every subcommand's tail: write summary (and csv_rows as trials.csv) under
     --out, then under --assert report the gate and return 1 if it failed."""
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_samp.add_argument("--c", type=float, required=True)
     p_samp.add_argument("--delta", type=float, required=True)
     p_samp.add_argument("--eps", type=float, required=True, help="dense set density")
-    p_samp.add_argument("--sets", type=int, default=20)
+    p_samp.add_argument("--sets", type=_count, default=20)
     p_samp.add_argument("--x-samples", type=int, default=200)
     p_samp.add_argument("--y-samples", type=int, default=2000)
     p_samp.add_argument("--exact", action="store_true", help="enumerate instead of sampling")
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--cols", type=int, required=True)
     p_ver.add_argument("--modulus", type=int, default=5)
     p_ver.add_argument("--eps", type=float, default=1e-4)
-    p_ver.add_argument("--trials", type=int, default=10000)
+    p_ver.add_argument("--trials", type=_count, default=10000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=_cmd_verify_bench)
 

@@ -557,6 +557,30 @@ def test_cli_sampler_check_exact(tmp_path):
     assert all(set(s) >= {"density", "violation_fraction", "ok"} for s in data["sets"])
 
 
+@pytest.mark.parametrize("sets", ["0", "-3"])
+def test_cli_sampler_check_refuses_fewer_than_one_set(sets, tmp_path, capsys):
+    # the pass fraction divides by --sets: 0 raised ZeroDivisionError and -3
+    # printed pass_fraction=-0.000; both are usage errors, refused at parse time
+    out = tmp_path / "sc"
+    argv = ["sampler-check", "--copies", "2", "--c", "0.9", "--delta", "0.5", "--eps", "0.5",
+            "--sets", sets, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--sets: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cli_verify_bench_refuses_fewer_than_one_trial(trials, tmp_path, capsys):
+    out = tmp_path / "vb"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-bench", "--rows", "2", "--cols", "2", "--trials", trials, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--trials: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_bench(tmp_path):
     out = tmp_path / "vb"
     code = main(
