@@ -21,9 +21,9 @@ spending O(1/alpha^2) solver calls. It is built in stages:
 
 Inside the pipeline every operand and partial product is an int64 array
 of canonical residues (None for a failed stage); only worst_case_matvec's
-result is wrapped in an FpVector. Each verified solver call computes its
-instance's product M v once: the simulated solver takes it as ground truth
-and the verifier as its own M v.
+result is wrapped in an FpVector. The stages are generators that yield each
+stage-1 attempt as a request (strip, vector); run_waves serves the k^2 block
+tasks' requests in waves, with one M v per instance for solver and verifier.
 
 Vector "goodness" (the solver succeeding on an above-half-of-alpha share
 of matrices for that vector) is an analysis device: the pipeline never
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +56,7 @@ from .oracle import (
     pad_vector,
 )
 from .solver import NoisySolver, invoke, vector_success_exhaustive
-from .verify import VerifierConfig, verify_product
+from .verify import VerifierConfig, challenge_rounds, verify_product
 
 # Per-attempt failure bound for the final stage on worst-case inputs; the
 # boost round count is sized against it.
@@ -197,23 +198,19 @@ DRAW_BLOCK = 2**14
 
 
 class _BlockDraws:
-    """The two Generator calls the pipeline makes, served from blocks (draw layout v2).
+    """The stages' integers() calls, served from blocks (draw layouts v2 and v3).
 
-    Each (low, high) range of integers() keeps its own block of DRAW_BLOCK
-    uniform draws, taken from rng in one call, and serves every request as
-    the next unused slice of that block, shaped to size. A request that does
-    not fit in the rest of its block discards that rest and draws a fresh
-    block; one larger than DRAW_BLOCK goes straight to rng and leaves the
-    block alone. Every slice is fresh i.i.d. uniform draws that no other
-    request has seen, so each consumer gets the distribution it got from rng
-    directly; only which values it gets changes. Blocks are read-only, so an
-    in-place write to a handed-out draw raises. random() is rng.random.
+    Each (low, high) range keeps its own block of DRAW_BLOCK uniform draws,
+    taken from rng in one call, and serves each request as the next unused
+    slice, shaped to size: fresh i.i.d. draws no other request has seen. A
+    request that does not fit discards the rest and draws a fresh block; one
+    larger than DRAW_BLOCK goes straight to rng. Blocks are read-only, so an
+    in-place write to a handed-out draw raises.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._blocks: dict = {}  # (low, high) -> [block, next unused index]
-        self.random = rng.random
 
     def integers(self, low, high=None, size=None, dtype=np.int64):
         if dtype is not np.int64 and np.dtype(dtype) != np.int64:
@@ -236,33 +233,18 @@ class _BlockDraws:
         return draws.reshape(size) if isinstance(size, tuple) else draws
 
 
-def _plant(planted: np.ndarray, x_vals: np.ndarray, rng: np.random.Generator, p: int) -> int:
-    """Fill the preallocated (k,) + x_vals.shape array planted with x_vals at
-    a uniform slot among fresh uniform co-values; return the slot. Draws the
-    slot first, then the (k-1,) + x_vals.shape co-values."""
-    k = len(planted)
-    slot = int(rng.integers(k))
-    co_vals = rng.integers(0, p, size=(k - 1,) + x_vals.shape, dtype=np.int64)
-    planted[:slot] = co_vals[:slot]
-    planted[slot] = x_vals
-    planted[slot + 1 :] = co_vals[slot:]
-    return slot
-
-
-def _sum_of_halves(
-    ledger: QueryLedger, x_vals: np.ndarray, r1: np.ndarray, p: int, solve_half: Callable
-) -> Optional[np.ndarray]:
+def _sum_of_halves(ledger: QueryLedger, x_vals: np.ndarray, r1: np.ndarray, p: int, solve_half: Callable):
     """Solve x through its uniform additive split x = r1 + r2 (Blum, Luby, Rubinfeld).
 
-    Returns None as soon as a half fails; otherwise the sum of the two
-    length-d partial products, read as scratch: 2*d queries.
+    Runs solve_half's generators in turn; returns None as soon as a half fails,
+    otherwise the sum of the two length-d partial products, read as scratch: 2*d queries.
     """
     r2 = (x_vals - r1) % p
-    assert np.array_equal((r1 + r2) % p, x_vals), "additive split must recompose"
-    w1 = solve_half(r1)
+    assert not np.count_nonzero((r1 + r2) % p != x_vals), "additive split must recompose"
+    w1 = yield from solve_half(r1)
     if w1 is None:
         return None
-    w2 = solve_half(r2)
+    w2 = yield from solve_half(r2)
     if w2 is None:
         return None
     ledger.charge(SOURCE_SCRATCH, 2 * w1.shape[0])
@@ -278,15 +260,17 @@ def solve_strip(
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
-) -> Optional[np.ndarray]:
+):
     """Product of a d x n strip with a full vector, assuming the vector is good.
 
-    Each attempt plants the strip at a uniform block position among fresh
-    uniform co-strips, runs one solver call on the assembled square
-    instance, verifies the answer against it, and on acceptance extracts
-    the strip's block of the output. Up to ceil(c1/alpha) attempts.
-    Requires d | n. Under actual accounting each verification reads the
-    planted instance and the vector, n^2 + n entries of scratch.
+    Each attempt yields the request (m_vals, v_vals) to run_waves, which plants
+    the strip at a uniform block position among fresh uniform co-strips, runs
+    one solver call on the square instance, verifies the answer against it and
+    sends back the strip's block of an accepted output, else None. Up to
+    ceil(c1/alpha) attempts, counted as they are served. Requires d | n. Under
+    actual accounting each verification reads the n^2 + n entries of the planted
+    instance and the vector from scratch. run_waves' ledger, field, solver and
+    rng serve the requests; the strip reads none of its own.
     """
     if stats is None:
         stats = StageStats()
@@ -295,21 +279,13 @@ def solve_strip(
         raise ValueError(f"strip height {d} does not divide width {n}")
     if v_vals.shape != (n,):
         raise ValueError(f"vector shape {v_vals.shape} does not match width {n}")
-    p = field.modulus
 
-    planted = np.empty((n // d, d, n), dtype=np.int64)
-    instance = planted.reshape(n, n)
-    operands = (instance, v_vals)
     for _ in range(config.stage1_budget()):
+        out = yield m_vals, v_vals
         stats.stage1_iters += 1
-        slot = _plant(planted, m_vals, rng, p)
-        truth = matvec_values(instance, v_vals, p)
-        w = invoke(solver, ledger, field, instance, v_vals, truth, rng)
         stats.verify_calls += 1
-        if verify_product(ledger, field, truth, w, config.verifier, rng, operands):
-            # the strip's block of the output, read as a scratch window
-            ledger.charge(SOURCE_SCRATCH, d)
-            return w[slot * d : (slot + 1) * d]
+        if out is not None:
+            return out
     return None
 
 
@@ -322,7 +298,7 @@ def solve_strip_any_matrix(
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
-) -> Optional[np.ndarray]:
+):
     """solve_strip for an arbitrary strip, via a uniform additive split.
 
     The strip comes as an array the caller has already read (solve_block
@@ -333,8 +309,8 @@ def solve_strip_any_matrix(
     def solve_half(half):
         return solve_strip(ledger, field, half, v_vals, solver, config, rng, stats)
 
-    r1 = random_matrix(*m_vals.shape, field, rng).values
-    return _sum_of_halves(ledger, m_vals, r1, field.modulus, solve_half)
+    r1 = random_matrix(*m_vals.shape, field, rng).values.copy()  # a view would pin its draw block
+    return (yield from _sum_of_halves(ledger, m_vals, r1, field.modulus, solve_half))
 
 
 def solve_block(
@@ -344,7 +320,7 @@ def solve_block(
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
-) -> Optional[np.ndarray]:
+):
     """Product of a d x d block with a length-d vector, randomized over vectors.
 
     Each attempt plants the vector at a uniform slot of a concatenation
@@ -374,11 +350,13 @@ def solve_block(
     operands = (mat_handle, widened)
     for _ in range(config.stage3_budget()):
         stats.stage3_iters += 1
-        slot = _plant(planted, v_vals, rng, p)
+        slot = int(rng.integers(k))
+        planted[1:] = rng.integers(0, p, size=(k - 1, d), dtype=np.int64)
+        planted[0], planted[slot] = planted[slot], v_vals  # the displaced co-vector moves to slot 0
         block = mat_handle.read_all()
         wide_block = np.zeros((d, k * d), dtype=np.int64)
         wide_block[:, slot * d : (slot + 1) * d] = block
-        w = solve_strip_any_matrix(ledger, field, wide_block, widened, solver, config, rng, stats)
+        w = yield from solve_strip_any_matrix(ledger, field, wide_block, widened, solver, config, rng, stats)
         if w is None:
             continue
         stats.verify_calls += 1
@@ -394,7 +372,7 @@ def solve_block_any_input(
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
-) -> Optional[np.ndarray]:
+):
     """solve_block for an arbitrary vector, via a uniform additive split.
 
     Draws r1 uniform, reads the vector once (d charged oracle queries) and
@@ -410,26 +388,117 @@ def solve_block_any_input(
     def solve_half(half):
         return solve_block(mat_handle, half, solver, config, rng, stats)
 
-    r1 = random_vector(d, field, rng).values
+    r1 = random_vector(d, field, rng).values.copy()  # a view would pin its draw block
     v_vals = vec_handle.read_all()
-    return _sum_of_halves(mat_handle.ledger, v_vals, r1, field.modulus, solve_half)
+    return (yield from _sum_of_halves(mat_handle.ledger, v_vals, r1, field.modulus, solve_half))
 
 
-def boost(
-    attempt: Callable[[], Optional[np.ndarray]],
-    rounds: int,
-    stats: Optional[StageStats] = None,
-) -> Optional[np.ndarray]:
-    """Retry a fallible computation, returning its first non-None result."""
+def boost(attempt: Callable, rounds: int, stats: Optional[StageStats] = None):
+    """Retry a fallible stage generator, returning its first non-None result."""
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
     for _ in range(rounds):
         if stats is not None:
             stats.boost_rounds_total += 1
-        out = attempt()
+        out = yield from attempt()
         if out is not None:
             return out
     return None
+
+
+# Planted-instance entries one wave may hold: worst_case_matvec keeps at most
+# max(1, WAVE_ENTRIES // n^2) block tasks in flight, 256 KiB of int64.
+WAVE_ENTRIES = 2**15
+
+
+class _Coin:
+    """invoke's Generator for one request: its wave's coin; wrong outputs use the block draws."""
+
+    __slots__ = ("value", "integers")
+
+    def random(self) -> float:
+        return self.value
+
+
+class _Challenges:
+    """verify_product's Generator for one request: the challenge rows its wave drew."""
+
+    __slots__ = ("rows",)
+
+    def integers(self, low, high, size, dtype):
+        return self.rows
+
+
+def _plant_wave(strips: np.ndarray, vectors: np.ndarray, slots: np.ndarray, co: np.ndarray, p: int):
+    """Every request's planted instance and its M v. Request j's instance holds
+    its (d, n) strip at block row slots[j] and its k-1 co-strips (the j-th run
+    of co) at block rows 1..k-1, the one the strip displaces moving to row 0."""
+    s, d, n = strips.shape
+    k = n // d
+    planted = np.empty((s, k, d, n), dtype=np.int64)
+    planted[:, 1:] = co.reshape(s, k - 1, d, n)
+    rows = np.arange(s)
+    planted[:, 0] = planted[rows, slots]
+    planted[rows, slots] = strips
+    instances = planted.reshape(s, n, n)
+    return instances, matvec_values(instances, vectors[:, :, None], p)[:, :, 0]
+
+
+def run_waves(tasks, solver, ledger, field, config, draws: _BlockDraws, wave_size: int = 1) -> Optional[list]:
+    """Run stage generators to their ends, serving their requests in waves (draw layout v3).
+
+    At most wave_size tasks are in flight, admitted in order as others end. A
+    wave takes every pending request in task order and draws for all of them,
+    one stream call each, the slots, co-strips, coins and challenge rows. Each
+    request gets its own invoke and verify_product call (wrong outputs draw from
+    draws, as the tasks do); an accepted one is sent a copy of its strip's block,
+    read as d scratch queries. Returns the results in order, or None once one is.
+    """
+    p = field.modulus
+    stream = draws._rng
+    rounds = challenge_rounds(p, config.verifier.epsilon) if config.verifier.mode == "probabilistic" else 0
+    co_dtype = np.uint16 if p <= 1 << 16 else np.int64  # draws faster; _plant_wave widens it
+    coin, challenge = _Coin(), _Challenges()
+    coin.integers = draws.integers
+    results: list = []
+    live: dict = {}  # task index -> (task, strip, vector) of its pending request, in task order
+
+    def step(i, task, sent) -> bool:
+        try:
+            live[i] = (task, *task.send(sent))
+        except StopIteration as end:
+            live.pop(i, None)
+            results[i] = end.value
+        return i in live or results[i] is not None
+
+    feed = enumerate(tasks)
+    while True:
+        for i, task in islice(feed, wave_size - len(live)):
+            results.append(None)
+            if not step(i, task, None):
+                return None
+        if not live:
+            return results
+        wave, strips, vectors = zip(*live.values())
+        s, (d, n) = len(wave), strips[0].shape
+        strips = np.concatenate(strips).reshape(s, d, n)
+        vectors = np.concatenate(vectors).reshape(s, n)
+        slots = stream.integers(0, n // d, size=s)
+        co = stream.integers(0, p, size=s * (n - d) * n, dtype=co_dtype)
+        instances, truths = _plant_wave(strips, vectors, slots, co, p)
+        del co
+        coins = stream.random(s).tolist()
+        challenges = stream.integers(0, p, size=s * rounds * n, dtype=np.int64).reshape(s, rounds, n)
+        for i, task, slot, m_vals, v_vals, truth, coin.value, challenge.rows in zip(
+            list(live), wave, slots.tolist(), instances, vectors, truths, coins, challenges
+        ):
+            w = invoke(solver, ledger, field, m_vals, v_vals, truth, coin)
+            accepted = verify_product(ledger, field, truth, w, config.verifier, challenge, (m_vals, v_vals))
+            if accepted:
+                ledger.charge(SOURCE_SCRATCH, d)
+            if not step(i, task, w[slot * d : (slot + 1) * d].copy() if accepted else None):
+                return None
+        del instances, truths, challenges, m_vals, v_vals, truth, w, challenge.rows  # free them before the next wave
 
 
 @dataclass
@@ -441,10 +510,6 @@ class ReductionOutcome:
     block_count: int
     padded_n: int
     original_n: int
-
-    @property
-    def succeeded(self) -> bool:
-        return self.result is not None
 
 
 def worst_case_matvec(
@@ -458,12 +523,13 @@ def worst_case_matvec(
 
     Pads the instance so the block count k divides its size, runs
     solve_block_any_input under a boost loop for each of the k^2 blocks,
-    assembles the block-row sums, and truncates the padding. Any block
-    exhausting its boost budget fails the whole run (result None).
+    assembles the block-row sums, and truncates the padding. run_waves runs
+    up to max(1, WAVE_ENTRIES // n_padded^2) block tasks at once. Any block
+    exhausting its boost budget fails the whole run (result None) at once.
     Assembly reads the k^2 length-d block products to form the k row sums,
     then the k row sums: k^2*d + k*d scratch queries. The stages take their
-    uniform draws from rng in blocks (_BlockDraws), so rng ends up advanced
-    past draws the run never used.
+    own uniform draws from rng in blocks (_BlockDraws), so rng ends up
+    advanced past draws the run never used.
     """
     n = mat_handle.rows
     if mat_handle.cols != n:
@@ -484,25 +550,18 @@ def worst_case_matvec(
     ledger = mat_handle.ledger
     stats = StageStats()
     rng = _BlockDraws(rng)
-
     segments = [extract_subvector(padded_vec, j * d, d) for j in range(k)]
-    block_products = np.empty((k, k, d), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            block = extract_block(padded_mat, i, j, d)
-            out = boost(
-                lambda: solve_block_any_input(block, segments[j], solver, run_config, rng, stats),
-                rounds,
-                stats,
-            )
-            if out is None:
-                return ReductionOutcome(
-                    result=None, stats=stats, block_count=k, padded_n=n_padded, original_n=n
-                )
-            block_products[i, j] = out
 
+    def block_task(i, j):
+        block = extract_block(padded_mat, i, j, d)
+        return boost(lambda: solve_block_any_input(block, segments[j], solver, run_config, rng, stats), rounds, stats)
+
+    tasks = (block_task(i, j) for i in range(k) for j in range(k))
+    products = run_waves(tasks, solver, ledger, field, run_config, rng, max(1, WAVE_ENTRIES // n_padded**2))
+    if products is None:
+        return ReductionOutcome(result=None, stats=stats, block_count=k, padded_n=n_padded, original_n=n)
     ledger.charge(SOURCE_SCRATCH, k * k * d + k * d)
-    assembled = block_products.sum(axis=1) % field.modulus
+    assembled = np.stack(products).reshape(k, k, d).sum(axis=1) % field.modulus
     result = FpVector(field, assembled.reshape(n_padded)[:n])
     return ReductionOutcome(result=result, stats=stats, block_count=k, padded_n=n_padded, original_n=n)
 

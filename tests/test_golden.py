@@ -6,7 +6,9 @@ snapshot (the `scratch` source included) and its stage counters
 (`verify_calls` included). The criterion-8 campaign and its baseline twin
 (`pipeline = baseline`, one unamplified call per trial) also pin their
 `summary.json`, and the twin its `trials.csv`. A refactor of the pipeline
-or the harness must leave every file byte-identical.
+or the harness must leave every file byte-identical. A per-request
+executor, which builds each stage-1 instance and its product on its own
+from its slice of the wave's draws, must reproduce every file too.
 
 Regenerate the files (only when a change of output is intended and
 recorded) with:
@@ -18,8 +20,10 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mvamp import reduction
 from mvamp.field import PrimeField
 from mvamp.harness import (
     _trial_input,
@@ -138,6 +142,23 @@ def trial_fingerprint(config, trial: int) -> dict:
     }
 
 
+def plant_each(strips, vectors, slots, co, p):
+    """reduction._plant_wave one request at a time: each request takes its own
+    run of the wave's co-strip draws, assembles its instance block row by
+    block row and sums its M v in Python integers."""
+    s, d, n = strips.shape
+    runs = co.reshape(s, n // d - 1, d, n)
+    instances, products = [], []
+    for strip, vector, slot, run in zip(strips, vectors, slots, runs):
+        blocks = [None, *run]  # block row t >= 1 holds co-strip t - 1
+        blocks[0] = blocks[slot]  # the co-strip the strip displaces, if any
+        blocks[slot] = strip
+        instance = np.concatenate(blocks).astype(np.int64)
+        instances.append(instance)
+        products.append(instance.astype(object) @ vector.astype(object) % p)
+    return np.stack(instances), np.array(products, dtype=np.int64)
+
+
 def campaign(values: dict):
     return run_campaign(experiment_config_from_values(dict(values)))
 
@@ -178,6 +199,29 @@ def test_summary_json_matches_golden(name, tmp_path):
 
 def test_ledgers_and_stage_counters_match_golden():
     assert render_ledgers() == (GOLDEN / LEDGERS).read_bytes()
+
+
+@pytest.mark.parametrize("s, d, k, p", [(7, 1, 23, 5), (3, 2, 4, 7), (4, 8, 2, 2**31 - 1)])
+def test_plant_wave_matches_the_per_request_executor(s, d, k, p):
+    # the golden campaigns barely look inside a planted instance (a uniform
+    # profile never does), so the batched build is also compared directly
+    rng = np.random.default_rng(k)
+    n = k * d
+    strips = rng.integers(0, p, size=(s, d, n), dtype=np.int64)
+    vectors = rng.integers(0, p, size=(s, n), dtype=np.int64)
+    slots = rng.integers(0, k, size=s)
+    co = rng.integers(0, p, size=s * (k - 1) * d * n, dtype=np.uint16 if p <= 1 << 16 else np.int64)
+    for got, want in zip(reduction._plant_wave(strips, vectors, slots, co, p), plant_each(strips, vectors, slots, co, p)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_per_request_executor_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(reduction, "_plant_wave", plant_each)
+    assert render_csv(name, tmp_path) == (GOLDEN / f"{name}_trials.csv").read_bytes()
+    config = experiment_config_from_values(dict(CASES[name]))
+    golden = json.loads((GOLDEN / LEDGERS).read_text())[name]
+    assert [trial_fingerprint(config, t) for t in range(config.trials)] == golden
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ from mvamp.oracle import (
 from mvamp.reduction import (
     DRAW_BLOCK,
     ReductionConfig,
-    ReductionOutcome,
     ReductionReport,
     StageStats,
     boost,
@@ -50,6 +49,7 @@ from mvamp.reduction import (
     solve_strip,
     solve_strip_any_matrix,
     _BlockDraws,
+    run_waves,
     worst_case_matvec,
 )
 from mvamp.solver import FAILURE_MODES, GoodBadProfile, NoisySolver, SolverProfile, UniformProfile
@@ -66,6 +66,24 @@ CHI2_999_DF6 = 22.458
 
 def fresh_stats():
     return StageStats(0, 0, 0, 0)
+
+
+STRIP_STAGES = (solve_strip, solve_strip_any_matrix)
+
+
+def run_stage(stage, *args):
+    """One stage call, its arguments as the stage takes them, run through
+    run_waves as its only task: the driver worst_case_matvec runs its block
+    tasks with. The stage draws from _BlockDraws over the given rng, as it
+    does in the pipeline. Returns the stage's result."""
+    args = list(args)
+    if stage in STRIP_STAGES:
+        ledger, field, solver, config, rng_at = args[0], args[1], args[4], args[5], 6
+    else:
+        ledger, field, solver, config, rng_at = args[0].ledger, args[0].field, args[2], args[3], 4
+    draws = args[rng_at] = _BlockDraws(args[rng_at])
+    results = run_waves([stage(*args)], solver, ledger, field, config, draws)
+    return None if results is None else results[0]
 
 
 # ------------------------------------------------------------- parameters
@@ -171,7 +189,7 @@ def test_solve_strip_perfect_solver_exhaustive():
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
             stats = fresh_stats()
-            out = solve_strip(led, f, m.values, v.values, PERFECT, cfg, rng, stats)
+            out = run_stage(solve_strip, led, f, m.values, v.values, PERFECT, cfg, rng, stats)
             assert np.array_equal(out, matvec(m, v).values)
             assert stats.stage1_iters == 1
             # one call on the 2x2 planted instance, its verification, and
@@ -191,7 +209,7 @@ def test_solve_strip_square_strip():
     m = random_matrix(2, 6, F5, rng)  # 3 slots
     v = random_vector(6, F5, rng)
     led = QueryLedger()
-    out = solve_strip(led, F5, m.values, v.values, PERFECT, cfg, rng)
+    out = run_stage(solve_strip, led, F5, m.values, v.values, PERFECT, cfg, rng)
     assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -202,7 +220,7 @@ def test_solve_strip_exhausts_budget_and_returns_none():
     v = random_vector(3, F5, rng)
     led = QueryLedger()
     stats = fresh_stats()
-    out = solve_strip(led, F5, m.values, v.values, NEVER, cfg, rng, stats)
+    out = run_stage(solve_strip, led, F5, m.values, v.values, NEVER, cfg, rng, stats)
     assert out is None
     assert stats.stage1_iters == 16
     assert led.get(SOURCE_ALG) == 16
@@ -210,7 +228,7 @@ def test_solve_strip_exhausts_budget_and_returns_none():
     # instance and the vector from scratch
     led = QueryLedger()
     actual = ReductionConfig(alpha=0.5, c1=8.0, verifier=VerifierConfig(accounting="actual"))
-    assert solve_strip(led, F5, m.values, v.values, NEVER, actual, rng) is None
+    assert run_stage(solve_strip, led, F5, m.values, v.values, NEVER, actual, rng) is None
     assert led.snapshot() == {SOURCE_ALG: 16, SOURCE_MATRIX: 16 * 9, SOURCE_VECTOR: 16 * 3, SOURCE_SCRATCH: 16 * 12}
 
 
@@ -220,9 +238,9 @@ def test_solve_strip_rejects_bad_shape():
     m = np.array([[1, 2, 3], [4, 0, 1]], dtype=np.int64)  # 2 does not divide 3
     led = QueryLedger()
     with pytest.raises(ValueError):
-        solve_strip(led, F5, m, np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
+        run_stage(solve_strip, led, F5, m, np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
     with pytest.raises(ValueError):
-        solve_strip(led, F5, m[:1], np.array([1, 2], dtype=np.int64), PERFECT, cfg, rng)
+        run_stage(solve_strip, led, F5, m[:1], np.array([1, 2], dtype=np.int64), PERFECT, cfg, rng)
 
 
 class RecordingNeverProfile(SolverProfile):
@@ -257,7 +275,7 @@ def test_solve_strip_plants_at_uniform_slot_among_uniform_co_rows():
     led = QueryLedger()
     m_vals = np.array([live], dtype=np.int64)
     v_vals = np.array(vec, dtype=np.int64)
-    assert solve_strip(led, f, m_vals, v_vals, NoisySolver(profile), cfg, np.random.default_rng(2024)) is None
+    assert run_stage(solve_strip, led, f, m_vals, v_vals, NoisySolver(profile), cfg, np.random.default_rng(2024)) is None
 
     assert len(profile.seen) == attempts
     assert {v for _, v in profile.seen} == {vec}
@@ -275,7 +293,7 @@ def test_solve_strip_any_matrix_perfect():
         m = random_matrix(rows, cols, F5, rng)
         v = random_vector(cols, F5, rng)
         led = QueryLedger()
-        out = solve_strip_any_matrix(led, F5, m.values, v.values, PERFECT, cfg, rng)
+        out = run_stage(solve_strip_any_matrix, led, F5, m.values, v.values, PERFECT, cfg, rng)
         assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -289,7 +307,7 @@ def test_solve_strip_any_matrix_charges_the_split_read():
     m = random_matrix(2, 4, F5, rng)
     v = random_vector(4, F5, rng)
     led = QueryLedger()
-    solve_strip_any_matrix(led, F5, wrap_matrix(m, led).read_all(), v.values, PERFECT, cfg, rng)
+    run_stage(solve_strip_any_matrix, led, F5, wrap_matrix(m, led).read_all(), v.values, PERFECT, cfg, rng)
     assert led.get(SOURCE_ALG) == 2
     assert led.get(SOURCE_MATRIX) == 2 * 4 + 2 * 4 * 4
     assert led.get(SOURCE_VECTOR) == 2 * 4
@@ -302,7 +320,7 @@ def test_solve_strip_any_matrix_exhaustive_tiny():
     for m in enumerate_matrices(f, 1, 2):
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
-            out = solve_strip_any_matrix(led, f, m.values, v.values, PERFECT, cfg, rng)
+            out = run_stage(solve_strip_any_matrix, led, f, m.values, v.values, PERFECT, cfg, rng)
             assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -316,7 +334,7 @@ def test_solve_block_perfect_exhaustive_tiny():
     for m in enumerate_matrices(f, 1, 1):
         for v in enumerate_vectors(f, 1):
             led = QueryLedger()
-            out = solve_block(wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
+            out = run_stage(solve_block, wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
             assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -328,7 +346,7 @@ def test_solve_block_perfect_random():
         v = random_vector(d, F5, rng)
         led = QueryLedger()
         stats = fresh_stats()
-        out = solve_block(wrap_matrix(m, led), v.values, PERFECT, cfg, rng, stats)
+        out = run_stage(solve_block, wrap_matrix(m, led), v.values, PERFECT, cfg, rng, stats)
         assert np.array_equal(out, matvec(m, v).values)
         assert stats.verify_calls >= 1
 
@@ -339,10 +357,10 @@ def test_solve_block_requires_square():
     led = QueryLedger()
     m = FpMatrix(F5, [[1, 2, 3], [4, 0, 1]])
     with pytest.raises(ValueError):
-        solve_block(wrap_matrix(m, led), np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
+        run_stage(solve_block, wrap_matrix(m, led), np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
     square = wrap_matrix(FpMatrix(F5, [[1, 2], [3, 4]]), led)
     with pytest.raises(ValueError):
-        solve_block(square, np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
+        run_stage(solve_block, square, np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
 
 
 def test_solve_block_any_input_perfect():
@@ -352,7 +370,7 @@ def test_solve_block_any_input_perfect():
         m = random_matrix(d, d, F5, rng)
         v = random_vector(d, F5, rng)
         led = QueryLedger()
-        out = solve_block_any_input(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
+        out = run_stage(solve_block_any_input, wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
         assert np.array_equal(out, matvec(m, v).values)
         # v = r1 + r2 split reads the input vector once in full
         assert led.get(SOURCE_VECTOR) >= d
@@ -416,7 +434,7 @@ def test_solve_strip_charges_live_handles_to_their_sources(accounting, kind):
     cfg = ReductionConfig(alpha=0.5, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
     solver = NoisySolver(UniformProfile(0.5))
     stats = fresh_stats()
-    out = solve_strip_any_matrix(led, F5, mat.read_all(), v_vals, solver, cfg, rng, stats)
+    out = run_stage(solve_strip_any_matrix, led, F5, mat.read_all(), v_vals, solver, cfg, rng, stats)
     assert np.array_equal(out, truth.values)
     a = stats.stage1_iters
     assert a >= 2 and stats.verify_calls == a
@@ -451,7 +469,7 @@ def test_solve_block_charges_live_handles_to_their_sources(accounting, kind):
     eps = 1e-4
     cfg = ReductionConfig(alpha=1.0, k=k, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
     stats = fresh_stats()
-    out = solve_block(mat, v_vals, PERFECT, cfg, rng, stats)
+    out = run_stage(solve_block, mat, v_vals, PERFECT, cfg, rng, stats)
     assert np.array_equal(out, truth.values)
     assert (stats.stage1_iters, stats.stage3_iters, stats.verify_calls) == (2, 1, 3)
     want = {
@@ -481,7 +499,7 @@ def test_solve_block_any_input_never_solver():
     m = random_matrix(2, 2, F5, rng)
     v = random_vector(2, F5, rng)
     led = QueryLedger()
-    out = solve_block_any_input(wrap_matrix(m, led), wrap_vector(v, led), NEVER, cfg, rng)
+    out = run_stage(solve_block_any_input, wrap_matrix(m, led), wrap_vector(v, led), NEVER, cfg, rng)
     assert out is None
 
 
@@ -499,13 +517,13 @@ def test_wrong_outputs_are_never_accepted(verifier_mode, failure_mode):
     d = 2
     m, v = random_matrix(d, 3 * d, f, rng), random_vector(3 * d, f, rng)
     stats = fresh_stats()
-    assert solve_strip(QueryLedger(), f, m.values, v.values, solver, cfg, rng, stats) is None
+    assert run_stage(solve_strip, QueryLedger(), f, m.values, v.values, solver, cfg, rng, stats) is None
     assert stats.stage1_iters == stats.verify_calls == cfg.stage1_budget()
 
     block, segment = random_matrix(d, d, f, rng), random_vector(d, f, rng)
     led = QueryLedger()
     stats = fresh_stats()
-    out = solve_block_any_input(wrap_matrix(block, led), wrap_vector(segment, led), solver, cfg, rng, stats)
+    out = run_stage(solve_block_any_input, wrap_matrix(block, led), wrap_vector(segment, led), solver, cfg, rng, stats)
     assert out is None
     # the first half's stage 3 exhausts its budget, each iteration's strip
     # split failing on its first half, so no stage-3 verification runs
@@ -518,27 +536,37 @@ def test_wrong_outputs_are_never_accepted(verifier_mode, failure_mode):
 # ----------------------------------------------------------------- boost
 
 
-def test_boost_returns_first_success():
-    marker = np.array([1], dtype=np.int64)
-    calls = {"n": 0}
+def run_task(task):
+    """A task that makes no solver request, run through run_waves; its result."""
+    results = run_waves([task], PERFECT, QueryLedger(), F5, ReductionConfig(alpha=1.0), _BlockDraws(philox()))
+    return None if results is None else results[0]
+
+
+def attempt_returning(results):
+    """A stage generator factory whose i-th generator returns results[i] at once."""
+    rounds = iter(results)
 
     def attempt():
-        calls["n"] += 1
-        return marker if calls["n"] == 2 else None
+        yield from ()
+        return next(rounds)
 
+    return attempt
+
+
+def test_boost_returns_first_success():
+    marker = np.array([1], dtype=np.int64)
     stats = fresh_stats()
-    out = boost(attempt, 5, stats)
+    out = run_task(boost(attempt_returning([None, marker, None]), 5, stats))
     assert out is marker
-    assert calls["n"] == 2
     assert stats.boost_rounds_total == 2
 
 
 def test_boost_gives_up_after_rounds():
     stats = fresh_stats()
-    assert boost(lambda: None, 3, stats) is None
+    assert run_task(boost(attempt_returning([None] * 3), 3, stats)) is None
     assert stats.boost_rounds_total == 3
     with pytest.raises(ValueError):
-        boost(lambda: None, 0)
+        run_task(boost(attempt_returning([None]), 0))
 
 
 # ------------------------------------------------------------ full pipeline
@@ -553,7 +581,6 @@ def test_worst_case_matvec_exhaustive_tiny():
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
             out = worst_case_matvec(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
-            assert out.succeeded
             assert out.result == matvec(m, v)
             assert out.block_count == 2
             assert out.padded_n == 2 and out.original_n == 2
@@ -579,7 +606,6 @@ def test_worst_case_matvec_never_solver_fails_cleanly():
     led = QueryLedger()
     out = worst_case_matvec(wrap_matrix(m, led), wrap_vector(v, led), NEVER, cfg, rng)
     assert out.result is None
-    assert not out.succeeded
     assert out.stats.stage1_iters == led.get(SOURCE_ALG)
 
 
@@ -595,7 +621,7 @@ def test_worst_case_matvec_noisy_solver_is_exact_when_it_succeeds():
         v = random_vector(4, F5, rng)
         led = QueryLedger()
         out = worst_case_matvec(wrap_matrix(m, led), wrap_vector(v, led), solver, cfg, rng)
-        if out.succeeded and out.result != matvec(m, v):
+        if out.result is not None and out.result != matvec(m, v):
             wrong += 1
     assert wrong == 0
 
@@ -701,14 +727,6 @@ def test_block_draws_are_read_only_and_int64_only():
         draws.integers(0, 5, size=4, dtype=np.int32)
 
 
-def test_block_draws_pass_random_straight_to_the_stream():
-    draws = _BlockDraws(philox())
-    draws.integers(0, 5, size=4, dtype=np.int64)
-    ref = philox()
-    ref.integers(0, 5, size=DRAW_BLOCK, dtype=np.int64)
-    assert draws.random() == ref.random()
-
-
 class CountingRng:
     """Forwards to a Generator, counting its integers() calls."""
 
@@ -725,7 +743,9 @@ class CountingRng:
 
 
 def test_worst_case_matvec_draws_integers_in_blocks():
-    # one draw per attempt at least would give ~4 integers() calls per ALG call
+    # one draw per attempt at least would give ~4 integers() calls per ALG
+    # call; a wave makes three for all its attempts, and the stages' own
+    # draws come from blocks
     counting = CountingRng(philox([0, 0]))
     m = random_matrix(8, 8, F5, counting.rng)
     v = random_vector(8, F5, counting.rng)
@@ -734,6 +754,30 @@ def test_worst_case_matvec_draws_integers_in_blocks():
     out = worst_case_matvec(wrap_matrix(m, led), wrap_vector(v, led), solver, ReductionConfig(alpha=0.5, k=17), counting)
     assert out.result == matvec(m, v)
     assert counting.integer_calls * 8 <= led.get(SOURCE_ALG)
+
+
+def test_run_waves_keeps_at_most_wave_size_tasks_in_flight():
+    # tasks are admitted lazily, in order, as others end; each one's result
+    # lands at its own index whatever order the tasks end in
+    rng = np.random.default_rng(19)
+    cfg = ReductionConfig(alpha=0.5, k=3)
+    solver = NoisySolver(UniformProfile(0.5))
+    led, draws = QueryLedger(), _BlockDraws(rng)
+    strips = [random_matrix(2, 6, F5, rng) for _ in range(12)]
+    v = random_vector(6, F5, rng)
+    in_flight, peak, admitted = set(), [0], []
+
+    def tracked(i):
+        admitted.append(i)
+        in_flight.add(i)
+        peak[0] = max(peak[0], len(in_flight))
+        out = yield from solve_strip_any_matrix(led, F5, strips[i].values, v.values, solver, cfg, draws)
+        in_flight.discard(i)
+        return out
+
+    results = run_waves((tracked(i) for i in range(12)), solver, led, F5, cfg, draws, wave_size=5)
+    assert admitted == list(range(12)) and peak[0] == 5
+    assert [r.tolist() for r in results] == [matvec(m, v).to_list() for m in strips]
 
 
 # ----------------------------------------------------------------- report
