@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field as dataclass_field, fields, replace
 from typing import Optional, Sequence, get_args, get_type_hints
 
@@ -413,6 +412,9 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     if config.workers == 1:
         rows = [run_trial(config, t) for t in indices]
     else:
+        # imported here: the pool's modules cost every single-worker set-up time and memory
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, config.trials // (config.workers * 4))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(_trial_task, [(config, t) for t in indices], chunksize=chunk))

@@ -87,9 +87,6 @@ class FpMatrix:
     def cols(self) -> int:
         return self.values.shape[1]
 
-    def to_lists(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.values]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FpMatrix)

@@ -21,9 +21,12 @@ spending O(1/alpha^2) solver calls. It is built in stages:
 
 Inside the pipeline every operand and partial product is an int64 array
 of canonical residues (None for a failed stage); only worst_case_matvec's
-result is wrapped in an FpVector. The stages are generators that yield each
-stage-1 attempt as a request (strip, vector); run_waves serves the k^2 block
-tasks' requests in waves, with one M v per instance for solver and verifier.
+result is wrapped in an FpVector. The stages are generators: solve_strip
+yields one request per strip solve, and the stages above it pass it through.
+run_waves owns the retries: it serves one attempt of every pending request
+per wave, with one M v per instance for solver and verifier, counts each
+attempt on the request's stats, and resumes the stage once, with the
+accepted block or None when the budget is spent.
 
 Vector "goodness" (the solver succeeding on an above-half-of-alpha share
 of matrices for that vector) is an analysis device: the pipeline never
@@ -251,42 +254,23 @@ def _sum_of_halves(ledger: QueryLedger, x_vals: np.ndarray, r1: np.ndarray, p: i
     return (w1 + w2) % p
 
 
-def solve_strip(
-    ledger: QueryLedger,
-    field: PrimeField,
-    m_vals: np.ndarray,
-    v_vals: np.ndarray,
-    solver: NoisySolver,
-    config: ReductionConfig,
-    rng: np.random.Generator,
-    stats: Optional[StageStats] = None,
-):
+def solve_strip(m_vals: np.ndarray, v_vals: np.ndarray, config: ReductionConfig, stats: Optional[StageStats] = None):
     """Product of a d x n strip with a full vector, assuming the vector is good.
 
-    Each attempt yields the request (m_vals, v_vals) to run_waves, which plants
-    the strip at a uniform block position among fresh uniform co-strips, runs
-    one solver call on the square instance, verifies the answer against it and
-    sends back the strip's block of an accepted output, else None. Up to
-    ceil(c1/alpha) attempts, counted as they are served. Requires d | n. Under
-    actual accounting each verification reads the n^2 + n entries of the planted
-    instance and the vector from scratch. run_waves' ledger, field, solver and
-    rng serve the requests; the strip reads none of its own.
+    Checks the strip and yields one request (m_vals, v_vals, ceil(c1/alpha),
+    stats). run_waves owns the attempts and their counters: each plants the
+    strip at a uniform block position among fresh uniform co-strips, makes one
+    solver call on the square instance and verifies it; the strip's block of the
+    first accepted output comes back, or None once the budget is spent.
+    Requires d | n. Under actual accounting each verification reads the n^2 + n
+    entries of the planted instance and the vector from scratch.
     """
-    if stats is None:
-        stats = StageStats()
     d, n = m_vals.shape
     if n % d != 0:
         raise ValueError(f"strip height {d} does not divide width {n}")
     if v_vals.shape != (n,):
         raise ValueError(f"vector shape {v_vals.shape} does not match width {n}")
-
-    for _ in range(config.stage1_budget()):
-        out = yield m_vals, v_vals
-        stats.stage1_iters += 1
-        stats.verify_calls += 1
-        if out is not None:
-            return out
-    return None
+    return (yield m_vals, v_vals, config.stage1_budget(), StageStats() if stats is None else stats)
 
 
 def solve_strip_any_matrix(
@@ -294,7 +278,6 @@ def solve_strip_any_matrix(
     field: PrimeField,
     m_vals: np.ndarray,
     v_vals: np.ndarray,
-    solver: NoisySolver,
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
@@ -307,7 +290,7 @@ def solve_strip_any_matrix(
     """
 
     def solve_half(half):
-        return solve_strip(ledger, field, half, v_vals, solver, config, rng, stats)
+        return solve_strip(half, v_vals, config, stats)
 
     r1 = random_matrix(*m_vals.shape, field, rng).values.copy()  # a view would pin its draw block
     return (yield from _sum_of_halves(ledger, m_vals, r1, field.modulus, solve_half))
@@ -316,7 +299,6 @@ def solve_strip_any_matrix(
 def solve_block(
     mat_handle: MatrixOracleHandle,
     v_vals: np.ndarray,
-    solver: NoisySolver,
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
@@ -356,7 +338,7 @@ def solve_block(
         block = mat_handle.read_all()
         wide_block = np.zeros((d, k * d), dtype=np.int64)
         wide_block[:, slot * d : (slot + 1) * d] = block
-        w = yield from solve_strip_any_matrix(ledger, field, wide_block, widened, solver, config, rng, stats)
+        w = yield from solve_strip_any_matrix(ledger, field, wide_block, widened, config, rng, stats)
         if w is None:
             continue
         stats.verify_calls += 1
@@ -368,7 +350,6 @@ def solve_block(
 def solve_block_any_input(
     mat_handle: MatrixOracleHandle,
     vec_handle: VectorOracleHandle,
-    solver: NoisySolver,
     config: ReductionConfig,
     rng: np.random.Generator,
     stats: Optional[StageStats] = None,
@@ -386,7 +367,7 @@ def solve_block_any_input(
     field = mat_handle.field
 
     def solve_half(half):
-        return solve_block(mat_handle, half, solver, config, rng, stats)
+        return solve_block(mat_handle, half, config, rng, stats)
 
     r1 = random_vector(d, field, rng).values.copy()  # a view would pin its draw block
     v_vals = vec_handle.read_all()
@@ -447,12 +428,17 @@ def _plant_wave(strips: np.ndarray, vectors: np.ndarray, slots: np.ndarray, co: 
 def run_waves(tasks, solver, ledger, field, config, draws: _BlockDraws, wave_size: int = 1) -> Optional[list]:
     """Run stage generators to their ends, serving their requests in waves (draw layout v3).
 
-    At most wave_size tasks are in flight, admitted in order as others end. A
-    wave takes every pending request in task order and draws for all of them,
-    one stream call each, the slots, co-strips, coins and challenge rows. Each
-    request gets its own invoke and verify_product call (wrong outputs draw from
-    draws, as the tasks do); an accepted one is sent a copy of its strip's block,
-    read as d scratch queries. Returns the results in order, or None once one is.
+    A task yields one request (strip, vector, budget, stats) per strip solve
+    and is resumed once, with its answer. run_waves owns the retries: at most
+    wave_size tasks are in flight, admitted in order as others end, and a
+    pending request gets one attempt per wave. A wave takes every pending
+    request in task order and draws for all of them, one stream call each, the
+    slots, co-strips, coins and challenge rows. Each attempt gets its own invoke
+    and verify_product call (wrong outputs draw from draws, as the tasks do) and
+    counts one stage1_iters and one verify_calls on the request's stats. The
+    task is sent a copy of its strip's block of the first accepted output, read
+    as d scratch queries, or None once budget attempts fail. Returns the
+    results in order, or None once one is.
     """
     p = field.modulus
     stream = draws._rng
@@ -461,11 +447,11 @@ def run_waves(tasks, solver, ledger, field, config, draws: _BlockDraws, wave_siz
     coin, challenge = _Coin(), _Challenges()
     coin.integers = draws.integers
     results: list = []
-    live: dict = {}  # task index -> (task, strip, vector) of its pending request, in task order
+    live: dict = {}  # task index -> [task, strip, vector, attempts left, stats] of its pending request, in task order
 
     def step(i, task, sent) -> bool:
         try:
-            live[i] = (task, *task.send(sent))
+            live[i] = [task, *task.send(sent)]
         except StopIteration as end:
             live.pop(i, None)
             results[i] = end.value
@@ -479,8 +465,9 @@ def run_waves(tasks, solver, ledger, field, config, draws: _BlockDraws, wave_siz
                 return None
         if not live:
             return results
-        wave, strips, vectors = zip(*live.values())
-        s, (d, n) = len(wave), strips[0].shape
+        requests = list(live.values())
+        _, strips, vectors, _, _ = zip(*requests)
+        s, (d, n) = len(requests), strips[0].shape
         strips = np.concatenate(strips).reshape(s, d, n)
         vectors = np.concatenate(vectors).reshape(s, n)
         slots = stream.integers(0, n // d, size=s)
@@ -489,13 +476,19 @@ def run_waves(tasks, solver, ledger, field, config, draws: _BlockDraws, wave_siz
         del co
         coins = stream.random(s).tolist()
         challenges = stream.integers(0, p, size=s * rounds * n, dtype=np.int64).reshape(s, rounds, n)
-        for i, task, slot, m_vals, v_vals, truth, coin.value, challenge.rows in zip(
-            list(live), wave, slots.tolist(), instances, vectors, truths, coins, challenges
+        for i, request, slot, m_vals, v_vals, truth, coin.value, challenge.rows in zip(
+            list(live), requests, slots.tolist(), instances, vectors, truths, coins, challenges
         ):
+            task, _, _, left, stats = request
             w = invoke(solver, ledger, field, m_vals, v_vals, truth, coin)
             accepted = verify_product(ledger, field, truth, w, config.verifier, challenge, (m_vals, v_vals))
+            stats.stage1_iters += 1
+            stats.verify_calls += 1
             if accepted:
                 ledger.charge(SOURCE_SCRATCH, d)
+            elif left > 1:
+                request[3] = left - 1  # stays pending: its next attempt rides the next wave
+                continue
             if not step(i, task, w[slot * d : (slot + 1) * d].copy() if accepted else None):
                 return None
         del instances, truths, challenges, m_vals, v_vals, truth, w, challenge.rows  # free them before the next wave
@@ -554,7 +547,7 @@ def worst_case_matvec(
 
     def block_task(i, j):
         block = extract_block(padded_mat, i, j, d)
-        return boost(lambda: solve_block_any_input(block, segments[j], solver, run_config, rng, stats), rounds, stats)
+        return boost(lambda: solve_block_any_input(block, segments[j], run_config, rng, stats), rounds, stats)
 
     tasks = (block_task(i, j) for i in range(k) for j in range(k))
     products = run_waves(tasks, solver, ledger, field, run_config, rng, max(1, WAVE_ENTRIES // n_padded**2))

@@ -100,9 +100,6 @@ class DenseSet:
         self.indicator = indicator
         self.density = float(density)
 
-    def contains_index(self, index: int) -> bool:
-        return bool(self.indicator(np.array([index], dtype=np.int64))[0])
-
     @classmethod
     def pseudorandom(cls, density: float, seed: int) -> "DenseSet":
         """Membership by keyed hash threshold: a stable pseudorandom set."""

@@ -133,7 +133,7 @@ def verify_product(
     rounds = challenge_rounds(p, config.epsilon)
     challenges = rng.integers(0, p, size=(rounds, rows), dtype=np.int64)
     residual = (mv - product) % p
-    return not matvec_values(challenges, residual, p).any()
+    return not np.count_nonzero(matvec_values(challenges, residual, p))
 
 
 def verified_call(

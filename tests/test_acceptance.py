@@ -94,7 +94,7 @@ def test_criterion_1_oracle_algebra():
                 k = n // d
                 led = QueryLedger()
                 # strips: concatenation of wrapped strips views the original
-                strips = [FpMatrix(field, m.to_lists()[i * d : (i + 1) * d]) for i in range(k)]
+                strips = [FpMatrix(field, m.values.tolist()[i * d : (i + 1) * d]) for i in range(k)]
                 stacked = concat_rows([wrap_matrix(s, led) for s in strips])
                 checks += 1
                 failures += stacked.to_matrix() != m
@@ -106,7 +106,7 @@ def test_criterion_1_oracle_algebra():
                 rebuilt = [[None] * k for _ in range(k)]
                 for bi in range(k):
                     for bj in range(k):
-                        rebuilt[bi][bj] = extract_block(hm, bi, bj, d).to_matrix().to_lists()
+                        rebuilt[bi][bj] = extract_block(hm, bi, bj, d).to_matrix().values.tolist()
                 rows = []
                 for bi in range(k):
                     for r in range(d):

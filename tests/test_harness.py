@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -263,7 +265,7 @@ def test_trial_input_exhaustive_tiny_enumerates_all_pairs():
     seen = set()
     for trial in range(4):  # p^(n^2 + n) = 4 distinct pairs
         m, v = _trial_input(cfg, field, trial, trial_rng(cfg.seed, trial))
-        seen.add((tuple(map(tuple, m.to_lists())), tuple(v.to_list())))
+        seen.add((tuple(map(tuple, m.values.tolist())), tuple(v.to_list())))
     assert len(seen) == 4
 
 
@@ -327,6 +329,14 @@ def test_run_campaign_workers_do_not_change_results():
     rows_seq = run_campaign(cfg_seq).rows
     rows_par = run_campaign(cfg_par).rows
     assert rows_seq == rows_par
+
+
+def test_importing_the_harness_loads_no_process_pool():
+    # only a campaign with workers > 1 runs the pool, so only it imports one
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, mvamp.harness; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "False"
 
 
 def test_wilson_interval_matches_closed_form():

@@ -68,7 +68,7 @@ def test_matrix_construction_and_entry():
     m = FpMatrix(f, [[1, 2, 3], [4, 5, 6]])
     assert m.rows == 2 and m.cols == 3
     assert m.values[1, 2] == 6
-    assert m.to_lists() == [[1, 2, 3], [4, 5, 6]]
+    assert m.values.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 def test_matrix_rejects_out_of_range_entries():
@@ -83,7 +83,7 @@ def test_matvec_exhaustive_p2_and_p3():
         for m in enumerate_matrices(f, 2, 2):
             for v in enumerate_vectors(f, 2):
                 got = matvec(m, v).to_list()
-                assert got == matvec_reference(m.to_lists(), v.to_list(), p)
+                assert got == matvec_reference(m.values.tolist(), v.to_list(), p)
 
 
 def test_matvec_rectangular():
@@ -92,7 +92,7 @@ def test_matvec_rectangular():
     for rows, cols in ((1, 4), (3, 2), (5, 5)):
         m = random_matrix(rows, cols, f, rng)
         v = random_vector(cols, f, rng)
-        assert matvec(m, v).to_list() == matvec_reference(m.to_lists(), v.to_list(), 7)
+        assert matvec(m, v).to_list() == matvec_reference(m.values.tolist(), v.to_list(), 7)
 
 
 def test_matvec_dimension_mismatch():
@@ -126,7 +126,7 @@ def test_large_modulus_products_are_exact():
     m = FpMatrix(f, [[p - 1, p - 2], [p - 3, p - 4]])
     v = FpVector(f, [p - 1, p - 5])
     got = matvec(m, v).to_list()
-    assert got == matvec_reference(m.to_lists(), v.to_list(), p)
+    assert got == matvec_reference(m.values.tolist(), v.to_list(), p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
@@ -249,9 +249,9 @@ def test_enumeration_counts_and_bijection():
     assert len(vecs) == 9 and len(set(vecs)) == 9
     for idx in range(9):
         assert tuple(vector_by_index(f, 2, idx).to_list()) == vecs[idx]
-    mats = [tuple(map(tuple, m.to_lists())) for m in enumerate_matrices(f, 2, 2)]
+    mats = [tuple(map(tuple, m.values.tolist())) for m in enumerate_matrices(f, 2, 2)]
     assert len(set(mats)) == 81
-    assert tuple(map(tuple, matrix_by_index(f, 2, 2, 80).to_lists())) == mats[80]
+    assert tuple(map(tuple, matrix_by_index(f, 2, 2, 80).values.tolist())) == mats[80]
 
 
 def test_index_decoders_reject_out_of_range_indices():
@@ -263,7 +263,7 @@ def test_index_decoders_reject_out_of_range_indices():
         with pytest.raises(IndexError, match="matrix index"):
             matrix_by_index(f, 2, 3, bad)
     assert vector_by_index(f, 2, 3**2 - 1).to_list() == [2, 2]
-    assert matrix_by_index(f, 2, 3, 3**6 - 1).to_lists() == [[2, 2, 2], [2, 2, 2]]
+    assert matrix_by_index(f, 2, 3, 3**6 - 1).values.tolist() == [[2, 2, 2], [2, 2, 2]]
 
 
 def test_enumeration_is_lexicographic_first_entry_most_significant():
@@ -281,7 +281,7 @@ def test_random_generators_validate_dims():
         random_vector(0, f, rng)
     m = random_matrix(3, 4, f, rng)
     assert m.rows == 3 and m.cols == 4
-    assert all(0 <= x < 5 for row in m.to_lists() for x in row)
+    assert all(0 <= x < 5 for row in m.values.tolist() for x in row)
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])

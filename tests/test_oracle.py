@@ -118,7 +118,7 @@ def test_concat_rows_values_and_routing():
     bot = wrap_matrix(FpMatrix(F5, [[0, 1], [2, 3]]), led, "bot")
     h = concat_rows([top, bot])
     assert h.rows == 4 and h.cols == 2
-    assert h.to_matrix().to_lists() == [[1, 2], [3, 4], [0, 1], [2, 3]]
+    assert h.to_matrix().values.tolist() == [[1, 2], [3, 4], [0, 1], [2, 3]]
     assert led.snapshot() == {"top": 4, "bot": 4}
     # a read confined to the bottom part charges only that source
     led2 = QueryLedger()
@@ -148,7 +148,7 @@ def test_concat_cols_values():
     left = wrap_matrix(FpMatrix(F5, [[1, 0], [2, 2]]), led, "l")
     right = wrap_matrix(FpMatrix(F5, [[3, 4], [0, 1]]), led, "r")
     h = concat_cols([left, right])
-    assert h.to_matrix().to_lists() == [[1, 0, 3, 4], [2, 2, 0, 1]]
+    assert h.to_matrix().values.tolist() == [[1, 0, 3, 4], [2, 2, 0, 1]]
     assert extract_block(h, 0, 0, 1).read_all().tolist() == [[1]]
     assert extract_block(h, 1, 3, 1).read_all().tolist() == [[1]]
     # parts must share one shape
@@ -190,7 +190,7 @@ def test_extract_submatrix_cols_window():
     m = FpMatrix(F5, [[0, 1, 2, 3], [4, 0, 1, 2]])
     h = extract_submatrix_cols(wrap_matrix(m, led), 1, 2)
     assert h.rows == 2 and h.cols == 2
-    assert h.to_matrix().to_lists() == [[1, 2], [0, 1]]
+    assert h.to_matrix().values.tolist() == [[1, 2], [0, 1]]
 
 
 def test_extract_block_addressing():
@@ -200,7 +200,7 @@ def test_extract_block_addressing():
     for bi in range(2):
         for bj in range(2):
             got = extract_block(h, bi, bj, 2).to_matrix()
-            assert got.to_lists() == m.values[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2].tolist()
+            assert got.values.tolist() == m.values[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2].tolist()
     with pytest.raises(ValueError):
         extract_block(h, 0, 0, 3)
 
@@ -221,7 +221,7 @@ def test_embed_block_matrix_structural_zeros_are_free():
     inner = wrap_matrix(FpMatrix(F5, [[1, 2], [3, 4]]), led)
     h = embed_block_matrix(inner, slot=1, k=3)
     assert h.rows == 2 and h.cols == 6
-    assert h.to_matrix().to_lists() == [[0, 0, 1, 2, 0, 0], [0, 0, 3, 4, 0, 0]]
+    assert h.to_matrix().values.tolist() == [[0, 0, 1, 2, 0, 0], [0, 0, 3, 4, 0, 0]]
     # full read charged only the 4 planted entries
     assert led.get(SOURCE_MATRIX) == 4
     led_zero_probe = led.get(SOURCE_MATRIX)
@@ -249,7 +249,7 @@ def test_pad_square_matrix_border_is_free():
     assert h.rows == h.cols == 5
     got = h.to_matrix()
     assert led.get(SOURCE_MATRIX) == 9  # only the embedded 3x3 costs
-    assert [row[:3] for row in got.to_lists()[:3]] == m.to_lists()
+    assert [row[:3] for row in got.values.tolist()[:3]] == m.values.tolist()
     assert got.values[3, 3] == 1 and got.values[4, 4] == 1
     assert got.values[3, 4] == 0 and got.values[0, 4] == 0
     before = led.get(SOURCE_MATRIX)
@@ -317,13 +317,13 @@ def compositions(led):
     m3 = random_matrix(4, 4, F5, rng)
     m4 = random_matrix(4, 4, F5, rng)
     stacked = concat_rows([wrap_matrix(m1, led), wrap_matrix(m2, led)])
-    yield stacked, FpMatrix(F5, m1.to_lists() + m2.to_lists())
+    yield stacked, FpMatrix(F5, m1.values.tolist() + m2.values.tolist())
     side = concat_cols([wrap_matrix(m4, led), wrap_matrix(m3, led)])
-    yield side, FpMatrix(F5, [r4 + r3 for r4, r3 in zip(m4.to_lists(), m3.to_lists())])
+    yield side, FpMatrix(F5, [r4 + r3 for r4, r3 in zip(m4.values.tolist(), m3.values.tolist())])
     win = extract_submatrix(stacked, 1, 2)
-    yield win, FpMatrix(F5, (m1.to_lists() + m2.to_lists())[1:3])
+    yield win, FpMatrix(F5, (m1.values.tolist() + m2.values.tolist())[1:3])
     emb = embed_block_matrix(extract_block(wrap_matrix(m4, led), 0, 1, 2), 1, 2)
-    m4l = m4.to_lists()
+    m4l = m4.values.tolist()
     emb_expect = [[0, 0] + m4l[0][2:], [0, 0] + m4l[1][2:]]
     yield emb, FpMatrix(F5, emb_expect)
     pad = pad_square_matrix(wrap_matrix(m4, led), 6)
@@ -332,7 +332,7 @@ def compositions(led):
     yield pad, FpMatrix(F5, pad_expect)
     # per-source costs carried across a placement
     two = pad_square_matrix(concat_rows([wrap_matrix(m1, led, "top"), wrap_matrix(m2, led, "bot")]), 6)
-    two_expect = [row + [0, 0] for row in m1.to_lists() + m2.to_lists()]
+    two_expect = [row + [0, 0] for row in m1.values.tolist() + m2.values.tolist()]
     two_expect += [[0] * 4 + [1, 0], [0] * 5 + [1]]
     yield two, FpMatrix(F5, two_expect)
 

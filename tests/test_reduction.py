@@ -68,21 +68,22 @@ def fresh_stats():
     return StageStats(0, 0, 0, 0)
 
 
-STRIP_STAGES = (solve_strip, solve_strip_any_matrix)
-
-
-def run_stage(stage, *args):
+def run_stage(stage, *args, solver, ledger=None, field=None, rng=None):
     """One stage call, its arguments as the stage takes them, run through
     run_waves as its only task: the driver worst_case_matvec runs its block
-    tasks with. The stage draws from _BlockDraws over the given rng, as it
-    does in the pipeline. Returns the stage's result."""
+    tasks with, serving the requests with solver. solve_strip takes no ledger,
+    field or rng, so its call passes them as keywords, rng becoming the
+    wave's stream; the other stages' come from their own arguments, and they
+    draw from _BlockDraws over their rng, as in the pipeline. Returns the
+    stage's result."""
     args = list(args)
-    if stage in STRIP_STAGES:
-        ledger, field, solver, config, rng_at = args[0], args[1], args[4], args[5], 6
+    at = 4 if stage is solve_strip_any_matrix else 2  # the config's index; the rng follows it
+    if stage is solve_strip:
+        draws = _BlockDraws(rng)
     else:
-        ledger, field, solver, config, rng_at = args[0].ledger, args[0].field, args[2], args[3], 4
-    draws = args[rng_at] = _BlockDraws(args[rng_at])
-    results = run_waves([stage(*args)], solver, ledger, field, config, draws)
+        draws = args[at + 1] = _BlockDraws(args[at + 1])
+        ledger, field = args[:2] if stage is solve_strip_any_matrix else (args[0].ledger, args[0].field)
+    results = run_waves([stage(*args)], solver, ledger, field, args[at], draws)
     return None if results is None else results[0]
 
 
@@ -189,7 +190,7 @@ def test_solve_strip_perfect_solver_exhaustive():
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
             stats = fresh_stats()
-            out = run_stage(solve_strip, led, f, m.values, v.values, PERFECT, cfg, rng, stats)
+            out = run_stage(solve_strip, m.values, v.values, cfg, stats, solver=PERFECT, ledger=led, field=f, rng=rng)
             assert np.array_equal(out, matvec(m, v).values)
             assert stats.stage1_iters == 1
             # one call on the 2x2 planted instance, its verification, and
@@ -209,7 +210,7 @@ def test_solve_strip_square_strip():
     m = random_matrix(2, 6, F5, rng)  # 3 slots
     v = random_vector(6, F5, rng)
     led = QueryLedger()
-    out = run_stage(solve_strip, led, F5, m.values, v.values, PERFECT, cfg, rng)
+    out = run_stage(solve_strip, m.values, v.values, cfg, solver=PERFECT, ledger=led, field=F5, rng=rng)
     assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -220,7 +221,7 @@ def test_solve_strip_exhausts_budget_and_returns_none():
     v = random_vector(3, F5, rng)
     led = QueryLedger()
     stats = fresh_stats()
-    out = run_stage(solve_strip, led, F5, m.values, v.values, NEVER, cfg, rng, stats)
+    out = run_stage(solve_strip, m.values, v.values, cfg, stats, solver=NEVER, ledger=led, field=F5, rng=rng)
     assert out is None
     assert stats.stage1_iters == 16
     assert led.get(SOURCE_ALG) == 16
@@ -228,7 +229,7 @@ def test_solve_strip_exhausts_budget_and_returns_none():
     # instance and the vector from scratch
     led = QueryLedger()
     actual = ReductionConfig(alpha=0.5, c1=8.0, verifier=VerifierConfig(accounting="actual"))
-    assert run_stage(solve_strip, led, F5, m.values, v.values, NEVER, actual, rng) is None
+    assert run_stage(solve_strip, m.values, v.values, actual, solver=NEVER, ledger=led, field=F5, rng=rng) is None
     assert led.snapshot() == {SOURCE_ALG: 16, SOURCE_MATRIX: 16 * 9, SOURCE_VECTOR: 16 * 3, SOURCE_SCRATCH: 16 * 12}
 
 
@@ -236,11 +237,59 @@ def test_solve_strip_rejects_bad_shape():
     rng = np.random.default_rng(0)
     cfg = ReductionConfig(alpha=1.0)
     m = np.array([[1, 2, 3], [4, 0, 1]], dtype=np.int64)  # 2 does not divide 3
-    led = QueryLedger()
+    served = dict(solver=PERFECT, ledger=QueryLedger(), field=F5, rng=rng)
     with pytest.raises(ValueError):
-        run_stage(solve_strip, led, F5, m, np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
+        run_stage(solve_strip, m, np.array([1, 2, 3], dtype=np.int64), cfg, **served)
     with pytest.raises(ValueError):
-        run_stage(solve_strip, led, F5, m[:1], np.array([1, 2], dtype=np.int64), PERFECT, cfg, rng)
+        run_stage(solve_strip, m[:1], np.array([1, 2], dtype=np.int64), cfg, **served)
+
+
+def test_solve_strip_yields_one_request_per_strip_solve():
+    # the request carries the strip, the vector, the whole stage-1 budget and
+    # the counters to charge; what is sent back is the strip solve's result
+    rng = np.random.default_rng(20)
+    cfg = ReductionConfig(alpha=0.5, c1=8.0)
+    m, v = random_matrix(2, 6, F5, rng), random_vector(6, F5, rng)
+    stats = fresh_stats()
+    task = solve_strip(m.values, v.values, cfg, stats)
+    strip, vector, budget, counters = next(task)
+    assert strip is m.values and vector is v.values and counters is stats
+    assert budget == cfg.stage1_budget() == 16
+    block = np.array([1, 2], dtype=np.int64)
+    with pytest.raises(StopIteration) as end:
+        task.send(block)
+    assert end.value.value is block
+    assert stats == fresh_stats()  # the strip counts nothing itself
+
+
+class CountedSends:
+    """A task around another that records the ALG calls charged before each send."""
+
+    def __init__(self, task, ledger):
+        self.task, self.ledger, self.alg_at_send = task, ledger, []
+
+    def send(self, value):
+        self.alg_at_send.append(self.ledger.get(SOURCE_ALG))
+        return self.task.send(value)
+
+
+@pytest.mark.parametrize("solver, attempts", [(NEVER, 16), (PERFECT, 1)])
+def test_run_waves_resumes_a_strip_solve_once_after_its_attempts(solver, attempts):
+    # run_waves keeps the request pending across waves and resumes the task
+    # once: after the whole budget under a never-succeeding solver, after the
+    # first attempt under a perfect one
+    rng = np.random.default_rng(21)
+    cfg = ReductionConfig(alpha=0.5, c1=8.0)  # budget ceil(8/0.5) = 16
+    m, v = random_matrix(2, 6, F5, rng), random_vector(6, F5, rng)
+    led, stats = QueryLedger(), fresh_stats()
+    task = CountedSends(solve_strip(m.values, v.values, cfg, stats), led)
+    results = run_waves([task], solver, led, F5, cfg, _BlockDraws(rng))
+    assert task.alg_at_send == [0, attempts]  # admitted, then resumed once
+    assert stats.stage1_iters == stats.verify_calls == attempts
+    if solver is NEVER:
+        assert results is None
+    else:
+        assert results[0].tolist() == matvec(m, v).to_list()
 
 
 class RecordingNeverProfile(SolverProfile):
@@ -275,7 +324,8 @@ def test_solve_strip_plants_at_uniform_slot_among_uniform_co_rows():
     led = QueryLedger()
     m_vals = np.array([live], dtype=np.int64)
     v_vals = np.array(vec, dtype=np.int64)
-    assert run_stage(solve_strip, led, f, m_vals, v_vals, NoisySolver(profile), cfg, np.random.default_rng(2024)) is None
+    served = dict(solver=NoisySolver(profile), ledger=led, field=f, rng=np.random.default_rng(2024))
+    assert run_stage(solve_strip, m_vals, v_vals, cfg, **served) is None
 
     assert len(profile.seen) == attempts
     assert {v for _, v in profile.seen} == {vec}
@@ -293,7 +343,7 @@ def test_solve_strip_any_matrix_perfect():
         m = random_matrix(rows, cols, F5, rng)
         v = random_vector(cols, F5, rng)
         led = QueryLedger()
-        out = run_stage(solve_strip_any_matrix, led, F5, m.values, v.values, PERFECT, cfg, rng)
+        out = run_stage(solve_strip_any_matrix, led, F5, m.values, v.values, cfg, rng, solver=PERFECT)
         assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -307,7 +357,7 @@ def test_solve_strip_any_matrix_charges_the_split_read():
     m = random_matrix(2, 4, F5, rng)
     v = random_vector(4, F5, rng)
     led = QueryLedger()
-    run_stage(solve_strip_any_matrix, led, F5, wrap_matrix(m, led).read_all(), v.values, PERFECT, cfg, rng)
+    run_stage(solve_strip_any_matrix, led, F5, wrap_matrix(m, led).read_all(), v.values, cfg, rng, solver=PERFECT)
     assert led.get(SOURCE_ALG) == 2
     assert led.get(SOURCE_MATRIX) == 2 * 4 + 2 * 4 * 4
     assert led.get(SOURCE_VECTOR) == 2 * 4
@@ -320,7 +370,7 @@ def test_solve_strip_any_matrix_exhaustive_tiny():
     for m in enumerate_matrices(f, 1, 2):
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
-            out = run_stage(solve_strip_any_matrix, led, f, m.values, v.values, PERFECT, cfg, rng)
+            out = run_stage(solve_strip_any_matrix, led, f, m.values, v.values, cfg, rng, solver=PERFECT)
             assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -334,7 +384,7 @@ def test_solve_block_perfect_exhaustive_tiny():
     for m in enumerate_matrices(f, 1, 1):
         for v in enumerate_vectors(f, 1):
             led = QueryLedger()
-            out = run_stage(solve_block, wrap_matrix(m, led), v.values, PERFECT, cfg, rng)
+            out = run_stage(solve_block, wrap_matrix(m, led), v.values, cfg, rng, solver=PERFECT)
             assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -346,7 +396,7 @@ def test_solve_block_perfect_random():
         v = random_vector(d, F5, rng)
         led = QueryLedger()
         stats = fresh_stats()
-        out = run_stage(solve_block, wrap_matrix(m, led), v.values, PERFECT, cfg, rng, stats)
+        out = run_stage(solve_block, wrap_matrix(m, led), v.values, cfg, rng, stats, solver=PERFECT)
         assert np.array_equal(out, matvec(m, v).values)
         assert stats.verify_calls >= 1
 
@@ -357,10 +407,10 @@ def test_solve_block_requires_square():
     led = QueryLedger()
     m = FpMatrix(F5, [[1, 2, 3], [4, 0, 1]])
     with pytest.raises(ValueError):
-        run_stage(solve_block, wrap_matrix(m, led), np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
+        run_stage(solve_block, wrap_matrix(m, led), np.array([1, 2, 3], dtype=np.int64), cfg, rng, solver=PERFECT)
     square = wrap_matrix(FpMatrix(F5, [[1, 2], [3, 4]]), led)
     with pytest.raises(ValueError):
-        run_stage(solve_block, square, np.array([1, 2, 3], dtype=np.int64), PERFECT, cfg, rng)
+        run_stage(solve_block, square, np.array([1, 2, 3], dtype=np.int64), cfg, rng, solver=PERFECT)
 
 
 def test_solve_block_any_input_perfect():
@@ -370,7 +420,7 @@ def test_solve_block_any_input_perfect():
         m = random_matrix(d, d, F5, rng)
         v = random_vector(d, F5, rng)
         led = QueryLedger()
-        out = run_stage(solve_block_any_input, wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
+        out = run_stage(solve_block_any_input, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng, solver=PERFECT)
         assert np.array_equal(out, matvec(m, v).values)
         # v = r1 + r2 split reads the input vector once in full
         assert led.get(SOURCE_VECTOR) >= d
@@ -434,7 +484,7 @@ def test_solve_strip_charges_live_handles_to_their_sources(accounting, kind):
     cfg = ReductionConfig(alpha=0.5, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
     solver = NoisySolver(UniformProfile(0.5))
     stats = fresh_stats()
-    out = run_stage(solve_strip_any_matrix, led, F5, mat.read_all(), v_vals, solver, cfg, rng, stats)
+    out = run_stage(solve_strip_any_matrix, led, F5, mat.read_all(), v_vals, cfg, rng, stats, solver=solver)
     assert np.array_equal(out, truth.values)
     a = stats.stage1_iters
     assert a >= 2 and stats.verify_calls == a
@@ -469,7 +519,7 @@ def test_solve_block_charges_live_handles_to_their_sources(accounting, kind):
     eps = 1e-4
     cfg = ReductionConfig(alpha=1.0, k=k, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
     stats = fresh_stats()
-    out = run_stage(solve_block, mat, v_vals, PERFECT, cfg, rng, stats)
+    out = run_stage(solve_block, mat, v_vals, cfg, rng, stats, solver=PERFECT)
     assert np.array_equal(out, truth.values)
     assert (stats.stage1_iters, stats.stage3_iters, stats.verify_calls) == (2, 1, 3)
     want = {
@@ -499,7 +549,7 @@ def test_solve_block_any_input_never_solver():
     m = random_matrix(2, 2, F5, rng)
     v = random_vector(2, F5, rng)
     led = QueryLedger()
-    out = run_stage(solve_block_any_input, wrap_matrix(m, led), wrap_vector(v, led), NEVER, cfg, rng)
+    out = run_stage(solve_block_any_input, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng, solver=NEVER)
     assert out is None
 
 
@@ -517,13 +567,15 @@ def test_wrong_outputs_are_never_accepted(verifier_mode, failure_mode):
     d = 2
     m, v = random_matrix(d, 3 * d, f, rng), random_vector(3 * d, f, rng)
     stats = fresh_stats()
-    assert run_stage(solve_strip, QueryLedger(), f, m.values, v.values, solver, cfg, rng, stats) is None
+    served = dict(solver=solver, ledger=QueryLedger(), field=f, rng=rng)
+    assert run_stage(solve_strip, m.values, v.values, cfg, stats, **served) is None
     assert stats.stage1_iters == stats.verify_calls == cfg.stage1_budget()
 
     block, segment = random_matrix(d, d, f, rng), random_vector(d, f, rng)
     led = QueryLedger()
     stats = fresh_stats()
-    out = run_stage(solve_block_any_input, wrap_matrix(block, led), wrap_vector(segment, led), solver, cfg, rng, stats)
+    mat, vec = wrap_matrix(block, led), wrap_vector(segment, led)
+    out = run_stage(solve_block_any_input, mat, vec, cfg, rng, stats, solver=solver)
     assert out is None
     # the first half's stage 3 exhausts its budget, each iteration's strip
     # split failing on its first half, so no stage-3 verification runs
@@ -771,7 +823,7 @@ def test_run_waves_keeps_at_most_wave_size_tasks_in_flight():
         admitted.append(i)
         in_flight.add(i)
         peak[0] = max(peak[0], len(in_flight))
-        out = yield from solve_strip_any_matrix(led, F5, strips[i].values, v.values, solver, cfg, draws)
+        out = yield from solve_strip_any_matrix(led, F5, strips[i].values, v.values, cfg, draws)
         in_flight.discard(i)
         return out
 

@@ -89,7 +89,7 @@ def test_dense_set_from_indices_membership():
     g = graph(2, 1, 3)
     d = DenseSet.from_indices(g, [0, 3, 5])
     for idx in range(8):
-        assert d.contains_index(idx) == (idx in {0, 3, 5})
+        assert d.indicator(np.array([idx]))[0] == (idx in {0, 3, 5})
     assert d.density == pytest.approx(3 / 8)
     assert density_exact(g, d) == pytest.approx(3 / 8)
 
@@ -120,7 +120,7 @@ def test_conditional_hit_rate_matches_reference():
         for slot in range(k):
             for co in range(s ** (k - 1)):
                 full = int(g.embed_indices(x, slot, np.array([co]))[0])
-                hits += d.contains_index(full)
+                hits += d.indicator(np.array([full]))[0]
                 total += 1
         assert conditional_hit_rate_exact(g, d, x) == pytest.approx(hits / total)
 

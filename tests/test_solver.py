@@ -184,6 +184,31 @@ def test_invoke_perturb_mode_differs_in_one_coordinate():
         assert diffs == 1
 
 
+class RedrawStub:
+    """invoke's Generator: a coin no profile beats, then the integers draws given."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return 1.0
+
+    def integers(self, low, high, size, dtype):
+        assert (low, size, dtype) == (0, len(self.draws[0]), np.int64)
+        return np.array(self.draws.pop(0), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, truth, other", [(2, [1], [0]), (5, [4, 0, 2], [4, 0, 3])])
+def test_invoke_redraws_a_uniform_wrong_output_equal_to_the_truth(p, truth, other):
+    # the first draw is the truth, so the rejection test must send it back
+    # for a second one, which differs and is returned as it is
+    n, field = len(truth), PrimeField(p)
+    m_vals, v_vals = np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64)
+    rng = RedrawStub(truth, other)
+    out = invoke(NoisySolver(UniformProfile(0.0)), QueryLedger(), field, m_vals, v_vals, np.array(truth), rng)
+    assert out.tolist() == other and rng.draws == []
+
+
 def test_invoke_rejects_bad_shapes():
     led = QueryLedger()
     solver = NoisySolver(UniformProfile(1.0))
