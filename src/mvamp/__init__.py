@@ -31,6 +31,7 @@ from .reduction import (
     ReductionConfig,
     ReductionOutcome,
     ReductionReport,
+    ReductionRun,
     StageStats,
     boost,
     boost_rounds_for,
@@ -86,6 +87,7 @@ __all__ = [
     "ReductionConfig",
     "ReductionOutcome",
     "ReductionReport",
+    "ReductionRun",
     "StageStats",
     "boost",
     "boost_rounds_for",

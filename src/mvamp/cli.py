@@ -39,6 +39,7 @@ from .sampler import (
     DenseSet,
     QueryGraph,
     check_sampler,
+    check_sampler_parameters,
     lemma_condition,
     theorem_condition,
     violation_fraction_exact,
@@ -79,9 +80,9 @@ def _finish(args, name: str, summary: dict, ok: bool, gate: str, csv_rows=None) 
 
 
 def _cmd_run(args) -> int:
-    overrides = {"seed": args.seed, "trials": args.trials, "workers": args.workers}
+    overrides = dict(seed=args.seed, trials=args.trials, workers=args.workers, min_success_rate=args.min_success_rate)
     config = parse_config(args.config, overrides)
-    threshold = config.min_success_rate if args.min_success_rate is None else args.min_success_rate
+    threshold = config.min_success_rate
     if args.assert_thresholds and threshold is None:
         print("--assert needs min_success_rate (config key or --min-success-rate)", file=sys.stderr)
         return 2
@@ -119,6 +120,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sampler_check(args) -> int:
+    check_sampler_parameters(args.c, args.delta)
     field = PrimeField(args.modulus)
     graph = QueryGraph(BaseDomain(field, args.dim), args.copies)
     print(

@@ -60,9 +60,6 @@ class QueryLedger:
     def get(self, source: str) -> int:
         return self.counts.get(source, 0)
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def snapshot(self) -> dict[str, int]:
         return dict(self.counts)
 

@@ -21,11 +21,14 @@ spending O(1/alpha^2) solver calls. It is built in stages:
 
 Inside the pipeline every operand and partial product is an int64 array
 of canonical residues (None for a failed stage); only worst_case_matvec's
-result is wrapped in an FpVector. The stages are generators: solve_strip
-yields one request per strip solve, and the stages above it pass it through.
-run_waves owns the retries: it serves one attempt of every pending request
-per wave, with one M v per instance for solver and verifier, counts each
-attempt on the request's stats, and resumes the stage once, with the
+result is wrapped in an FpVector. Each stage is a function of the run
+(ReductionRun: ledger, field, config and resolved k, the trial's stream and
+its block draws, stage counters) and its operands. The stages are
+generators: solve_strip yields one request (strip, vector) per strip solve,
+and the stages above it pass it through. run_waves owns the retries: it
+takes the budget from the run's config, serves one attempt of every pending
+request per wave, with one M v per instance for solver and verifier, counts
+each attempt on the run's stats, and resumes the stage once, with the
 accepted block or None when the budget is spent.
 
 Vector "goodness" (the solver succeeding on an above-half-of-alpha share
@@ -36,7 +39,7 @@ tests it, while good_fraction_exhaustive measures it exactly offline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
 from typing import Callable, Optional
 
@@ -236,12 +239,24 @@ class _BlockDraws:
         return draws.reshape(size) if isinstance(size, tuple) else draws
 
 
-def _sum_of_halves(ledger: QueryLedger, x_vals: np.ndarray, r1: np.ndarray, p: int, solve_half: Callable):
+class ReductionRun:
+    """What every stage of one pipeline run shares: the ledger, the field, the config with k
+    resolved once, the trial's stream, the stages' block draws over it and the stage counters."""
+
+    def __init__(self, ledger: QueryLedger, field: PrimeField, config: ReductionConfig, stream: np.random.Generator):
+        self.ledger, self.field, self.config, self.stream = ledger, field, config, stream
+        self.k = config.resolved_k()
+        self.draws = _BlockDraws(stream)
+        self.stats = StageStats()
+
+
+def _sum_of_halves(run: ReductionRun, x_vals: np.ndarray, r1: np.ndarray, solve_half: Callable):
     """Solve x through its uniform additive split x = r1 + r2 (Blum, Luby, Rubinfeld).
 
     Runs solve_half's generators in turn; returns None as soon as a half fails,
     otherwise the sum of the two length-d partial products, read as scratch: 2*d queries.
     """
+    p = run.field.modulus
     r2 = (x_vals - r1) % p
     assert not np.count_nonzero((r1 + r2) % p != x_vals), "additive split must recompose"
     w1 = yield from solve_half(r1)
@@ -250,59 +265,41 @@ def _sum_of_halves(ledger: QueryLedger, x_vals: np.ndarray, r1: np.ndarray, p: i
     w2 = yield from solve_half(r2)
     if w2 is None:
         return None
-    ledger.charge(SOURCE_SCRATCH, 2 * w1.shape[0])
+    run.ledger.charge(SOURCE_SCRATCH, 2 * w1.shape[0])
     return (w1 + w2) % p
 
 
-def solve_strip(m_vals: np.ndarray, v_vals: np.ndarray, config: ReductionConfig, stats: Optional[StageStats] = None):
+def solve_strip(run: ReductionRun, m_vals: np.ndarray, v_vals: np.ndarray):
     """Product of a d x n strip with a full vector, assuming the vector is good.
 
-    Checks the strip and yields one request (m_vals, v_vals, ceil(c1/alpha),
-    stats). run_waves owns the attempts and their counters: each plants the
-    strip at a uniform block position among fresh uniform co-strips, makes one
-    solver call on the square instance and verifies it; the strip's block of the
-    first accepted output comes back, or None once the budget is spent.
-    Requires d | n. Under actual accounting each verification reads the n^2 + n
-    entries of the planted instance and the vector from scratch.
+    Checks the strip and yields one request (m_vals, v_vals). run_waves owns the
+    attempts, taking their budget ceil(c1/alpha) and counters from the run: each
+    plants the strip at a uniform block position among fresh uniform co-strips,
+    makes one solver call on the square instance and verifies it; the strip's
+    block of the first accepted output comes back, or None once the budget is
+    spent. Requires d | n. Under actual accounting each verification reads the
+    n^2 + n entries of the planted instance and the vector from scratch.
     """
     d, n = m_vals.shape
     if n % d != 0:
         raise ValueError(f"strip height {d} does not divide width {n}")
     if v_vals.shape != (n,):
         raise ValueError(f"vector shape {v_vals.shape} does not match width {n}")
-    return (yield m_vals, v_vals, config.stage1_budget(), StageStats() if stats is None else stats)
+    return (yield m_vals, v_vals)
 
 
-def solve_strip_any_matrix(
-    ledger: QueryLedger,
-    field: PrimeField,
-    m_vals: np.ndarray,
-    v_vals: np.ndarray,
-    config: ReductionConfig,
-    rng: np.random.Generator,
-    stats: Optional[StageStats] = None,
-):
+def solve_strip_any_matrix(run: ReductionRun, m_vals: np.ndarray, v_vals: np.ndarray):
     """solve_strip for an arbitrary strip, via a uniform additive split.
 
     The strip comes as an array the caller has already read (solve_block
     charges its block read). Draws R1 uniform and solves both halves of
     M = R1 + R2 strip-wise (_sum_of_halves).
     """
-
-    def solve_half(half):
-        return solve_strip(half, v_vals, config, stats)
-
-    r1 = random_matrix(*m_vals.shape, field, rng).values.copy()  # a view would pin its draw block
-    return (yield from _sum_of_halves(ledger, m_vals, r1, field.modulus, solve_half))
+    r1 = random_matrix(*m_vals.shape, run.field, run.draws).values.copy()  # a view would pin its draw block
+    return (yield from _sum_of_halves(run, m_vals, r1, lambda half: solve_strip(run, half, v_vals)))
 
 
-def solve_block(
-    mat_handle: MatrixOracleHandle,
-    v_vals: np.ndarray,
-    config: ReductionConfig,
-    rng: np.random.Generator,
-    stats: Optional[StageStats] = None,
-):
+def solve_block(run: ReductionRun, mat_handle: MatrixOracleHandle, v_vals: np.ndarray):
     """Product of a d x d block with a length-d vector, randomized over vectors.
 
     Each attempt plants the vector at a uniform slot of a concatenation
@@ -315,22 +312,18 @@ def solve_block(
     each verification re-reads the block through its handle and reads the
     widened vector, which the pipeline drew: k*d entries of scratch.
     """
-    if stats is None:
-        stats = StageStats()
     if mat_handle.rows != mat_handle.cols:
         raise ValueError(f"expected a square block, got {mat_handle.rows}x{mat_handle.cols}")
     d = mat_handle.rows
     if v_vals.shape != (d,):
         raise ValueError(f"vector shape {v_vals.shape} does not match block size {d}")
-    k = config.resolved_k()
-    field = mat_handle.field
-    ledger = mat_handle.ledger
-    p = field.modulus
+    k, stats, rng, verifier = run.k, run.stats, run.draws, run.config.verifier
+    p = run.field.modulus
 
     planted = np.empty((k, d), dtype=np.int64)
     widened = planted.reshape(k * d)
     operands = (mat_handle, widened)
-    for _ in range(config.stage3_budget()):
+    for _ in range(run.config.stage3_budget()):
         stats.stage3_iters += 1
         slot = int(rng.integers(k))
         planted[1:] = rng.integers(0, p, size=(k - 1, d), dtype=np.int64)
@@ -338,22 +331,16 @@ def solve_block(
         block = mat_handle.read_all()
         wide_block = np.zeros((d, k * d), dtype=np.int64)
         wide_block[:, slot * d : (slot + 1) * d] = block
-        w = yield from solve_strip_any_matrix(ledger, field, wide_block, widened, config, rng, stats)
+        w = yield from solve_strip_any_matrix(run, wide_block, widened)
         if w is None:
             continue
         stats.verify_calls += 1
-        if verify_product(ledger, field, matvec_values(block, v_vals, p), w, config.verifier, rng, operands):
+        if verify_product(run.ledger, run.field, matvec_values(block, v_vals, p), w, verifier, rng, operands):
             return w
     return None
 
 
-def solve_block_any_input(
-    mat_handle: MatrixOracleHandle,
-    vec_handle: VectorOracleHandle,
-    config: ReductionConfig,
-    rng: np.random.Generator,
-    stats: Optional[StageStats] = None,
-):
+def solve_block_any_input(run: ReductionRun, mat_handle: MatrixOracleHandle, vec_handle: VectorOracleHandle):
     """solve_block for an arbitrary vector, via a uniform additive split.
 
     Draws r1 uniform, reads the vector once (d charged oracle queries) and
@@ -364,23 +351,17 @@ def solve_block_any_input(
     d = mat_handle.rows
     if vec_handle.length != d:
         raise ValueError(f"vector length {vec_handle.length} does not match block size {d}")
-    field = mat_handle.field
-
-    def solve_half(half):
-        return solve_block(mat_handle, half, config, rng, stats)
-
-    r1 = random_vector(d, field, rng).values.copy()  # a view would pin its draw block
+    r1 = random_vector(d, run.field, run.draws).values.copy()  # a view would pin its draw block
     v_vals = vec_handle.read_all()
-    return (yield from _sum_of_halves(mat_handle.ledger, v_vals, r1, field.modulus, solve_half))
+    return (yield from _sum_of_halves(run, v_vals, r1, lambda half: solve_block(run, mat_handle, half)))
 
 
-def boost(attempt: Callable, rounds: int, stats: Optional[StageStats] = None):
+def boost(attempt: Callable, rounds: int, stats: StageStats):
     """Retry a fallible stage generator, returning its first non-None result."""
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
     for _ in range(rounds):
-        if stats is not None:
-            stats.boost_rounds_total += 1
+        stats.boost_rounds_total += 1
         out = yield from attempt()
         if out is not None:
             return out
@@ -425,33 +406,34 @@ def _plant_wave(strips: np.ndarray, vectors: np.ndarray, slots: np.ndarray, co: 
     return instances, matvec_values(instances, vectors[:, :, None], p)[:, :, 0]
 
 
-def run_waves(tasks, solver, ledger, field, config, draws: _BlockDraws, wave_size: int = 1) -> Optional[list]:
+def run_waves(tasks, solver, run: ReductionRun, wave_size: int = 1) -> Optional[list]:
     """Run stage generators to their ends, serving their requests in waves (draw layout v3).
 
-    A task yields one request (strip, vector, budget, stats) per strip solve
-    and is resumed once, with its answer. run_waves owns the retries: at most
-    wave_size tasks are in flight, admitted in order as others end, and a
-    pending request gets one attempt per wave. A wave takes every pending
-    request in task order and draws for all of them, one stream call each, the
-    slots, co-strips, coins and challenge rows. Each attempt gets its own invoke
-    and verify_product call (wrong outputs draw from draws, as the tasks do) and
-    counts one stage1_iters and one verify_calls on the request's stats. The
-    task is sent a copy of its strip's block of the first accepted output, read
-    as d scratch queries, or None once budget attempts fail. Returns the
-    results in order, or None once one is.
+    A task yields one request (strip, vector) per strip solve and is resumed
+    once, with its answer. run_waves owns the retries: at most wave_size tasks
+    are in flight, admitted in order as others end, and a pending request gets
+    one attempt per wave, up to the run's budget ceil(c1/alpha). A wave takes
+    every pending request in task order and draws for all of them from the
+    run's stream, one call each, the slots, co-strips, coins and challenge rows.
+    Each attempt gets its own invoke and verify_product call (wrong outputs use
+    the run's block draws, as the stages do) and counts one stage1_iters and
+    one verify_calls on run.stats. The task is sent a copy of its strip's block
+    of the first accepted output, read as d scratch queries, or None once the
+    budget is spent. Returns the results in order, or None once one is.
     """
+    ledger, field, config, stream, stats = run.ledger, run.field, run.config, run.stream, run.stats
     p = field.modulus
-    stream = draws._rng
+    budget = config.stage1_budget()
     rounds = challenge_rounds(p, config.verifier.epsilon) if config.verifier.mode == "probabilistic" else 0
     co_dtype = np.uint16 if p <= 1 << 16 else np.int64  # draws faster; _plant_wave widens it
     coin, challenge = _Coin(), _Challenges()
-    coin.integers = draws.integers
+    coin.integers = run.draws.integers
     results: list = []
-    live: dict = {}  # task index -> [task, strip, vector, attempts left, stats] of its pending request, in task order
+    live: dict = {}  # task index -> [task, strip, vector, attempts left] of its pending request, in task order
 
     def step(i, task, sent) -> bool:
         try:
-            live[i] = [task, *task.send(sent)]
+            live[i] = [task, *task.send(sent), budget]
         except StopIteration as end:
             live.pop(i, None)
             results[i] = end.value
@@ -466,7 +448,7 @@ def run_waves(tasks, solver, ledger, field, config, draws: _BlockDraws, wave_siz
         if not live:
             return results
         requests = list(live.values())
-        _, strips, vectors, _, _ = zip(*requests)
+        _, strips, vectors, _ = zip(*requests)
         s, (d, n) = len(requests), strips[0].shape
         strips = np.concatenate(strips).reshape(s, d, n)
         vectors = np.concatenate(vectors).reshape(s, n)
@@ -479,7 +461,7 @@ def run_waves(tasks, solver, ledger, field, config, draws: _BlockDraws, wave_siz
         for i, request, slot, m_vals, v_vals, truth, coin.value, challenge.rows in zip(
             list(live), requests, slots.tolist(), instances, vectors, truths, coins, challenges
         ):
-            task, _, _, left, stats = request
+            task, _, _, left = request
             w = invoke(solver, ledger, field, m_vals, v_vals, truth, coin)
             accepted = verify_product(ledger, field, truth, w, config.verifier, challenge, (m_vals, v_vals))
             stats.stage1_iters += 1
@@ -502,7 +484,6 @@ class ReductionOutcome:
     stats: StageStats
     block_count: int
     padded_n: int
-    original_n: int
 
 
 def worst_case_matvec(
@@ -520,9 +501,9 @@ def worst_case_matvec(
     up to max(1, WAVE_ENTRIES // n_padded^2) block tasks at once. Any block
     exhausting its boost budget fails the whole run (result None) at once.
     Assembly reads the k^2 length-d block products to form the k row sums,
-    then the k row sums: k^2*d + k*d scratch queries. The stages take their
-    own uniform draws from rng in blocks (_BlockDraws), so rng ends up
-    advanced past draws the run never used.
+    then the k row sums: k^2*d + k*d scratch queries. The stages share one
+    ReductionRun over rng and take their own uniform draws from it in blocks
+    (_BlockDraws), so rng ends up advanced past draws the run never used.
     """
     n = mat_handle.rows
     if mat_handle.cols != n:
@@ -532,31 +513,27 @@ def worst_case_matvec(
     if mat_handle.field != vec_handle.field:
         raise ValueError("field mismatch between matrix and vector handles")
 
-    k = config.resolved_k()
+    run = ReductionRun(mat_handle.ledger, mat_handle.field, config, rng)
+    k = run.k
     rounds = config.resolved_boost_rounds(k)
-    run_config = config if config.k == k else replace(config, k=k)
     n_padded = ((n + k - 1) // k) * k
     d = n_padded // k
     padded_mat = pad_square_matrix(mat_handle, n_padded)
     padded_vec = pad_vector(vec_handle, n_padded)
-    field = mat_handle.field
-    ledger = mat_handle.ledger
-    stats = StageStats()
-    rng = _BlockDraws(rng)
     segments = [extract_subvector(padded_vec, j * d, d) for j in range(k)]
 
     def block_task(i, j):
         block = extract_block(padded_mat, i, j, d)
-        return boost(lambda: solve_block_any_input(block, segments[j], run_config, rng, stats), rounds, stats)
+        return boost(lambda: solve_block_any_input(run, block, segments[j]), rounds, run.stats)
 
     tasks = (block_task(i, j) for i in range(k) for j in range(k))
-    products = run_waves(tasks, solver, ledger, field, run_config, rng, max(1, WAVE_ENTRIES // n_padded**2))
-    if products is None:
-        return ReductionOutcome(result=None, stats=stats, block_count=k, padded_n=n_padded, original_n=n)
-    ledger.charge(SOURCE_SCRATCH, k * k * d + k * d)
-    assembled = np.stack(products).reshape(k, k, d).sum(axis=1) % field.modulus
-    result = FpVector(field, assembled.reshape(n_padded)[:n])
-    return ReductionOutcome(result=result, stats=stats, block_count=k, padded_n=n_padded, original_n=n)
+    products = run_waves(tasks, solver, run, max(1, WAVE_ENTRIES // n_padded**2))
+    result = None
+    if products is not None:
+        run.ledger.charge(SOURCE_SCRATCH, k * k * d + k * d)
+        assembled = np.stack(products).reshape(k, k, d).sum(axis=1) % run.field.modulus
+        result = FpVector(run.field, assembled.reshape(n_padded)[:n])
+    return ReductionOutcome(result=result, stats=run.stats, block_count=k, padded_n=n_padded)
 
 
 # ---------------------------------------------------------------------------

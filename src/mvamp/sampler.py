@@ -185,6 +185,12 @@ class SamplerCheck:
         return self.violation_fraction <= self.delta
 
 
+def check_sampler_parameters(c: float, delta: float) -> None:
+    """The sampler checks' parameter rule: 0 < c < delta < 1."""
+    if not 0.0 < c < delta < 1.0:
+        raise ValueError(f"parameters must satisfy 0 < c < delta < 1, got c={c}, delta={delta}")
+
+
 def check_sampler(
     graph: QueryGraph,
     dense: DenseSet,
@@ -201,8 +207,7 @@ def check_sampler(
     hit rate from y_samples_per_x random embeddings each. An instance
     violates when its conditional rate falls below (1 - c) * density.
     """
-    if not 0.0 < c < delta < 1.0:
-        raise ValueError(f"parameters must satisfy 0 < c < delta < 1, got c={c}, delta={delta}")
+    check_sampler_parameters(c, delta)
     if x_samples < 1 or y_samples_per_x < 1:
         raise ValueError("sample counts must be positive")
 

@@ -37,11 +37,11 @@ F5 = PrimeField(5)
 
 def entry_scan_cost(handle):
     """Charge for reading every entry through its own 1x1 window."""
-    total_before = handle.ledger.total()
+    total_before = sum(handle.ledger.snapshot().values())
     for i in range(handle.rows):
         for j in range(handle.cols):
             extract_block(handle, i, j, 1).read_all()
-    return handle.ledger.total() - total_before
+    return sum(handle.ledger.snapshot().values()) - total_before
 
 
 # ---------------------------------------------------------------- ledger
@@ -55,7 +55,7 @@ def test_ledger_basic_accounting():
     led.charge("U_v", 1)
     assert led.get("U_M") == 5
     assert led.get("U_v") == 1
-    assert led.total() == 6
+    assert sum(led.snapshot().values()) == 6
     assert led.snapshot() == {"U_M": 5, "U_v": 1}
 
 
@@ -345,7 +345,7 @@ def test_bulk_read_equals_entry_scan_cost_and_values():
         led_scan = QueryLedger()
         handle_scan, expect = list(compositions(led_scan))[which]
         handle_bulk.read_all()
-        bulk_cost = led_bulk.total()
+        bulk_cost = sum(led_bulk.snapshot().values())
         scan_cost = entry_scan_cost(handle_scan)
         assert bulk_cost == scan_cost, f"composition {which}"
         assert led_bulk.snapshot() == led_scan.snapshot(), f"composition {which}"
@@ -356,10 +356,10 @@ def test_bulk_read_equals_entry_scan_cost_and_values():
 
 def vector_entry_scan_cost(handle):
     """Charge for reading every entry through its own one-entry window."""
-    total_before = handle.ledger.total()
+    total_before = sum(handle.ledger.snapshot().values())
     for i in range(handle.length):
         extract_subvector(handle, i, 1).read_all()
-    return handle.ledger.total() - total_before
+    return sum(handle.ledger.snapshot().values()) - total_before
 
 
 def vector_compositions(led):
@@ -383,7 +383,7 @@ def test_vector_bulk_read_equals_entry_scan_cost_and_values():
         got = handle_bulk.read_all()
         assert got.shape == (handle_bulk.length,), f"composition {which}"
         assert got.tolist() == expect, f"composition {which}"
-        assert led_bulk.total() == vector_entry_scan_cost(handle_scan), f"composition {which}"
+        assert sum(led_bulk.snapshot().values()) == vector_entry_scan_cost(handle_scan), f"composition {which}"
         assert led_bulk.snapshot() == led_scan.snapshot(), f"composition {which}"
 
 

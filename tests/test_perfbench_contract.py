@@ -25,7 +25,7 @@ from mvamp.harness import (
     trial_rng,
 )
 from mvamp.linalg import FpMatrix, FpVector, matvec
-from mvamp.reduction import worst_case_matvec
+from mvamp.reduction import choose_block_count, worst_case_matvec
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -112,3 +112,12 @@ def test_pipeline_ledgers_satisfy_the_benchmark_identities(n, accounting, querie
         problems = ledger_problems(config, ledger.snapshot(), stats, outcome.block_count, outcome.padded_n)
         assert not problems, (trial, problems)
     assert retried
+
+
+@pytest.mark.parametrize("alpha, k", [(0.5, 17), (0.25, 23), (0.125, 28), (0.0625, 34)])
+def test_reference_script_block_count_is_the_k_its_trial_runs(alpha, k):
+    # perfbench/reference.py builds each config this way and prints
+    # choose_block_count(alpha, cfg.n, cfg.k_mode, cfg.c0), called by position,
+    # as the k column of its table; nothing else runs that script
+    cfg = ExperimentConfig(modulus=5, n=8, trials=1, alpha=alpha, profile="uniform", seed=0)
+    assert choose_block_count(alpha, cfg.n, cfg.k_mode, cfg.c0) == build_reduction_config(cfg).resolved_k() == k

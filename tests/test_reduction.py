@@ -39,6 +39,7 @@ from mvamp.reduction import (
     DRAW_BLOCK,
     ReductionConfig,
     ReductionReport,
+    ReductionRun,
     StageStats,
     boost,
     boost_rounds_for,
@@ -68,22 +69,11 @@ def fresh_stats():
     return StageStats(0, 0, 0, 0)
 
 
-def run_stage(stage, *args, solver, ledger=None, field=None, rng=None):
-    """One stage call, its arguments as the stage takes them, run through
-    run_waves as its only task: the driver worst_case_matvec runs its block
-    tasks with, serving the requests with solver. solve_strip takes no ledger,
-    field or rng, so its call passes them as keywords, rng becoming the
-    wave's stream; the other stages' come from their own arguments, and they
-    draw from _BlockDraws over their rng, as in the pipeline. Returns the
-    stage's result."""
-    args = list(args)
-    at = 4 if stage is solve_strip_any_matrix else 2  # the config's index; the rng follows it
-    if stage is solve_strip:
-        draws = _BlockDraws(rng)
-    else:
-        draws = args[at + 1] = _BlockDraws(args[at + 1])
-        ledger, field = args[:2] if stage is solve_strip_any_matrix else (args[0].ledger, args[0].field)
-    results = run_waves([stage(*args)], solver, ledger, field, args[at], draws)
+def run_stage(stage, run, *operands, solver):
+    """One stage call on run and its operands, run through run_waves as its
+    only task: the driver worst_case_matvec runs its block tasks with, serving
+    the requests with solver. Returns the stage's result."""
+    results = run_waves([stage(run, *operands)], solver, run)
     return None if results is None else results[0]
 
 
@@ -189,10 +179,10 @@ def test_solve_strip_perfect_solver_exhaustive():
     for m in enumerate_matrices(f, 1, 2):  # d=1 strip of an n=2 instance
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
-            stats = fresh_stats()
-            out = run_stage(solve_strip, m.values, v.values, cfg, stats, solver=PERFECT, ledger=led, field=f, rng=rng)
+            run = ReductionRun(led, f, cfg, rng)
+            out = run_stage(solve_strip, run, m.values, v.values, solver=PERFECT)
             assert np.array_equal(out, matvec(m, v).values)
-            assert stats.stage1_iters == 1
+            assert run.stats.stage1_iters == 1
             # one call on the 2x2 planted instance, its verification, and
             # the accepted 1-entry window of the output read from scratch
             assert led.snapshot() == {
@@ -210,7 +200,7 @@ def test_solve_strip_square_strip():
     m = random_matrix(2, 6, F5, rng)  # 3 slots
     v = random_vector(6, F5, rng)
     led = QueryLedger()
-    out = run_stage(solve_strip, m.values, v.values, cfg, solver=PERFECT, ledger=led, field=F5, rng=rng)
+    out = run_stage(solve_strip, ReductionRun(led, F5, cfg, rng), m.values, v.values, solver=PERFECT)
     assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -220,16 +210,16 @@ def test_solve_strip_exhausts_budget_and_returns_none():
     m = random_matrix(1, 3, F5, rng)
     v = random_vector(3, F5, rng)
     led = QueryLedger()
-    stats = fresh_stats()
-    out = run_stage(solve_strip, m.values, v.values, cfg, stats, solver=NEVER, ledger=led, field=F5, rng=rng)
+    run = ReductionRun(led, F5, cfg, rng)
+    out = run_stage(solve_strip, run, m.values, v.values, solver=NEVER)
     assert out is None
-    assert stats.stage1_iters == 16
+    assert run.stats.stage1_iters == 16
     assert led.get(SOURCE_ALG) == 16
     # under actual accounting each verification reads the 3x3 planted
     # instance and the vector from scratch
     led = QueryLedger()
     actual = ReductionConfig(alpha=0.5, c1=8.0, verifier=VerifierConfig(accounting="actual"))
-    assert run_stage(solve_strip, m.values, v.values, actual, solver=NEVER, ledger=led, field=F5, rng=rng) is None
+    assert run_stage(solve_strip, ReductionRun(led, F5, actual, rng), m.values, v.values, solver=NEVER) is None
     assert led.snapshot() == {SOURCE_ALG: 16, SOURCE_MATRIX: 16 * 9, SOURCE_VECTOR: 16 * 3, SOURCE_SCRATCH: 16 * 12}
 
 
@@ -237,29 +227,31 @@ def test_solve_strip_rejects_bad_shape():
     rng = np.random.default_rng(0)
     cfg = ReductionConfig(alpha=1.0)
     m = np.array([[1, 2, 3], [4, 0, 1]], dtype=np.int64)  # 2 does not divide 3
-    served = dict(solver=PERFECT, ledger=QueryLedger(), field=F5, rng=rng)
+    run = ReductionRun(QueryLedger(), F5, cfg, rng)
     with pytest.raises(ValueError):
-        run_stage(solve_strip, m, np.array([1, 2, 3], dtype=np.int64), cfg, **served)
+        run_stage(solve_strip, run, m, np.array([1, 2, 3], dtype=np.int64), solver=PERFECT)
     with pytest.raises(ValueError):
-        run_stage(solve_strip, m[:1], np.array([1, 2], dtype=np.int64), cfg, **served)
+        run_stage(solve_strip, run, m[:1], np.array([1, 2], dtype=np.int64), solver=PERFECT)
 
 
 def test_solve_strip_yields_one_request_per_strip_solve():
-    # the request carries the strip, the vector, the whole stage-1 budget and
-    # the counters to charge; what is sent back is the strip solve's result
+    # the request is the strip and the vector alone: the whole stage-1 budget
+    # and the counters to charge are the run's, which run_waves reads (the
+    # 16-attempt budget is pinned by the resume test below); what is sent back
+    # is the strip solve's result
     rng = np.random.default_rng(20)
     cfg = ReductionConfig(alpha=0.5, c1=8.0)
     m, v = random_matrix(2, 6, F5, rng), random_vector(6, F5, rng)
-    stats = fresh_stats()
-    task = solve_strip(m.values, v.values, cfg, stats)
-    strip, vector, budget, counters = next(task)
-    assert strip is m.values and vector is v.values and counters is stats
-    assert budget == cfg.stage1_budget() == 16
+    run = ReductionRun(QueryLedger(), F5, cfg, rng)
+    task = solve_strip(run, m.values, v.values)
+    strip, vector = next(task)
+    assert strip is m.values and vector is v.values
+    assert cfg.stage1_budget() == 16
     block = np.array([1, 2], dtype=np.int64)
     with pytest.raises(StopIteration) as end:
         task.send(block)
     assert end.value.value is block
-    assert stats == fresh_stats()  # the strip counts nothing itself
+    assert run.stats == fresh_stats()  # the strip counts nothing itself
 
 
 class CountedSends:
@@ -281,11 +273,12 @@ def test_run_waves_resumes_a_strip_solve_once_after_its_attempts(solver, attempt
     rng = np.random.default_rng(21)
     cfg = ReductionConfig(alpha=0.5, c1=8.0)  # budget ceil(8/0.5) = 16
     m, v = random_matrix(2, 6, F5, rng), random_vector(6, F5, rng)
-    led, stats = QueryLedger(), fresh_stats()
-    task = CountedSends(solve_strip(m.values, v.values, cfg, stats), led)
-    results = run_waves([task], solver, led, F5, cfg, _BlockDraws(rng))
+    led = QueryLedger()
+    run = ReductionRun(led, F5, cfg, rng)
+    task = CountedSends(solve_strip(run, m.values, v.values), led)
+    results = run_waves([task], solver, run)
     assert task.alg_at_send == [0, attempts]  # admitted, then resumed once
-    assert stats.stage1_iters == stats.verify_calls == attempts
+    assert run.stats.stage1_iters == run.stats.verify_calls == attempts
     if solver is NEVER:
         assert results is None
     else:
@@ -324,8 +317,8 @@ def test_solve_strip_plants_at_uniform_slot_among_uniform_co_rows():
     led = QueryLedger()
     m_vals = np.array([live], dtype=np.int64)
     v_vals = np.array(vec, dtype=np.int64)
-    served = dict(solver=NoisySolver(profile), ledger=led, field=f, rng=np.random.default_rng(2024))
-    assert run_stage(solve_strip, m_vals, v_vals, cfg, **served) is None
+    run = ReductionRun(led, f, cfg, np.random.default_rng(2024))
+    assert run_stage(solve_strip, run, m_vals, v_vals, solver=NoisySolver(profile)) is None
 
     assert len(profile.seen) == attempts
     assert {v for _, v in profile.seen} == {vec}
@@ -343,7 +336,8 @@ def test_solve_strip_any_matrix_perfect():
         m = random_matrix(rows, cols, F5, rng)
         v = random_vector(cols, F5, rng)
         led = QueryLedger()
-        out = run_stage(solve_strip_any_matrix, led, F5, m.values, v.values, cfg, rng, solver=PERFECT)
+        run = ReductionRun(led, F5, cfg, rng)
+        out = run_stage(solve_strip_any_matrix, run, m.values, v.values, solver=PERFECT)
         assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -357,7 +351,8 @@ def test_solve_strip_any_matrix_charges_the_split_read():
     m = random_matrix(2, 4, F5, rng)
     v = random_vector(4, F5, rng)
     led = QueryLedger()
-    run_stage(solve_strip_any_matrix, led, F5, wrap_matrix(m, led).read_all(), v.values, cfg, rng, solver=PERFECT)
+    run = ReductionRun(led, F5, cfg, rng)
+    run_stage(solve_strip_any_matrix, run, wrap_matrix(m, led).read_all(), v.values, solver=PERFECT)
     assert led.get(SOURCE_ALG) == 2
     assert led.get(SOURCE_MATRIX) == 2 * 4 + 2 * 4 * 4
     assert led.get(SOURCE_VECTOR) == 2 * 4
@@ -370,7 +365,8 @@ def test_solve_strip_any_matrix_exhaustive_tiny():
     for m in enumerate_matrices(f, 1, 2):
         for v in enumerate_vectors(f, 2):
             led = QueryLedger()
-            out = run_stage(solve_strip_any_matrix, led, f, m.values, v.values, cfg, rng, solver=PERFECT)
+            run = ReductionRun(led, f, cfg, rng)
+            out = run_stage(solve_strip_any_matrix, run, m.values, v.values, solver=PERFECT)
             assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -384,7 +380,8 @@ def test_solve_block_perfect_exhaustive_tiny():
     for m in enumerate_matrices(f, 1, 1):
         for v in enumerate_vectors(f, 1):
             led = QueryLedger()
-            out = run_stage(solve_block, wrap_matrix(m, led), v.values, cfg, rng, solver=PERFECT)
+            run = ReductionRun(led, f, cfg, rng)
+            out = run_stage(solve_block, run, wrap_matrix(m, led), v.values, solver=PERFECT)
             assert np.array_equal(out, matvec(m, v).values)
 
 
@@ -395,10 +392,10 @@ def test_solve_block_perfect_random():
         m = random_matrix(d, d, F5, rng)
         v = random_vector(d, F5, rng)
         led = QueryLedger()
-        stats = fresh_stats()
-        out = run_stage(solve_block, wrap_matrix(m, led), v.values, cfg, rng, stats, solver=PERFECT)
+        run = ReductionRun(led, F5, cfg, rng)
+        out = run_stage(solve_block, run, wrap_matrix(m, led), v.values, solver=PERFECT)
         assert np.array_equal(out, matvec(m, v).values)
-        assert stats.verify_calls >= 1
+        assert run.stats.verify_calls >= 1
 
 
 def test_solve_block_requires_square():
@@ -406,11 +403,12 @@ def test_solve_block_requires_square():
     cfg = ReductionConfig(alpha=1.0, k=2)
     led = QueryLedger()
     m = FpMatrix(F5, [[1, 2, 3], [4, 0, 1]])
+    run = ReductionRun(led, F5, cfg, rng)
     with pytest.raises(ValueError):
-        run_stage(solve_block, wrap_matrix(m, led), np.array([1, 2, 3], dtype=np.int64), cfg, rng, solver=PERFECT)
+        run_stage(solve_block, run, wrap_matrix(m, led), np.array([1, 2, 3], dtype=np.int64), solver=PERFECT)
     square = wrap_matrix(FpMatrix(F5, [[1, 2], [3, 4]]), led)
     with pytest.raises(ValueError):
-        run_stage(solve_block, square, np.array([1, 2, 3], dtype=np.int64), cfg, rng, solver=PERFECT)
+        run_stage(solve_block, run, square, np.array([1, 2, 3], dtype=np.int64), solver=PERFECT)
 
 
 def test_solve_block_any_input_perfect():
@@ -420,7 +418,8 @@ def test_solve_block_any_input_perfect():
         m = random_matrix(d, d, F5, rng)
         v = random_vector(d, F5, rng)
         led = QueryLedger()
-        out = run_stage(solve_block_any_input, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng, solver=PERFECT)
+        run = ReductionRun(led, F5, cfg, rng)
+        out = run_stage(solve_block_any_input, run, wrap_matrix(m, led), wrap_vector(v, led), solver=PERFECT)
         assert np.array_equal(out, matvec(m, v).values)
         # v = r1 + r2 split reads the input vector once in full
         assert led.get(SOURCE_VECTOR) >= d
@@ -483,11 +482,11 @@ def test_solve_strip_charges_live_handles_to_their_sources(accounting, kind):
     eps = 1e-4
     cfg = ReductionConfig(alpha=0.5, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
     solver = NoisySolver(UniformProfile(0.5))
-    stats = fresh_stats()
-    out = run_stage(solve_strip_any_matrix, led, F5, mat.read_all(), v_vals, cfg, rng, stats, solver=solver)
+    run = ReductionRun(led, F5, cfg, rng)
+    out = run_stage(solve_strip_any_matrix, run, mat.read_all(), v_vals, solver=solver)
     assert np.array_equal(out, truth.values)
-    a = stats.stage1_iters
-    assert a >= 2 and stats.verify_calls == a
+    a = run.stats.stage1_iters
+    assert a >= 2 and run.stats.verify_calls == a
     # the live strip is read once; per attempt: one ALG call billed
     # n^2 matrix and n vector queries; each half's accepted d-entry window
     # and the sum of the two halves are read from scratch
@@ -518,10 +517,10 @@ def test_solve_block_charges_live_handles_to_their_sources(accounting, kind):
     n = k * d
     eps = 1e-4
     cfg = ReductionConfig(alpha=1.0, k=k, verifier=VerifierConfig(epsilon=eps, accounting=accounting))
-    stats = fresh_stats()
-    out = run_stage(solve_block, mat, v_vals, cfg, rng, stats, solver=PERFECT)
+    run = ReductionRun(led, F5, cfg, rng)
+    out = run_stage(solve_block, run, mat, v_vals, solver=PERFECT)
     assert np.array_equal(out, truth.values)
-    assert (stats.stage1_iters, stats.stage3_iters, stats.verify_calls) == (2, 1, 3)
+    assert (run.stats.stage1_iters, run.stats.stage3_iters, run.stats.verify_calls) == (2, 1, 3)
     want = {
         SOURCE_ALG: 2,
         # two calls on the n x n planted instance, plus the stage-3
@@ -549,7 +548,8 @@ def test_solve_block_any_input_never_solver():
     m = random_matrix(2, 2, F5, rng)
     v = random_vector(2, F5, rng)
     led = QueryLedger()
-    out = run_stage(solve_block_any_input, wrap_matrix(m, led), wrap_vector(v, led), cfg, rng, solver=NEVER)
+    run = ReductionRun(led, F5, cfg, rng)
+    out = run_stage(solve_block_any_input, run, wrap_matrix(m, led), wrap_vector(v, led), solver=NEVER)
     assert out is None
 
 
@@ -566,16 +566,16 @@ def test_wrong_outputs_are_never_accepted(verifier_mode, failure_mode):
     cfg = ReductionConfig(alpha=0.5, k=3, c1=8.0, c2=4.0, verifier=VerifierConfig(mode=verifier_mode))
     d = 2
     m, v = random_matrix(d, 3 * d, f, rng), random_vector(3 * d, f, rng)
-    stats = fresh_stats()
-    served = dict(solver=solver, ledger=QueryLedger(), field=f, rng=rng)
-    assert run_stage(solve_strip, m.values, v.values, cfg, stats, **served) is None
-    assert stats.stage1_iters == stats.verify_calls == cfg.stage1_budget()
+    run = ReductionRun(QueryLedger(), f, cfg, rng)
+    assert run_stage(solve_strip, run, m.values, v.values, solver=solver) is None
+    assert run.stats.stage1_iters == run.stats.verify_calls == cfg.stage1_budget()
 
     block, segment = random_matrix(d, d, f, rng), random_vector(d, f, rng)
     led = QueryLedger()
-    stats = fresh_stats()
+    run = ReductionRun(led, f, cfg, rng)
+    stats = run.stats
     mat, vec = wrap_matrix(block, led), wrap_vector(segment, led)
-    out = run_stage(solve_block_any_input, mat, vec, cfg, rng, stats, solver=solver)
+    out = run_stage(solve_block_any_input, run, mat, vec, solver=solver)
     assert out is None
     # the first half's stage 3 exhausts its budget, each iteration's strip
     # split failing on its first half, so no stage-3 verification runs
@@ -590,7 +590,7 @@ def test_wrong_outputs_are_never_accepted(verifier_mode, failure_mode):
 
 def run_task(task):
     """A task that makes no solver request, run through run_waves; its result."""
-    results = run_waves([task], PERFECT, QueryLedger(), F5, ReductionConfig(alpha=1.0), _BlockDraws(philox()))
+    results = run_waves([task], PERFECT, ReductionRun(QueryLedger(), F5, ReductionConfig(alpha=1.0), philox()))
     return None if results is None else results[0]
 
 
@@ -618,7 +618,7 @@ def test_boost_gives_up_after_rounds():
     assert run_task(boost(attempt_returning([None] * 3), 3, stats)) is None
     assert stats.boost_rounds_total == 3
     with pytest.raises(ValueError):
-        run_task(boost(attempt_returning([None]), 0))
+        run_task(boost(attempt_returning([None]), 0, fresh_stats()))
 
 
 # ------------------------------------------------------------ full pipeline
@@ -635,7 +635,7 @@ def test_worst_case_matvec_exhaustive_tiny():
             out = worst_case_matvec(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
             assert out.result == matvec(m, v)
             assert out.block_count == 2
-            assert out.padded_n == 2 and out.original_n == 2
+            assert out.padded_n == 2
 
 
 def test_worst_case_matvec_pads_awkward_sizes():
@@ -646,7 +646,7 @@ def test_worst_case_matvec_pads_awkward_sizes():
     led = QueryLedger()
     out = worst_case_matvec(wrap_matrix(m, led), wrap_vector(v, led), PERFECT, cfg, rng)
     assert out.result == matvec(m, v)
-    assert out.original_n == 3 and out.padded_n == 4
+    assert out.padded_n == 4
     assert out.result.length == 3
 
 
@@ -779,6 +779,18 @@ def test_block_draws_are_read_only_and_int64_only():
         draws.integers(0, 5, size=4, dtype=np.int32)
 
 
+def test_reduction_run_resolves_k_once_and_draws_over_its_stream():
+    # the record the stages share: desk k for a config without one, fresh
+    # counters, and block draws served from the stream the waves draw from
+    cfg = ReductionConfig(alpha=0.25)
+    stream = philox()
+    run = ReductionRun(QueryLedger(), F5, cfg, stream)
+    assert run.k == cfg.resolved_k() == 23 and cfg.k is None
+    assert run.stats == fresh_stats() and run.stream is stream and run.config is cfg
+    block = philox().integers(0, 5, size=DRAW_BLOCK, dtype=np.int64)
+    assert np.array_equal(run.draws.integers(0, 5, size=3, dtype=np.int64), block[:3])
+
+
 class CountingRng:
     """Forwards to a Generator, counting its integers() calls."""
 
@@ -814,7 +826,8 @@ def test_run_waves_keeps_at_most_wave_size_tasks_in_flight():
     rng = np.random.default_rng(19)
     cfg = ReductionConfig(alpha=0.5, k=3)
     solver = NoisySolver(UniformProfile(0.5))
-    led, draws = QueryLedger(), _BlockDraws(rng)
+    led = QueryLedger()
+    run = ReductionRun(led, F5, cfg, rng)
     strips = [random_matrix(2, 6, F5, rng) for _ in range(12)]
     v = random_vector(6, F5, rng)
     in_flight, peak, admitted = set(), [0], []
@@ -823,11 +836,11 @@ def test_run_waves_keeps_at_most_wave_size_tasks_in_flight():
         admitted.append(i)
         in_flight.add(i)
         peak[0] = max(peak[0], len(in_flight))
-        out = yield from solve_strip_any_matrix(led, F5, strips[i].values, v.values, cfg, draws)
+        out = yield from solve_strip_any_matrix(run, strips[i].values, v.values)
         in_flight.discard(i)
         return out
 
-    results = run_waves((tracked(i) for i in range(12)), solver, led, F5, cfg, draws, wave_size=5)
+    results = run_waves((tracked(i) for i in range(12)), solver, run, wave_size=5)
     assert admitted == list(range(12)) and peak[0] == 5
     assert [r.tolist() for r in results] == [matvec(m, v).to_list() for m in strips]
 
