@@ -502,7 +502,7 @@ def test_cli_run_assert_without_threshold_is_usage_error(tmp_path):
 @pytest.mark.parametrize("rate", ["-3", "1.5"])
 def test_cli_run_min_success_rate_flag_is_range_checked_as_the_config_key(rate, tmp_path, capsys):
     # the flag is a config override, so it meets the min_success_rate key's
-    # range check before any trial runs (-3 used to pass every gate)
+    # range check before any trial runs: -3 cannot make the gate vacuous
     cfg = write_cfg(tmp_path)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--assert", "--min-success-rate", rate]) == 2
     assert "config error: config key 'min_success_rate'" in capsys.readouterr().err
@@ -601,8 +601,8 @@ def test_cli_sampler_check_refuses_fewer_than_one_set(sets, tmp_path, capsys):
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("c, delta", [("0.5", "0.1"), ("0.5", "7")])
 def test_cli_sampler_check_refuses_parameters_outside_the_rule_in_both_modes(c, delta, exact, tmp_path, capsys):
-    # 0 < c < delta < 1 holds for the exact path too: it used to run both
-    # cases, marking every set ok under --delta 7
+    # 0 < c < delta < 1 is checked before either path runs, so --exact cannot
+    # mark every set ok under --delta 7
     out = tmp_path / "sc"
     argv = ["sampler-check", "--copies", "2", "--c", c, "--delta", delta, "--eps", "0.5", "--sets", "2",
             "--assert", "--out", str(out)]

@@ -71,8 +71,8 @@ def fresh_stats():
 
 def run_stage(stage, run, *operands, solver):
     """One stage call on run and its operands, run through run_waves as its
-    only task: the driver worst_case_matvec runs its block tasks with, serving
-    the requests with solver. Returns the stage's result."""
+    only task, as worst_case_matvec runs its block tasks, serving the requests
+    with solver. Returns the stage's result."""
     results = run_waves([stage(run, *operands)], solver, run)
     return None if results is None else results[0]
 
