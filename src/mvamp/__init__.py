@@ -60,7 +60,7 @@ from .solver import (
     exact_average_success,
     invoke,
 )
-from .verify import VerifierConfig, charged_queries, verified_call, verify_product
+from .verify import VerifierConfig, charged_queries, draw_challenges, verified_call, verify_product
 
 __all__ = [
     "__version__",
@@ -113,6 +113,7 @@ __all__ = [
     "invoke",
     "VerifierConfig",
     "charged_queries",
+    "draw_challenges",
     "verified_call",
     "verify_product",
 ]

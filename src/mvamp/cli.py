@@ -46,7 +46,7 @@ from .sampler import (
 )
 from .oracle import QueryLedger
 from .solver import FAILURE_MODES, NoisySolver, UniformProfile, invoke
-from .verify import VerifierConfig, charged_queries, verify_product
+from .verify import VerifierConfig, charged_queries, draw_challenges, verify_product
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -103,6 +103,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if not args.slope_min <= args.slope_max:
+        raise ValueError(f"empty slope band: --slope-min {args.slope_min} is above --slope-max {args.slope_max}")
     overrides = {"seed": args.seed, "workers": args.workers}
     config = parse_config(args.config, overrides)
     alphas = _parse_alphas(args.alphas)
@@ -121,6 +123,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_sampler_check(args) -> int:
     check_sampler_parameters(args.c, args.delta)
+    if not 0.0 <= args.min_pass_fraction <= 1.0:
+        raise ValueError(f"--min-pass-fraction must lie in [0, 1], got {args.min_pass_fraction}")
     field = PrimeField(args.modulus)
     graph = QueryGraph(BaseDomain(field, args.dim), args.copies)
     print(
@@ -189,8 +193,8 @@ def _cmd_verify_bench(args) -> int:
     for _ in range(args.trials):
         m = random_matrix(args.rows, args.cols, field, rng)
         v = random_vector(args.cols, field, rng)
-        w = _int_product(m.values, v.values, args.modulus)
-        if not verify_product(ledger, field, matvec_values(m.values, v.values, args.modulus), w, config, rng):
+        mv, w = matvec_values(m.values, v.values, args.modulus), _int_product(m.values, v.values, args.modulus)
+        if not verify_product(ledger, field, mv, w, config, draw_challenges(config, args.modulus, args.rows, rng)):
             completeness_failures += 1
 
     false_accepts = {}
@@ -202,8 +206,8 @@ def _cmd_verify_bench(args) -> int:
             m = random_matrix(args.rows, args.rows, field, rng)
             v = random_vector(args.rows, field, rng)
             truth = matvec_values(m.values, v.values, args.modulus)
-            w = invoke(wrong_solver, ledger, field, m.values, v.values, truth, rng)
-            if verify_product(ledger, field, truth, w, config, rng):
+            w = invoke(wrong_solver, ledger, field, m.values, v.values, truth, rng.random(), rng)
+            if verify_product(ledger, field, truth, w, config, draw_challenges(config, args.modulus, args.rows, rng)):
                 accepted += 1
         false_accepts[mode] = accepted / args.trials
 

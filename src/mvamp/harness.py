@@ -167,7 +167,7 @@ class ExperimentConfig:
         k = build_reduction_config(self).resolved_k()
         n_padded = -(-self.n // k) * k
         if n_padded * n_padded > MAX_INSTANCE_ENTRIES:
-            key = "n" if self.n * self.n > MAX_INSTANCE_ENTRIES else "k" if self.k is not None else "k_mode"
+            key = "n" if self.n * self.n > MAX_INSTANCE_ENTRIES else "k" if self.k is not None else "c0"
             raise ConfigError(
                 f"config key '{key}' = {getattr(self, key)} gives k = {k} and a padded "
                 f"{n_padded}x{n_padded} stage-1 instance, {n_padded * n_padded} entries "

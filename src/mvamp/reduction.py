@@ -29,7 +29,9 @@ and the stages above it pass it through. run_waves owns the retries: it
 takes the budget from the run's config, serves one attempt of every pending
 request per wave, with one M v per instance for solver and verifier, counts
 each attempt on the run's stats, and resumes the stage once, with the
-accepted block or None when the budget is spent.
+accepted block or None when the budget is spent. An attempt's randomness
+reaches invoke and verify_product as values: its coin and its challenge
+rows (verify.draw_challenges), drawn for the whole wave at once.
 
 Vector "goodness" (the solver succeeding on an above-half-of-alpha share
 of matrices for that vector) is an analysis device: the pipeline never
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,39 +64,31 @@ from .oracle import (
     pad_vector,
 )
 from .solver import NoisySolver, invoke, vector_success_exhaustive
-from .verify import VerifierConfig, challenge_rounds, verify_product
+from .verify import VerifierConfig, draw_challenges, verify_product
 
 # Per-attempt failure bound for the final stage on worst-case inputs; the
 # boost round count is sized against it.
 STAGE4_FAILURE_BOUND = 0.04
 
-K_MODES = ("desk", "paper")
-
-# Constant in the asymptotic block-count rule k >= C * ln(4/alpha); the
-# desk variant swaps C for a small configurable c0.
-PAPER_K_CONSTANT = 3200.0
+K_MODES = ("desk",)
 
 
 def choose_block_count(alpha: float, n: Optional[int] = None, mode: str = "desk", c0: float = 8.0) -> int:
     """Pick the block count k for a target average success rate alpha.
 
-    "paper" mode returns the smallest k with 4*exp(-k/3200) <= alpha, the
-    constant-faithful rule (k in the thousands even for moderate alpha).
-    "desk" mode keeps the ln(4/alpha) shape at a bench-friendly constant:
-    k = ceil(c0 * ln(4/alpha)). Divisibility with n needs no adjustment
+    "desk", the one mode, keeps the paper's ln(4/alpha) shape at a
+    bench-friendly constant: k = ceil(c0 * ln(4/alpha)). (The paper's
+    constant of 3200 gives k = 6,655 at alpha 0.5, a stage-1 instance far
+    past MAX_INSTANCE_ENTRIES.) Divisibility with n needs no adjustment
     here because the pipeline pads n up to the next multiple of k.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if mode not in K_MODES:
         raise ValueError(f"unknown block count mode {mode!r}")
-    if mode == "paper":
-        k = math.ceil(PAPER_K_CONSTANT * math.log(4.0 / alpha))
-    else:
-        if not 0.0 < c0 < math.inf:
-            raise ValueError(f"c0 must be positive and finite, got {c0}")
-        k = math.ceil(c0 * math.log(4.0 / alpha))
-    return max(1, k)
+    if not 0.0 < c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
+    return max(1, math.ceil(c0 * math.log(4.0 / alpha)))
 
 
 def boost_rounds_for(k: int, delta: float) -> int:
@@ -335,7 +329,8 @@ def solve_block(run: ReductionRun, mat_handle: MatrixOracleHandle, v_vals: np.nd
         if w is None:
             continue
         stats.verify_calls += 1
-        if verify_product(run.ledger, run.field, matvec_values(block, v_vals, p), w, verifier, rng, operands):
+        challenges = draw_challenges(verifier, p, d, rng)
+        if verify_product(run.ledger, run.field, matvec_values(block, v_vals, p), w, verifier, challenges, operands):
             return w
     return None
 
@@ -373,24 +368,6 @@ def boost(attempt: Callable, rounds: int, stats: StageStats):
 WAVE_ENTRIES = 2**15
 
 
-class _Coin:
-    """invoke's Generator for one request: its wave's coin; wrong outputs use the block draws."""
-
-    __slots__ = ("value", "integers")
-
-    def random(self) -> float:
-        return self.value
-
-
-class _Challenges:
-    """verify_product's Generator for one request: the challenge rows its wave drew."""
-
-    __slots__ = ("rows",)
-
-    def integers(self, low, high, size, dtype):
-        return self.rows
-
-
 def _plant_wave(strips: np.ndarray, vectors: np.ndarray, slots: np.ndarray, co: np.ndarray, p: int):
     """Every request's planted instance and its M v. Request j's instance holds
     its (d, n) strip at block row slots[j] and its k-1 co-strips (the j-th run
@@ -414,20 +391,19 @@ def run_waves(tasks, solver, run: ReductionRun, wave_size: int = 1) -> Optional[
     are in flight, admitted in order as others end, and a pending request gets
     one attempt per wave, up to the run's budget ceil(c1/alpha). A wave takes
     every pending request in task order and draws for all of them from the
-    run's stream, one call each, the slots, co-strips, coins and challenge rows.
-    Each attempt gets its own invoke and verify_product call (wrong outputs use
-    the run's block draws, as the stages do) and counts one stage1_iters and
-    one verify_calls on run.stats. The task is sent a copy of its strip's block
-    of the first accepted output, read as d scratch queries, or None once the
-    budget is spent. Returns the results in order, or None once one is.
+    run's stream, one call each, the slots, co-strips, coins and challenge rows
+    (draw_challenges with count; none in exact mode). Each attempt makes one
+    invoke call, passed its coin and the run's block draws for a wrong output,
+    and one verify_product call, passed its challenge rows, and counts one
+    stage1_iters and one verify_calls on run.stats. The task is sent a copy of
+    its strip's block of the first accepted output, read as d scratch queries,
+    or None once the budget is spent. Returns the results in order, or None
+    once one is.
     """
     ledger, field, config, stream, stats = run.ledger, run.field, run.config, run.stream, run.stats
     p = field.modulus
     budget = config.stage1_budget()
-    rounds = challenge_rounds(p, config.verifier.epsilon) if config.verifier.mode == "probabilistic" else 0
     co_dtype = np.uint16 if p <= 1 << 16 else np.int64  # draws faster; _plant_wave widens it
-    coin, challenge = _Coin(), _Challenges()
-    coin.integers = run.draws.integers
     results: list = []
     live: dict = {}  # task index -> [task, strip, vector, attempts left] of its pending request, in task order
 
@@ -457,12 +433,13 @@ def run_waves(tasks, solver, run: ReductionRun, wave_size: int = 1) -> Optional[
         instances, truths = _plant_wave(strips, vectors, slots, co, p)
         del co
         coins = stream.random(s).tolist()
-        challenges = stream.integers(0, p, size=s * rounds * n, dtype=np.int64).reshape(s, rounds, n)
-        for i, request, slot, m_vals, v_vals, truth, coin.value, challenge.rows in zip(
-            list(live), requests, slots.tolist(), instances, vectors, truths, coins, challenges
+        challenges = draw_challenges(config.verifier, p, n, stream, count=s)
+        for i, request, slot, m_vals, v_vals, truth, coin, challenge in zip(
+            list(live), requests, slots.tolist(), instances, vectors, truths, coins,
+            repeat(None) if challenges is None else challenges,
         ):
             task, _, _, left = request
-            w = invoke(solver, ledger, field, m_vals, v_vals, truth, coin)
+            w = invoke(solver, ledger, field, m_vals, v_vals, truth, coin, run.draws)
             accepted = verify_product(ledger, field, truth, w, config.verifier, challenge, (m_vals, v_vals))
             stats.stage1_iters += 1
             stats.verify_calls += 1
@@ -473,7 +450,7 @@ def run_waves(tasks, solver, run: ReductionRun, wave_size: int = 1) -> Optional[
                 continue
             if not step(i, task, w[slot * d : (slot + 1) * d].copy() if accepted else None):
                 return None
-        del instances, truths, challenges, m_vals, v_vals, truth, w, challenge.rows  # free them before the next wave
+        del instances, truths, challenges, m_vals, v_vals, truth, w, challenge  # free them before the next wave
 
 
 @dataclass

@@ -200,16 +200,19 @@ def invoke(
     m_vals: np.ndarray,
     v_vals: np.ndarray,
     truth: np.ndarray,
+    coin: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One solver call on a square instance given as canonical residues.
 
     truth is the instance's product M v, which the caller computes once and
-    also hands to the verifier; invoke computes no product itself. Charges
-    1 to ALG, Q to U_M, and n to U_v; the solver's own reads of the
-    instance are not itemized. Returns the output as an int64 residue
-    array: truth itself on success and a wrong vector (never equal to it)
-    on failure.
+    also hands to the verifier; invoke computes no product itself. The call
+    succeeds iff coin, its uniform draw from [0, 1), is below the profile's
+    success probability for the instance; rng serves only a failed call's
+    wrong output. Charges 1 to ALG, Q to U_M, and n to U_v; the solver's
+    own reads of the instance are not itemized. Returns the output as an
+    int64 residue array: truth itself on success and a wrong vector (never
+    equal to it) on failure.
     """
     n = m_vals.shape[0]
     if m_vals.shape != (n, n):
@@ -223,7 +226,7 @@ def invoke(
     ledger.charge(SOURCE_MATRIX, q)
     ledger.charge(SOURCE_VECTOR, n)
 
-    if rng.random() < solver.profile.success_probability(m_vals, v_vals, field.modulus):
+    if coin < solver.profile.success_probability(m_vals, v_vals, field.modulus):
         return truth
     wrong = _wrong_output(truth, solver.failure_mode, field.modulus, rng)
     assert np.count_nonzero(wrong != truth)

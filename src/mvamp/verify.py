@@ -4,12 +4,12 @@ A claimed product w is checked against the instance's own product M.v,
 which the caller computes once from the instance it holds (never from the
 solver's output) and also hands the solver as its ground truth. The check
 is either exact (w == M.v, a test-only mode) or probabilistic: t
-independent uniform challenges r test r.(M.v - w) == 0, where t is the
-smallest count driving the per-round false-accept probability 1/p below
-epsilon. That is Freivalds' identity r.w == (r.M).v taken as one residual:
-M.v - w is formed once, and each challenge is a dot product with it. A
-correct w is never rejected; a wrong one survives with probability at most
-epsilon.
+independent uniform challenges r, drawn by draw_challenges and passed in,
+test r.(M.v - w) == 0, where t is the smallest count driving the
+per-round false-accept probability 1/p below epsilon. That is Freivalds'
+identity r.w == (r.M).v taken as one residual: M.v - w is formed once,
+and each challenge is a dot product with it. A correct w is never
+rejected; a wrong one survives with probability at most epsilon.
 
 Cost accounting has two modes, both applied inside verify_product. "paper"
 charges the closed-form budget ceil(r^{3/2} * ceil(log2(1/eps))) to the
@@ -86,6 +86,18 @@ def challenge_rounds(modulus: int, epsilon: float) -> int:
     return t
 
 
+def draw_challenges(config: VerifierConfig, modulus: int, rows: int, rng, count: Optional[int] = None):
+    """verify_product's challenges: (rounds, rows) uniform residues from rng in one
+    call, rounds = challenge_rounds(modulus, epsilon), or (count, rounds, rows) for
+    count calls, equal to count successive single draws. Exact mode checks
+    without challenges: it returns None and draws nothing."""
+    if config.mode == "exact":
+        return None
+    rounds = challenge_rounds(modulus, config.epsilon)
+    shape = (rounds, rows) if count is None else (count, rounds, rows)
+    return rng.integers(0, modulus, size=shape, dtype=np.int64)
+
+
 def _read(operand, ledger: QueryLedger):
     """Actual accounting's read of one operand: a handle charges its own
     sources; an array the pipeline drew charges one scratch query per entry."""
@@ -101,20 +113,21 @@ def verify_product(
     mv: np.ndarray,
     product: np.ndarray,
     config: VerifierConfig,
-    rng: np.random.Generator,
+    challenges: Optional[np.ndarray],
     operands: Sequence = (),
 ) -> bool:
     """Accept or reject a claimed product against the instance's product mv.
 
     Both are 1-D int64 residue arrays; mv is M.v, computed by the caller
     from the instance itself. Never rejects a correct product. In
-    probabilistic mode it draws (rounds, rows) uniform challenges R and
-    accepts iff R.((mv - w) mod p) == 0 mod p, which holds exactly when
-    R.w == (R.M).v does; a wrong product is accepted with probability at
-    most epsilon. In exact mode it accepts iff mv == w, drawing nothing.
-    Under paper accounting it charges charged_queries(rows, epsilon) to the
-    verifier; under actual it reads each of the instance's operands once,
-    and refuses a call that passes none, which would charge nothing.
+    probabilistic mode challenges are the call's (rounds, rows) uniform rows
+    R from draw_challenges, and it accepts iff R.((mv - w) mod p) == 0 mod p,
+    which holds exactly when R.w == (R.M).v does; a wrong product is
+    accepted with probability at most epsilon. In exact mode challenges is
+    None and it accepts iff mv == w. Under paper accounting it charges
+    charged_queries(rows, epsilon) to the verifier; under actual it reads
+    each of the instance's operands once, and refuses a call that passes
+    none, which would charge nothing.
     """
     if mv.ndim != 1 or product.shape != mv.shape:
         raise ValueError(f"product shape {product.shape} does not match instance product shape {mv.shape}")
@@ -127,13 +140,10 @@ def verify_product(
         for operand in operands:
             _read(operand, ledger)
 
-    p = field.modulus
     if config.mode == "exact":
         return bool(np.array_equal(mv, product))
-    rounds = challenge_rounds(p, config.epsilon)
-    challenges = rng.integers(0, p, size=(rounds, rows), dtype=np.int64)
-    residual = (mv - product) % p
-    return not np.count_nonzero(matvec_values(challenges, residual, p))
+    p = field.modulus
+    return not np.count_nonzero(matvec_values(challenges, (mv - product) % p, p))
 
 
 def verified_call(
@@ -150,14 +160,17 @@ def verified_call(
     verifier alike, and hands invoke the input's arrays. Charges one ALG
     query (inside invoke) plus the verification, whose operands are U_M/U_v
     handles on the input: under actual accounting they are the one read of
-    the input. Returns the solver output when it verifies, else None.
+    the input. Draws from rng, in order: the solver's coin, a failed call's
+    wrong output and the challenges. Returns the solver output when it
+    verifies, else None.
     """
     field = matrix.field
     if vector.field != field:
         raise ValueError("field mismatch between matrix and vector")
     truth = matvec_values(matrix.values, vector.values, field.modulus)
-    w = invoke(solver, ledger, field, matrix.values, vector.values, truth, rng)
+    w = invoke(solver, ledger, field, matrix.values, vector.values, truth, rng.random(), rng)
+    challenges = draw_challenges(config, field.modulus, truth.shape[0], rng)
     operands = (wrap_matrix(matrix, ledger), wrap_vector(vector, ledger))
-    if verify_product(ledger, field, truth, w, config, rng, operands):
+    if verify_product(ledger, field, truth, w, config, challenges, operands):
         return FpVector._trusted(field, w)
     return None

@@ -41,7 +41,7 @@ from mvamp.solver import (
     exact_average_success,
     invoke,
 )
-from mvamp.verify import VerifierConfig, charged_queries, verify_product
+from mvamp.verify import VerifierConfig, charged_queries, draw_challenges, verify_product
 from mvamp.harness import (
     experiment_config_from_values,
     run_campaign,
@@ -190,7 +190,7 @@ def test_criterion_3_verifier_contract():
         m = random_matrix(4, 4, f5, rng)
         v = random_vector(4, f5, rng)
         mv = matvec_values(m.values, v.values, 5)
-        if not verify_product(led, f5, mv, int_product(m.values, v.values, 5), cfg, rng):
+        if not verify_product(led, f5, mv, int_product(m.values, v.values, 5), cfg, draw_challenges(cfg, 5, 4, rng)):
             completeness_failures += 1
     assert completeness_failures == 0
     # soundness: false-accept rate <= eps + 3 sigma, both failure modes
@@ -206,8 +206,8 @@ def test_criterion_3_verifier_contract():
                 m = random_matrix(4, 4, f5, rng)
                 v = random_vector(4, f5, rng)
                 truth = matvec_values(m.values, v.values, 5)
-                w = invoke(solver, led, f5, m.values, v.values, truth, rng)
-                accepts += verify_product(led, f5, truth, w, vcfg, rng)
+                w = invoke(solver, led, f5, m.values, v.values, truth, rng.random(), rng)
+                accepts += verify_product(led, f5, truth, w, vcfg, draw_challenges(vcfg, 5, 4, rng))
             rates[(eps, mode)] = accepts / trials
             assert rates[(eps, mode)] <= bound, (eps, mode, rates[(eps, mode)], bound)
     # charged cost: exactly ceil(r^(3/2) * ceil(log2(1/eps))) per call
@@ -224,7 +224,7 @@ def test_criterion_3_verifier_contract():
             paper = VerifierConfig(epsilon=eps, accounting="paper")
             operands = (wrap_matrix(mm, probe), wrap_vector(vv, probe))
             mv = matvec_values(mm.values, vv.values, 5)
-            verify_product(probe, f5, mv, matvec(mm, vv).values, paper, rng, operands)
+            verify_product(probe, f5, mv, matvec(mm, vv).values, paper, draw_challenges(paper, 5, rows, rng), operands)
             assert probe.snapshot() == {SOURCE_VERIFIER: expect}
     worst = max(rates.values())
     report(

@@ -88,7 +88,7 @@ failure_mode = perturb
 input_mode = planted-bad
 pipeline = baseline
 k = 3
-k_mode = paper
+k_mode = desk
 delta = 0.05
 c0 = 4.5
 c1 = 16
@@ -119,7 +119,7 @@ ALL_KEYS_CONFIG = ExperimentConfig(
     input_mode="planted-bad",
     pipeline="baseline",
     k=3,
-    k_mode="paper",
+    k_mode="desk",
     delta=0.05,
     c0=4.5,
     c1=16.0,
@@ -140,7 +140,8 @@ def test_config_text_round_trips_every_key():
     parsed = experiment_config_from_values(values)
     assert parsed == ALL_KEYS_CONFIG
     for f in fields(ExperimentConfig):
-        if f.default is not MISSING:
+        # k_mode has one allowed value, so it can only hold its default
+        if f.default is not MISSING and f.name != "k_mode":
             assert getattr(ALL_KEYS_CONFIG, f.name) != f.default, f.name
         # 3 == 3.0, so compare the coerced types too
         assert type(getattr(parsed, f.name)) is type(getattr(ALL_KEYS_CONFIG, f.name)), f.name
@@ -199,6 +200,7 @@ def test_config_validation_errors():
         {"accounting": "other"},
         {"failure_mode": "other"},
         {"k_mode": "other"},
+        {"k_mode": "paper"},
         {"workers": 0},
         {"n": 0},
         {"k": 0},
@@ -226,16 +228,16 @@ def test_config_validation_errors():
 
 
 def test_config_refuses_an_astronomical_stage1_instance():
-    # paper-mode k at alpha = 0.5 is 6,655: a 354 MB array on every stage-1 attempt
-    with pytest.raises(ConfigError, match="'k_mode' = paper gives k = 6655"):
-        ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, k_mode="paper")
+    # c0 = 1000 at alpha = 0.5 derives k = ceil(1000 ln 8) = 2,080: a 35 MB array on every stage-1 attempt
+    with pytest.raises(ConfigError, match="'c0' = 1000.0 gives k = 2080"):
+        ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, c0=1000.0)
     with pytest.raises(ConfigError, match="'k' = 2049"):
         ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, k=2049)
     with pytest.raises(ConfigError, match="'n' = 2049"):
         ExperimentConfig(modulus=5, n=2049, trials=1, alpha=0.5, k=2)
     # the largest allowed instance, and the baseline, which plants nothing
     assert ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, k=2048).k == 2048
-    assert ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, k_mode="paper", pipeline="baseline")
+    assert ExperimentConfig(modulus=5, n=8, trials=1, alpha=0.5, c0=1000.0, pipeline="baseline")
 
 
 def test_planted_bad_mode_requires_planted_profile():
@@ -608,6 +610,32 @@ def test_cli_sampler_check_refuses_parameters_outside_the_rule_in_both_modes(c, 
             "--assert", "--out", str(out)]
     assert main(argv + ["--exact"] * exact) == 2
     assert "parameters must satisfy 0 < c < delta < 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction", ["-3", "1.5"])
+def test_cli_sampler_check_min_pass_fraction_is_range_checked(fraction, tmp_path, capsys):
+    # a pass fraction lies in [0, 1]: -3 passed every --assert and 1.5 failed every one
+    out = tmp_path / "sc"
+    argv = ["sampler-check", "--copies", "2", "--c", "0.1", "--delta", "0.2", "--eps", "0.01", "--sets", "1",
+            "--exact", "--min-pass-fraction", fraction, "--assert", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--min-pass-fraction must lie in [0, 1]" in captured.err
+    assert "ASSERT" not in captured.out and "sampler-check:" not in captured.out
+    assert not out.exists()
+
+
+def test_cli_sweep_refuses_an_empty_slope_band(tmp_path, capsys):
+    # --slope-min above --slope-max fails every --assert; it is refused before any campaign runs
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "sw"
+    argv = ["sweep", str(cfg), "--alphas", "1.0,0.5", "--trials-per-alpha", "2", "--assert", "--out", str(out),
+            "--slope-min", "-1.5", "--slope-max", "-2.5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "empty slope band" in captured.err
+    assert "sweep:" not in captured.out
     assert not out.exists()
 
 

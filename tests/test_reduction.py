@@ -88,20 +88,14 @@ def test_choose_block_count_desk_matches_formula():
     assert choose_block_count(0.25) == 23
 
 
-def test_choose_block_count_paper_matches_formula():
-    for alpha in (1.0, 0.5, 0.1):
-        expect = math.ceil(3200.0 * math.log(4.0 / alpha))
-        assert choose_block_count(alpha, mode="paper") == expect, alpha
-    assert choose_block_count(0.5, mode="paper") == 6655
-
-
 def test_choose_block_count_validation():
     with pytest.raises(ValueError):
         choose_block_count(0.0)
     with pytest.raises(ValueError):
         choose_block_count(1.2)
-    with pytest.raises(ValueError):
-        choose_block_count(0.5, mode="guess")
+    for mode in ("guess", "paper"):  # desk is the one rule
+        with pytest.raises(ValueError, match="mode"):
+            choose_block_count(0.5, mode=mode)
     # a non-positive or non-finite c0 is refused by name, also with n passed by position
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="c0"):
@@ -142,8 +136,9 @@ def test_config_validation():
         ReductionConfig(alpha=0.5, c1=0.0)
     with pytest.raises(ValueError):
         ReductionConfig(alpha=0.5, boost_rounds=0)
-    with pytest.raises(ValueError):
-        ReductionConfig(alpha=0.5, k_mode="nope")
+    for mode in ("nope", "paper"):
+        with pytest.raises(ValueError):
+            ReductionConfig(alpha=0.5, k_mode=mode)
     # non-finite constants are refused up front, not when a budget or k is computed
     for key in ("c0", "c1", "c2"):
         for bad in (math.inf, math.nan):

@@ -39,7 +39,7 @@ def make_arrays(n=3, seed=0, field=F5):
 def call(solver, led, m, v, rng):
     """invoke on an FpMatrix/FpVector pair, with its product as the ground truth."""
     truth = matvec_values(m.values, v.values, m.field.modulus)
-    return invoke(solver, led, m.field, m.values, v.values, truth, rng)
+    return invoke(solver, led, m.field, m.values, v.values, truth, rng.random(), rng)
 
 
 def test_uniform_profile_constant():
@@ -185,13 +185,10 @@ def test_invoke_perturb_mode_differs_in_one_coordinate():
 
 
 class RedrawStub:
-    """invoke's Generator: a coin no profile beats, then the integers draws given."""
+    """invoke's wrong-output Generator: the integers draws given."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
-
-    def random(self):
-        return 1.0
 
     def integers(self, low, high, size, dtype):
         assert (low, size, dtype) == (0, len(self.draws[0]), np.int64)
@@ -205,7 +202,8 @@ def test_invoke_redraws_a_uniform_wrong_output_equal_to_the_truth(p, truth, othe
     n, field = len(truth), PrimeField(p)
     m_vals, v_vals = np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64)
     rng = RedrawStub(truth, other)
-    out = invoke(NoisySolver(UniformProfile(0.0)), QueryLedger(), field, m_vals, v_vals, np.array(truth), rng)
+    # a coin of 1.0 is beaten by no profile, so the call fails
+    out = invoke(NoisySolver(UniformProfile(0.0)), QueryLedger(), field, m_vals, v_vals, np.array(truth), 1.0, rng)
     assert out.tolist() == other and rng.draws == []
 
 
@@ -213,22 +211,23 @@ def test_invoke_rejects_bad_shapes():
     led = QueryLedger()
     solver = NoisySolver(UniformProfile(1.0))
     rng = np.random.default_rng(0)
+    coin = rng.random()
     rect = np.array([[1, 2, 3], [4, 0, 1]], dtype=np.int64)
     vec3 = np.array([1, 2, 3], dtype=np.int64)
     vec2 = np.array([1, 1], dtype=np.int64)
     with pytest.raises(ValueError):
-        invoke(solver, led, F5, rect, vec3, vec2, rng)
+        invoke(solver, led, F5, rect, vec3, vec2, coin, rng)
     sq = np.array([[1, 2], [3, 4]], dtype=np.int64)
     with pytest.raises(ValueError):
-        invoke(solver, led, F5, sq, vec3, vec2, rng)
+        invoke(solver, led, F5, sq, vec3, vec2, coin, rng)
     column = np.array([[1], [2]], dtype=np.int64)
     with pytest.raises(ValueError):
-        invoke(solver, led, F5, sq, column, vec2, rng)
+        invoke(solver, led, F5, sq, column, vec2, coin, rng)
     # the ground truth must be the n-entry product of the instance
     with pytest.raises(ValueError):
-        invoke(solver, led, F5, sq, vec2, vec3, rng)
+        invoke(solver, led, F5, sq, vec2, vec3, coin, rng)
     with pytest.raises(ValueError):
-        invoke(solver, led, F5, sq, vec2, column, rng)
+        invoke(solver, led, F5, sq, vec2, column, coin, rng)
     # a rejected call charges nothing
     assert led.snapshot() == {}
 

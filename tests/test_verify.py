@@ -35,11 +35,13 @@ from mvamp.oracle import (
     wrap_matrix,
     wrap_vector,
 )
+from mvamp.reduction import _BlockDraws
 from mvamp.solver import FAILURE_MODES, NoisySolver, UniformProfile
 from mvamp.verify import (
     VerifierConfig,
     challenge_rounds,
     charged_queries,
+    draw_challenges,
     verified_call,
     verify_product,
 )
@@ -50,6 +52,11 @@ F5 = PrimeField(5)
 def mv_of(m, v):
     """The verifier's M v for an FpMatrix/FpVector pair, as its callers compute it."""
     return matvec_values(m.values, v.values, m.field.modulus)
+
+
+def check(led, f, mv, w, cfg, rng, operands=()):
+    """verify_product on challenges drawn from rng, as its callers draw them."""
+    return verify_product(led, f, mv, w, cfg, draw_challenges(cfg, f.modulus, mv.shape[0], rng), operands)
 
 
 def int_product(m, v):
@@ -101,6 +108,42 @@ def test_charged_queries_frozen_examples():
     assert charged_queries(8, 1e-4) == 317
 
 
+@pytest.mark.parametrize("p, epsilon, rows", [(2, 1e-4, 3), (5, 0.1, 8), (65521, 1e-4, 4), (2**31 - 1, 1e-4, 6)])
+def test_draw_challenges_for_count_calls_equals_count_single_draws(p, epsilon, rows):
+    # a wave draws every request's challenges in one call; each request must
+    # see the rows it would have drawn alone, in request order
+    cfg = VerifierConfig(epsilon=epsilon)
+    rounds = challenge_rounds(p, epsilon)
+    batch, single = np.random.default_rng(5), np.random.default_rng(5)
+    for count in (1, 7):
+        drawn = draw_challenges(cfg, p, rows, batch, count=count)
+        assert drawn.shape == (count, rounds, rows) and drawn.dtype == np.int64
+        for request in drawn:
+            alone = draw_challenges(cfg, p, rows, single)
+            assert alone.shape == (rounds, rows)
+            assert np.array_equal(request, alone)
+        assert batch.bit_generator.state == single.bit_generator.state
+    assert 0 <= drawn.min() and drawn.max() < p
+
+
+def test_draw_challenges_in_exact_mode_draws_nothing():
+    # exact mode checks without challenges; a draw of zero rows would still
+    # pull a fresh block off the stream through _BlockDraws
+    exact, probabilistic = VerifierConfig(mode="exact"), VerifierConfig()
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    draws = _BlockDraws(np.random.default_rng(6))
+    for count in (None, 5):
+        assert draw_challenges(exact, 5, 4, rng, count=count) is None
+        assert draw_challenges(exact, 5, 4, draws, count=count) is None
+    assert rng.bit_generator.state == state
+    assert draws._blocks == {} and draws._rng.bit_generator.state == state
+    # the same calls in probabilistic mode do draw, from both
+    assert draw_challenges(probabilistic, 5, 4, rng).shape == (6, 4)
+    assert draw_challenges(probabilistic, 5, 4, draws).shape == (6, 4)
+    assert rng.bit_generator.state != state and draws._rng.bit_generator.state != state
+
+
 def test_completeness_exhaustive_tiny():
     # a correct product is never rejected, whatever the challenges
     f = PrimeField(2)
@@ -109,7 +152,7 @@ def test_completeness_exhaustive_tiny():
     led = QueryLedger()
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
-            assert verify_product(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
+            assert check(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
 
 
 def test_exact_mode_is_deterministic():
@@ -120,10 +163,10 @@ def test_exact_mode_is_deterministic():
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
             truth = matvec(m, v)
-            assert verify_product(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
+            assert check(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
             for w in enumerate_vectors(f, 2):
                 if w != truth:
-                    assert not verify_product(led, f, mv_of(m, v), w.values, cfg, rng)
+                    assert not check(led, f, mv_of(m, v), w.values, cfg, rng)
 
 
 def test_false_accept_rate_matches_closed_form():
@@ -138,7 +181,7 @@ def test_false_accept_rate_matches_closed_form():
     wrong = np.array([(truth.values[0] + 1) % 5, truth.values[1]], dtype=np.int64)
     led = QueryLedger()
     trials = 10000
-    accepts = sum(verify_product(led, F5, mv_of(m, v), wrong, cfg, rng) for _ in range(trials))
+    accepts = sum(check(led, F5, mv_of(m, v), wrong, cfg, rng) for _ in range(trials))
     # 4 sigma of binomial(10000, 0.2) is 0.016
     assert abs(accepts / trials - 0.2) < 0.016
 
@@ -154,7 +197,7 @@ def test_false_accept_rate_two_rounds():
     wrong = np.array([truth.values[0], (truth.values[1] + 2) % 5], dtype=np.int64)
     led = QueryLedger()
     trials = 10000
-    accepts = sum(verify_product(led, F5, mv_of(m, v), wrong, cfg, rng) for _ in range(trials))
+    accepts = sum(check(led, F5, mv_of(m, v), wrong, cfg, rng) for _ in range(trials))
     # 4 sigma of binomial(10000, 0.04) is 0.008
     assert abs(accepts / trials - 0.04) < 0.008
 
@@ -167,7 +210,7 @@ def test_paper_accounting_charges_formula_only():
     for as_handles in (True, False):
         led = QueryLedger()
         operands = (wrap_matrix(m, led), wrap_vector(v, led)) if as_handles else (m.values, v.values)
-        assert verify_product(led, F5, mv_of(m, v), matvec(m, v).values, cfg, rng, operands)
+        assert check(led, F5, mv_of(m, v), matvec(m, v).values, cfg, rng, operands)
         assert led.snapshot() == {SOURCE_VERIFIER: charged_queries(4, 1e-4)}
 
 
@@ -177,10 +220,10 @@ def test_actual_accounting_counts_physical_reads():
     led = QueryLedger()
     cfg = VerifierConfig(epsilon=1e-4, accounting="actual")
     operands = (wrap_matrix(m, led), wrap_vector(v, led))
-    assert verify_product(led, F5, mv_of(m, v), matvec(m, v).values, cfg, rng, operands)
+    assert check(led, F5, mv_of(m, v), matvec(m, v).values, cfg, rng, operands)
     assert led.snapshot() == {SOURCE_MATRIX: 16, SOURCE_VECTOR: 4}
     # arrays the pipeline drew itself are read from scratch
-    assert verify_product(led, F5, mv_of(m, v), matvec(m, v).values, cfg, rng, (m.values, v.values))
+    assert check(led, F5, mv_of(m, v), matvec(m, v).values, cfg, rng, (m.values, v.values))
     assert led.snapshot() == {SOURCE_MATRIX: 16, SOURCE_VECTOR: 4, SOURCE_SCRATCH: 20}
 
 
@@ -190,10 +233,10 @@ def test_actual_accounting_refuses_a_call_without_operands():
     mv = mv_of(m, v)
     led = QueryLedger()
     with pytest.raises(ValueError, match="operands"):
-        verify_product(led, F5, mv, mv, VerifierConfig(accounting="actual"), rng)
+        check(led, F5, mv, mv, VerifierConfig(accounting="actual"), rng)
     assert led.snapshot() == {}
     # paper accounting reads nothing, so it needs no operands
-    assert verify_product(led, F5, mv, mv, VerifierConfig(accounting="paper"), rng)
+    assert check(led, F5, mv, mv, VerifierConfig(accounting="paper"), rng)
     assert led.snapshot() == {SOURCE_VERIFIER: charged_queries(4, 1e-4)}
 
 
@@ -205,12 +248,12 @@ def test_verify_product_validates_inputs():
     mv = matvec_values(m, v, 5)
     cfg = VerifierConfig()
     with pytest.raises(ValueError):
-        verify_product(led, F5, mv, np.array([1, 2, 3], dtype=np.int64), cfg, rng)
+        check(led, F5, mv, np.array([1, 2, 3], dtype=np.int64), cfg, rng)
     with pytest.raises(ValueError):
-        verify_product(led, F5, mv, np.array([[1], [2]], dtype=np.int64), cfg, rng)
+        check(led, F5, mv, np.array([[1], [2]], dtype=np.int64), cfg, rng)
     # the instance's product is a vector too, not a stack of them
     with pytest.raises(ValueError):
-        verify_product(led, F5, mv.reshape(2, 1), np.array([[1], [2]], dtype=np.int64), cfg, rng)
+        check(led, F5, mv.reshape(2, 1), np.array([[1], [2]], dtype=np.int64), cfg, rng)
     with pytest.raises(ValueError):
         verified_call(NoisySolver(UniformProfile(1.0)), FpMatrix(F5, m), FpVector(PrimeField(7), v), led, cfg, rng)
     # a rejected call charges nothing
@@ -227,9 +270,9 @@ def test_large_modulus_verification_falls_back_exactly():
     led = QueryLedger()
     cfg = VerifierConfig(epsilon=0.5)
     truth = matvec(m, v)
-    assert verify_product(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
+    assert check(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
     wrong = np.array([(truth.values[0] + 1) % p, truth.values[1]], dtype=np.int64)
-    rejections = sum(not verify_product(led, f, mv_of(m, v), wrong, cfg, rng) for _ in range(30))
+    rejections = sum(not check(led, f, mv_of(m, v), wrong, cfg, rng) for _ in range(30))
     # per-round false accept is 1/p ~ 5e-10, all 30 must reject
     assert rejections == 30
 
@@ -379,7 +422,7 @@ def test_residual_check_matches_three_product_check(p, shape, epsilon):
     for m_vals, v_vals in instances:
         truth = matvec_values(m_vals, v_vals, p)
         for w in _claimed_products(truth, p, data):
-            got = verify_product(led, f, truth, w, cfg, ours)
+            got = verify_product(led, f, truth, w, cfg, draw_challenges(cfg, p, rows, ours))
             want = verify_three_products(f, m_vals, v_vals, w, cfg, ref)
             assert got is want
             assert ours.bit_generator.state == ref.bit_generator.state
