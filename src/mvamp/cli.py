@@ -193,7 +193,8 @@ def _cmd_verify_bench(args) -> int:
     for _ in range(args.trials):
         m = random_matrix(args.rows, args.cols, field, rng)
         v = random_vector(args.cols, field, rng)
-        mv, w = matvec_values(m.values, v.values, args.modulus), _int_product(m.values, v.values, args.modulus)
+        w = _int_product(m.values, v.values, args.modulus)
+        mv = matvec_values(m.values, v.values, args.modulus)
         if not verify_product(ledger, field, mv, w, config, draw_challenges(config, args.modulus, args.rows, rng)):
             completeness_failures += 1
 
