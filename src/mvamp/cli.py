@@ -38,6 +38,7 @@ from .sampler import (
     BaseDomain,
     DenseSet,
     QueryGraph,
+    check_density,
     check_sampler,
     check_sampler_parameters,
     lemma_condition,
@@ -57,7 +58,7 @@ def _parse_alphas(text: str) -> list[float]:
 
 
 def _count(text: str) -> int:
-    """argparse type of a count the subcommand divides by: an int of at least 1."""
+    """argparse type of a count: an int of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -123,6 +124,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_sampler_check(args) -> int:
     check_sampler_parameters(args.c, args.delta)
+    check_density(args.eps)
     if not 0.0 <= args.min_pass_fraction <= 1.0:
         raise ValueError(f"--min-pass-fraction must lie in [0, 1], got {args.min_pass_fraction}")
     field = PrimeField(args.modulus)
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[campaign], help="run campaigns across alphas and fit a slope")
     p_sweep.add_argument("--alphas", required=True, help="comma-separated alpha values")
-    p_sweep.add_argument("--trials-per-alpha", type=int, default=None)
+    p_sweep.add_argument("--trials-per-alpha", type=_count, default=None)
     p_sweep.add_argument("--slope-min", type=float, default=-2.5)
     p_sweep.add_argument("--slope-max", type=float, default=-1.5)
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -265,22 +267,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_samp = sub.add_parser("sampler-check", parents=[common],
                             help="sampler diagnostics for dense tuple sets")
     p_samp.add_argument("--modulus", type=int, default=2)
-    p_samp.add_argument("--dim", type=int, default=1)
-    p_samp.add_argument("--copies", type=int, required=True, help="tuple length k")
+    p_samp.add_argument("--dim", type=_count, default=1)
+    p_samp.add_argument("--copies", type=_count, required=True, help="tuple length k")
     p_samp.add_argument("--c", type=float, required=True)
     p_samp.add_argument("--delta", type=float, required=True)
     p_samp.add_argument("--eps", type=float, required=True, help="dense set density")
     p_samp.add_argument("--sets", type=_count, default=20)
-    p_samp.add_argument("--x-samples", type=int, default=200)
-    p_samp.add_argument("--y-samples", type=int, default=2000)
+    p_samp.add_argument("--x-samples", type=_count, default=200)
+    p_samp.add_argument("--y-samples", type=_count, default=2000)
     p_samp.add_argument("--exact", action="store_true", help="enumerate instead of sampling")
     p_samp.add_argument("--seed", type=int, default=0)
     p_samp.add_argument("--min-pass-fraction", type=float, default=0.95)
     p_samp.set_defaults(func=_cmd_sampler_check)
 
     p_ver = sub.add_parser("verify-bench", parents=[common], help="verifier completeness/soundness/cost bench")
-    p_ver.add_argument("--rows", type=int, required=True)
-    p_ver.add_argument("--cols", type=int, required=True)
+    p_ver.add_argument("--rows", type=_count, required=True)
+    p_ver.add_argument("--cols", type=_count, required=True)
     p_ver.add_argument("--modulus", type=int, default=5)
     p_ver.add_argument("--eps", type=float, default=1e-4)
     p_ver.add_argument("--trials", type=_count, default=10000)

@@ -86,6 +86,12 @@ class QueryGraph:
         return low + x * lo_mod + high * (lo_mod * s)
 
 
+def check_density(density: float) -> None:
+    """A dense set's density rule: 0 < density <= 1."""
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must lie in (0, 1], got {density}")
+
+
 class DenseSet:
     """A subset of the tuple domain with positive density.
 
@@ -95,16 +101,14 @@ class DenseSet:
     """
 
     def __init__(self, indicator: Callable[[np.ndarray], np.ndarray], density: float):
-        if not 0.0 < density <= 1.0:
-            raise ValueError(f"density must lie in (0, 1], got {density}")
+        check_density(density)
         self.indicator = indicator
         self.density = float(density)
 
     @classmethod
     def pseudorandom(cls, density: float, seed: int) -> "DenseSet":
         """Membership by keyed hash threshold: a stable pseudorandom set."""
-        if not 0.0 < density <= 1.0:
-            raise ValueError(f"density must lie in (0, 1], got {density}")
+        check_density(density)
         if density >= 1.0:
             return cls(lambda idx: np.ones(len(idx), dtype=bool), 1.0)
         threshold = np.uint64(int(density * 2.0**64))

@@ -9,7 +9,10 @@ test r.(M.v - w) == 0, where t is the smallest count driving the
 per-round false-accept probability 1/p below epsilon. That is Freivalds'
 identity r.w == (r.M).v taken as one residual: M.v - w is formed once,
 and each challenge is a dot product with it. A correct w is never
-rejected; a wrong one survives with probability at most epsilon.
+rejected; a wrong one survives with probability at most epsilon. A w
+that is the caller's M.v array itself (a successful invoke returns its
+truth argument) has a zero residual, so it is accepted without forming
+one; the charges are made and the caller's challenges drawn all the same.
 
 Cost accounting has two modes, both applied inside verify_product. "paper"
 charges the closed-form budget ceil(r^{3/2} * ceil(log2(1/eps))) to the
@@ -124,10 +127,13 @@ def verify_product(
     R from draw_challenges, and it accepts iff R.((mv - w) mod p) == 0 mod p,
     which holds exactly when R.w == (R.M).v does; a wrong product is
     accepted with probability at most epsilon. In exact mode challenges is
-    None and it accepts iff mv == w. Under paper accounting it charges
-    charged_queries(rows, epsilon) to the verifier; under actual it reads
-    each of the instance's operands once, and refuses a call that passes
-    none, which would charge nothing.
+    None and it accepts iff mv == w. A product that is the mv array itself
+    (the same object, not an equal copy) is accepted in either mode without
+    forming the residual, after the accounting below, so the decision and
+    the charges are those of the full check. Under paper accounting it
+    charges charged_queries(rows, epsilon) to the verifier; under actual it
+    reads each of the instance's operands once, and refuses a call that
+    passes none, which would charge nothing.
     """
     if mv.ndim != 1 or product.shape != mv.shape:
         raise ValueError(f"product shape {product.shape} does not match instance product shape {mv.shape}")
@@ -140,6 +146,8 @@ def verify_product(
         for operand in operands:
             _read(operand, ledger)
 
+    if product is mv:  # invoke's success output: the residual is zero
+        return True
     if config.mode == "exact":
         return bool(np.array_equal(mv, product))
     p = field.modulus

@@ -649,6 +649,46 @@ def test_cli_verify_bench_refuses_fewer_than_one_trial(trials, tmp_path, capsys)
     assert not out.exists()
 
 
+_SAMPLER_ARGS = ["sampler-check", "--copies", "2", "--c", "0.1", "--delta", "0.2", "--eps", "0.5", "--sets", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify-bench", "--rows", "-2", "--cols", "4"], "--rows"),
+    (["verify-bench", "--rows", "4", "--cols", "0"], "--cols"),
+    (_SAMPLER_ARGS[:2] + ["0"] + _SAMPLER_ARGS[3:], "--copies"),
+    (_SAMPLER_ARGS + ["--dim", "0"], "--dim"),
+    (_SAMPLER_ARGS + ["--x-samples", "-5"], "--x-samples"),
+    (_SAMPLER_ARGS + ["--y-samples", "0"], "--y-samples"),
+    (["sweep", "CFG", "--alphas", "1.0,0.5,0.25", "--trials-per-alpha", "0"], "--trials-per-alpha"),
+])
+def test_cli_counts_below_one_are_refused_at_parse_time(argv, flag, tmp_path, capsys):
+    # verify-bench --rows -2 printed a -2x4 header before failing, and sweep
+    # --trials-per-alpha 0 printed trials_per_alpha=2 from the config, then
+    # blamed its trials key; each is a usage error now, before any output
+    out = tmp_path / "out"
+    argv = [str(write_cfg(tmp_path)) if a == "CFG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{flag}: must be at least 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("eps", ["0", "-0.5", "1.5"])
+def test_cli_sampler_check_refuses_a_density_outside_the_rule(eps, exact, tmp_path, capsys):
+    # the dense sets' rule 0 < eps <= 1 is checked before the header prints
+    out = tmp_path / "sc"
+    argv = _SAMPLER_ARGS[:7] + ["--eps", eps, "--sets", "1", "--out", str(out)]
+    assert main(argv + ["--exact"] * exact) == 2
+    captured = capsys.readouterr()
+    assert "density must lie in (0, 1]" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_verify_bench(tmp_path):
     out = tmp_path / "vb"
     code = main(

@@ -5,7 +5,8 @@ getattr and every READ_METHODS attribute in its class __dict__, so a
 deletion in src that it still names breaks `perfbench/run.py --trace 1`.
 It counts reads on the base handle classes only, so a handle class that
 overrode a read method would read uncounted. The benchmark also checks
-every trial's ledger against the identities of `workloads.ledger_problems`.
+every trial's ledger against the identities of `workloads.ledger_problems`,
+and a traced campaign's call counts against the untraced one's.
 These tests make each of those a test failure instead.
 """
 
@@ -30,8 +31,9 @@ from mvamp.reduction import choose_block_count, worst_case_matvec
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, PERFBENCH)
 try:
+    import campaign
     import tracing
-    from workloads import ledger_problems
+    from workloads import WORKLOADS, ledger_problems
 finally:
     sys.path.remove(PERFBENCH)
 
@@ -121,3 +123,15 @@ def test_reference_script_block_count_is_the_k_its_trial_runs(alpha, k):
     # as the k column of its table; nothing else runs that script
     cfg = ExperimentConfig(modulus=5, n=8, trials=1, alpha=alpha, profile="uniform", seed=0)
     assert choose_block_count(alpha, cfg.n, cfg.k_mode, cfg.c0) == build_reduction_config(cfg).resolved_k() == k
+
+
+def test_traced_campaign_passes_the_benchmark_checks():
+    # `perfbench/run.py --trace 1` in miniature: the fewest pairs of untraced
+    # and traced campaigns per_layer runs, on the smaller workload; a change
+    # in src that makes the trace miss or add a layer call, or a trial's
+    # result or ledger go wrong, is reported in bench.problems
+    bench = campaign.Bench(WORKLOADS["large-modulus"], 11, str(Path(PERFBENCH).parent / "src"))
+    metrics = campaign.per_layer(bench, seconds=0)
+    assert not bench.problems, bench.problems
+    assert bench.attempted == 4 * len(bench.inputs)
+    assert metrics["verify.calls"][0] > 0

@@ -14,6 +14,7 @@ from mvamp.linalg import (
 )
 from mvamp.oracle import SOURCE_ALG, SOURCE_MATRIX, SOURCE_VECTOR, QueryLedger
 from mvamp.solver import (
+    FAILURE_MODES,
     GoodBadProfile,
     NoisySolver,
     PlantedAdversarialProfile,
@@ -182,6 +183,40 @@ def test_invoke_perturb_mode_differs_in_one_coordinate():
         out = call(solver, led, m, v, rng)
         diffs = int(np.count_nonzero(out != truth.values))
         assert diffs == 1
+
+
+@pytest.mark.parametrize("profile", [
+    UniformProfile(0.5),
+    GoodBadProfile(lambda m, v, p: True, alpha_good=0.5, alpha_bad=0.0),
+    PlantedAdversarialProfile(average=0.5, bad_fraction=0.25, seed=0),
+])
+def test_invoke_returns_the_truth_object_itself_on_success(profile):
+    # verify_product accepts its mv argument without a residual when the
+    # product is that very array, so a successful call must hand it back
+    m, v = make_instance(n=3)
+    if isinstance(profile, PlantedAdversarialProfile):
+        assert not profile.is_bad(m.values, v.values, 5)
+    truth = matvec_values(m.values, v.values, 5)
+    # a coin of 0.0 is beaten by every positive success probability
+    out = invoke(NoisySolver(profile), QueryLedger(), F5, m.values, v.values, truth, 0.0, np.random.default_rng(0))
+    assert out is truth
+
+
+@pytest.mark.parametrize("failure_mode", FAILURE_MODES)
+def test_invoke_failure_is_a_new_array_never_equal_to_the_truth(failure_mode):
+    # the other half of that contract: a wrong output is never the truth
+    # object, nor a view of it, nor equal to it
+    m, v = make_instance(n=3)
+    truth = matvec_values(m.values, v.values, 5)
+    kept = truth.copy()
+    solver = NoisySolver(UniformProfile(1.0), failure_mode=failure_mode)
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        # a coin of 1.0 is beaten by no profile, so the call fails
+        out = invoke(solver, QueryLedger(), F5, m.values, v.values, truth, 1.0, rng)
+        assert out is not truth and not np.shares_memory(out, truth)
+        assert not np.array_equal(out, truth)
+    assert np.array_equal(truth, kept)
 
 
 class RedrawStub:

@@ -232,12 +232,56 @@ def test_actual_accounting_refuses_a_call_without_operands():
     m, v = random_matrix(4, 4, F5, rng), random_vector(4, F5, rng)
     mv = mv_of(m, v)
     led = QueryLedger()
+    # (mv, mv) is the identity accept's case: the refusal comes before it
     with pytest.raises(ValueError, match="operands"):
         check(led, F5, mv, mv, VerifierConfig(accounting="actual"), rng)
     assert led.snapshot() == {}
     # paper accounting reads nothing, so it needs no operands
     assert check(led, F5, mv, mv, VerifierConfig(accounting="paper"), rng)
     assert led.snapshot() == {SOURCE_VERIFIER: charged_queries(4, 1e-4)}
+
+
+@pytest.mark.parametrize("accounting", ["paper", "actual"])
+@pytest.mark.parametrize("mode", ["probabilistic", "exact"])
+def test_identity_accept_matches_the_full_check_on_a_copy(mode, accounting):
+    # a successful invoke returns mv itself; verify_product accepts that
+    # without a residual, and must decide and charge as the full check does
+    # on an equal copy, with the same challenges
+    rng = np.random.default_rng(12)
+    m, v = random_matrix(5, 5, F5, rng), random_vector(5, F5, rng)
+    mv = mv_of(m, v)
+    cfg = VerifierConfig(mode=mode, accounting=accounting)
+    challenges = draw_challenges(cfg, 5, 5, rng)
+    decisions, snapshots = [], []
+    for w in (mv, mv.copy()):
+        led = QueryLedger()
+        operands = (wrap_matrix(m, led), wrap_vector(v, led))
+        decisions.append(verify_product(led, F5, mv, w, cfg, challenges, operands))
+        snapshots.append(led.snapshot())
+    assert decisions == [True, True]
+    assert snapshots[0] == snapshots[1] and snapshots[0]
+
+
+@pytest.mark.parametrize("accounting", ["paper", "actual"])
+def test_identity_accept_keys_on_the_object_not_on_equal_values(monkeypatch, accounting):
+    # only the mv array itself skips the challenge product; an equal copy,
+    # such as a stage-3 sum or an independent product, still forms it
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(a.shape)
+        return matvec_values(a, b, p)
+
+    monkeypatch.setattr("mvamp.verify.matvec_values", counted)
+    rng = np.random.default_rng(13)
+    m, v = random_matrix(4, 4, F5, rng), random_vector(4, F5, rng)
+    mv = mv_of(m, v)
+    cfg = VerifierConfig(accounting=accounting)
+    operands = (m.values, v.values)
+    assert check(QueryLedger(), F5, mv, mv, cfg, rng, operands)
+    assert calls == []
+    assert check(QueryLedger(), F5, mv, mv.copy(), cfg, rng, operands)
+    assert calls == [(challenge_rounds(5, cfg.epsilon), 4)]
 
 
 def test_verify_product_validates_inputs():
