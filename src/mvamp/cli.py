@@ -39,6 +39,7 @@ from .sampler import (
     DenseSet,
     QueryGraph,
     check_density,
+    check_exhaustive,
     check_sampler,
     check_sampler_parameters,
     lemma_condition,
@@ -129,6 +130,9 @@ def _cmd_sampler_check(args) -> int:
         raise ValueError(f"--min-pass-fraction must lie in [0, 1], got {args.min_pass_fraction}")
     field = PrimeField(args.modulus)
     graph = QueryGraph(BaseDomain(field, args.dim), args.copies)
+    if args.exact:
+        check_exhaustive(graph)
+    rng = trial_rng(args.seed, 0)
     print(
         f"sampler-check: |X|={graph.x_size} copies={args.copies} tuples={graph.y_size} "
         f"c={args.c} delta={args.delta} eps={args.eps} sets={args.sets} "
@@ -139,7 +143,6 @@ def _cmd_sampler_check(args) -> int:
     print(f"lemma condition: {'satisfied' if lemma_ok else 'NOT satisfied'}; "
           f"theorem condition: {'satisfied' if theorem_ok else 'NOT satisfied'}")
 
-    rng = trial_rng(args.seed, 0)
     results = []
     passes = 0
     for s in range(args.sets):

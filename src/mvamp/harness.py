@@ -92,6 +92,7 @@ RANGES = {
     "bad_fraction": ("lie in [0, 1)", lambda x: 0 <= x < 1),
     "queries_per_call": ("be nonnegative", lambda x: x >= 0),
     "profile_seed": ("fit in 64 signed bits", lambda x: -(2**63) <= x < 2**63),
+    "seed": ("lie in [0, 2^64)", lambda x: 0 <= x < 2**64),
 }
 
 
@@ -288,8 +289,11 @@ def build_reduction_config(config: ExperimentConfig) -> ReductionConfig:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based per-trial stream: same (seed, trial) -> same draws."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), trial & (2**64 - 1)]))
+    """Counter-based per-trial stream: same (seed, trial) -> same draws. The key is an exact
+    uint64 pair (a list would pass 2^63 and up as float64); other seeds are refused, not wrapped."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .field import PrimeField
-from .linalg import FpVector, matvec_values, random_matrix, random_vector
+from .linalg import FpVector, matvec_values
 from .oracle import (
     SOURCE_ALG,
     SOURCE_MATRIX,
@@ -244,13 +244,14 @@ class ReductionRun:
         self.stats = StageStats()
 
 
-def _sum_of_halves(run: ReductionRun, x_vals: np.ndarray, r1: np.ndarray, solve_half: Callable):
+def _sum_of_halves(run: ReductionRun, x_vals: np.ndarray, solve_half: Callable):
     """Solve x through its uniform additive split x = r1 + r2 (Blum, Luby, Rubinfeld).
 
-    Runs solve_half's generators in turn; returns None as soon as a half fails,
-    otherwise the sum of the two length-d partial products, read as scratch: 2*d queries.
+    Draws r1 from run.draws, runs solve_half's generators in turn; returns None as soon as a
+    half fails, otherwise the sum of the two length-d partial products, read as scratch: 2*d queries.
     """
     p = run.field.modulus
+    r1 = run.draws.integers(0, p, size=x_vals.shape, dtype=np.int64).copy()  # a view would pin its draw block
     r2 = (x_vals - r1) % p
     assert not np.count_nonzero((r1 + r2) % p != x_vals), "additive split must recompose"
     w1 = yield from solve_half(r1)
@@ -286,11 +287,10 @@ def solve_strip_any_matrix(run: ReductionRun, m_vals: np.ndarray, v_vals: np.nda
     """solve_strip for an arbitrary strip, via a uniform additive split.
 
     The strip comes as an array the caller has already read (solve_block
-    charges its block read). Draws R1 uniform and solves both halves of
+    charges its block read). Solves both halves of a uniform split
     M = R1 + R2 strip-wise (_sum_of_halves).
     """
-    r1 = random_matrix(*m_vals.shape, run.field, run.draws).values.copy()  # a view would pin its draw block
-    return (yield from _sum_of_halves(run, m_vals, r1, lambda half: solve_strip(run, half, v_vals)))
+    return (yield from _sum_of_halves(run, m_vals, lambda half: solve_strip(run, half, v_vals)))
 
 
 def solve_block(run: ReductionRun, mat_handle: MatrixOracleHandle, v_vals: np.ndarray):
@@ -338,17 +338,16 @@ def solve_block(run: ReductionRun, mat_handle: MatrixOracleHandle, v_vals: np.nd
 def solve_block_any_input(run: ReductionRun, mat_handle: MatrixOracleHandle, vec_handle: VectorOracleHandle):
     """solve_block for an arbitrary vector, via a uniform additive split.
 
-    Draws r1 uniform, reads the vector once (d charged oracle queries) and
-    solves the block against both halves of v = r1 + r2 (_sum_of_halves).
+    Reads the vector once (d charged oracle queries) and solves the block
+    against both halves of a uniform split v = r1 + r2 (_sum_of_halves).
     """
     if mat_handle.rows != mat_handle.cols:
         raise ValueError(f"expected a square block, got {mat_handle.rows}x{mat_handle.cols}")
     d = mat_handle.rows
     if vec_handle.length != d:
         raise ValueError(f"vector length {vec_handle.length} does not match block size {d}")
-    r1 = random_vector(d, run.field, run.draws).values.copy()  # a view would pin its draw block
     v_vals = vec_handle.read_all()
-    return (yield from _sum_of_halves(run, v_vals, r1, lambda half: solve_block(run, mat_handle, half)))
+    return (yield from _sum_of_halves(run, v_vals, lambda half: solve_block(run, mat_handle, half)))
 
 
 def boost(attempt: Callable, rounds: int, stats: StageStats):

@@ -133,6 +133,14 @@ class DenseSet:
         return cls(indicator, density)
 
 
+def check_exhaustive(graph: QueryGraph) -> None:
+    """The exact checks' bound: at most MAX_EXHAUSTIVE_TUPLES tuples, and co-tuples times copies."""
+    if graph.y_size > MAX_EXHAUSTIVE_TUPLES:
+        raise ValueError(f"tuple domain of size {graph.y_size} too large for enumeration")
+    if graph.x_size ** (graph.k - 1) * graph.k > MAX_EXHAUSTIVE_TUPLES:
+        raise ValueError("co-tuple domain too large for enumeration")
+
+
 def density_exact(graph: QueryGraph, dense: DenseSet) -> float:
     """Exact measure of the set under the uniform tuple distribution."""
     if graph.y_size > MAX_EXHAUSTIVE_TUPLES:
@@ -164,12 +172,10 @@ def violation_fraction_exact(graph: QueryGraph, dense: DenseSet, c: float) -> tu
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie in (0, 1), got {c}")
+    check_exhaustive(graph)
     density = density_exact(graph, dense)
     threshold = (1.0 - c) * density
-    violations = 0
-    for x in range(graph.x_size):
-        if conditional_hit_rate_exact(graph, dense, x) < threshold:
-            violations += 1
+    violations = sum(conditional_hit_rate_exact(graph, dense, x) < threshold for x in range(graph.x_size))
     return violations / graph.x_size, density
 
 
@@ -227,7 +233,7 @@ def check_sampler(
     for _ in range(x_samples):
         x = int(rng.integers(graph.x_size))
         slots = rng.integers(0, graph.k, size=y_samples_per_x)
-        co = _sample_co_indices(graph, y_samples_per_x, rng)
+        co = rng.integers(0, graph.x_size ** (graph.k - 1), size=y_samples_per_x, dtype=np.int64)
         hits = 0
         # group draws by slot so each group embeds with one radix split
         for slot in range(graph.k):
@@ -249,11 +255,6 @@ def check_sampler(
         delta=delta,
         c=c,
     )
-
-
-def _sample_co_indices(graph: QueryGraph, count: int, rng: np.random.Generator) -> np.ndarray:
-    co_size = graph.x_size ** (graph.k - 1)
-    return rng.integers(0, co_size, size=count, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

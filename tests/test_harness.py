@@ -258,6 +258,34 @@ def test_trial_rng_is_deterministic_per_trial():
     assert not np.array_equal(a, c)
 
 
+def test_trial_rng_keys_seeds_past_2_63_exactly():
+    # a list key holding an int of 2^63 or more reached Philox as float64:
+    # seeds 2^63 and 2^63 + 1 gave one stream, and -1 or 2^64 - 1 gave seed 0's
+    a = trial_rng(2**63, 0).integers(0, 1 << 30, size=8)
+    b = trial_rng(2**63 + 1, 0).integers(0, 1 << 30, size=8)
+    c = trial_rng(2**64 - 1, 0).integers(0, 1 << 30, size=8)
+    zero = trial_rng(0, 0).integers(0, 1 << 30, size=8)
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(c, zero)
+    for seed in (-1, 2**64, 2**64 + 7):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            trial_rng(seed, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+def test_config_refuses_a_seed_outside_64_unsigned_bits(seed):
+    # 2^64 + 7 reran seed 7's campaign row for row
+    with pytest.raises(ConfigError, match="config key 'seed' must lie in"):
+        experiment_config_from_values({**BASE_VALUES, "seed": seed})
+    assert experiment_config_from_values({**BASE_VALUES, "seed": 2**64 - 1}).seed == 2**64 - 1
+
+
+def test_scaling_sweep_refuses_a_sub_seed_past_64_bits():
+    # the second alpha's campaign runs at seed + 1000003, past 2^64 - 1
+    with pytest.raises(ConfigError, match="config key 'seed'"):
+        scaling_sweep(tiny_config(trials=1, seed=2**64 - 1), [1.0, 0.5, 0.25])
+
+
 def test_trial_input_exhaustive_tiny_enumerates_all_pairs():
     cfg = experiment_config_from_values(
         {"modulus": 2, "n": 1, "trials": 4, "alpha": 1.0, "input_mode": "exhaustive-tiny"},
@@ -636,6 +664,48 @@ def test_cli_sweep_refuses_an_empty_slope_band(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "empty slope band" in captured.err
     assert "sweep:" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("argv", [
+    ["verify-bench", "--rows", "2", "--cols", "2", "--trials", "2"],
+    ["sampler-check", "--copies", "2", "--c", "0.1", "--delta", "0.2", "--eps", "0.5", "--sets", "1"],
+    ["sampler-check", "--copies", "2", "--c", "0.1", "--delta", "0.2", "--eps", "0.5", "--sets", "1", "--exact"],
+])
+def test_cli_seed_outside_64_unsigned_bits_is_refused_before_output(argv, seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", seed, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "seed must lie in [0, 2^64)" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_run_seed_outside_64_unsigned_bits_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["run", str(cfg), "--seed", str(2**64 + 7), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "config error: config key 'seed'" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_sampler_check_exact_past_the_enumeration_bound_is_refused_before_output(tmp_path, capsys, monkeypatch):
+    # 2^30 tuples: the header and lemma lines printed before density_exact refused
+    out = tmp_path / "sc"
+    argv = ["sampler-check", "--copies", "30", "--c", "0.5", "--delta", "0.9", "--eps", "0.5", "--exact",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "tuple domain of size 1073741824 too large for enumeration" in captured.err
+    assert captured.out == ""
+    # only the co-tuple bound fails: 8 tuples fit a bound of 8, 4 co-tuples times 3 copies do not
+    monkeypatch.setattr("mvamp.sampler.MAX_EXHAUSTIVE_TUPLES", 8)
+    argv[2] = "3"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "co-tuple domain too large for enumeration" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

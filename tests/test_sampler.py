@@ -14,6 +14,7 @@ from mvamp.sampler import (
     BaseDomain,
     DenseSet,
     QueryGraph,
+    check_exhaustive,
     check_sampler,
     conditional_hit_rate_exact,
     density_exact,
@@ -144,6 +145,23 @@ def test_violation_fraction_full_set_is_zero():
     frac, dens = violation_fraction_exact(g, d, 0.5)
     assert dens == 1.0
     assert frac == 0.0
+
+
+@pytest.mark.parametrize("k, message", [(4, "tuple domain of size 16"), (3, "co-tuple domain")])
+def test_violation_fraction_exact_refuses_past_either_bound_before_enumerating(k, message, monkeypatch):
+    # at a bound of 8: 16 tuples fail the tuple bound; 8 tuples pass it, but 4
+    # co-tuples times 3 copies fail the co-tuple bound, which conditional_hit_rate_exact
+    # only checked after density_exact had enumerated every tuple
+    monkeypatch.setattr("mvamp.sampler.MAX_EXHAUSTIVE_TUPLES", 8)
+    g = graph(2, 1, k)
+    calls = []
+    d = DenseSet(lambda idx: calls.append(len(idx)) or np.ones(len(idx), dtype=bool), 1.0)
+    with pytest.raises(ValueError, match=message):
+        check_exhaustive(g)
+    with pytest.raises(ValueError, match=message):
+        violation_fraction_exact(g, d, 0.5)
+    assert calls == []
+    check_exhaustive(graph(2, 1, 2))  # 4 tuples, 2 co-tuples times 2 copies
 
 
 def test_violation_fraction_hand_computed_case():
