@@ -35,7 +35,6 @@ from .harness import (
 )
 from .linalg import matvec_values, random_matrix, random_vector
 from .sampler import (
-    BaseDomain,
     DenseSet,
     QueryGraph,
     check_density,
@@ -128,11 +127,12 @@ def _cmd_sampler_check(args) -> int:
     check_density(args.eps)
     if not 0.0 <= args.min_pass_fraction <= 1.0:
         raise ValueError(f"--min-pass-fraction must lie in [0, 1], got {args.min_pass_fraction}")
-    field = PrimeField(args.modulus)
-    graph = QueryGraph(BaseDomain(field, args.dim), args.copies)
+    graph = QueryGraph(PrimeField(args.modulus), args.dim, args.copies)
     if args.exact:
         check_exhaustive(graph)
     rng = trial_rng(args.seed, 0)
+    if args.seed + args.sets > 2**64:
+        raise ValueError(f"set seeds must lie in [0, 2^64), got --seed + --sets - 1 = {args.seed + args.sets - 1}")
     print(
         f"sampler-check: |X|={graph.x_size} copies={args.copies} tuples={graph.y_size} "
         f"c={args.c} delta={args.delta} eps={args.eps} sets={args.sets} "
@@ -150,10 +150,7 @@ def _cmd_sampler_check(args) -> int:
         if args.exact:
             violation, density = violation_fraction_exact(graph, dense, args.c)
         else:
-            check = check_sampler(
-                graph, dense, args.c, args.delta, args.x_samples, args.y_samples, rng
-            )
-            violation, density = check.violation_fraction, check.density
+            violation, density = check_sampler(graph, dense, args.c, args.delta, args.x_samples, args.y_samples, rng)
         ok = violation <= args.delta
         passes += ok
         results.append({"set": s, "violation_fraction": violation, "density": density, "ok": ok})

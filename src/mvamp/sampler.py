@@ -16,7 +16,6 @@ vectorizable over raw index arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,37 +40,20 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-@dataclass(frozen=True)
-class BaseDomain:
-    """The base instance space F_p^dim, addressed by integer index."""
-
-    field: PrimeField
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
-
-    @property
-    def size(self) -> int:
-        return self.field.modulus**self.dim
-
-
 class QueryGraph:
-    """The k-fold direct-product embedding graph over a base domain."""
+    """The k-fold direct-product embedding graph over the base domain F_p^dim,
+    whose x_size = p^dim instances are addressed by integer index."""
 
-    def __init__(self, base: BaseDomain, k: int):
+    def __init__(self, field: PrimeField, dim: int, k: int):
+        if dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
         if k < 1:
             raise ValueError(f"copy count must be positive, got {k}")
-        self.base = base
         self.k = k
-        self.y_size = base.size**k
+        self.x_size = field.modulus**dim
+        self.y_size = self.x_size**k
         if self.y_size > MAX_TUPLE_DOMAIN:
             raise ValueError(f"tuple domain of size {self.y_size} exceeds {MAX_TUPLE_DOMAIN}")
-
-    @property
-    def x_size(self) -> int:
-        return self.base.size
 
     def embed_indices(self, x: int, slot: int, co_indices: np.ndarray) -> np.ndarray:
         """Tuple indices that place x at `slot` with the given co-tuples.
@@ -79,7 +61,7 @@ class QueryGraph:
         co_indices enumerates the k-1 remaining slots packed in the same
         mixed radix (slots below `slot` in the low digits).
         """
-        s = self.base.size
+        s = self.x_size
         lo_mod = s**slot
         low = co_indices % lo_mod
         high = co_indices // lo_mod
@@ -109,26 +91,16 @@ class DenseSet:
     def pseudorandom(cls, density: float, seed: int) -> "DenseSet":
         """Membership by keyed hash threshold: a stable pseudorandom set."""
         check_density(density)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
         if density >= 1.0:
             return cls(lambda idx: np.ones(len(idx), dtype=bool), 1.0)
         threshold = np.uint64(int(density * 2.0**64))
-        seed_u = np.uint64(seed & (2**64 - 1))
+        seed_u = np.uint64(seed)
 
         def indicator(idx: np.ndarray) -> np.ndarray:
             h = _splitmix64(idx.astype(np.uint64) * _GOLDEN + seed_u)
             return h < threshold
-
-        return cls(indicator, density)
-
-    @classmethod
-    def from_indices(cls, graph: QueryGraph, indices) -> "DenseSet":
-        members = np.unique(np.asarray(list(indices), dtype=np.int64))
-        if members.size == 0:
-            raise ValueError("dense set cannot be empty")
-        density = members.size / graph.y_size
-
-        def indicator(idx: np.ndarray) -> np.ndarray:
-            return np.isin(idx, members)
 
         return cls(indicator, density)
 
@@ -179,22 +151,6 @@ def violation_fraction_exact(graph: QueryGraph, dense: DenseSet, c: float) -> tu
     return violations / graph.x_size, density
 
 
-@dataclass(frozen=True)
-class SamplerCheck:
-    violation_fraction: float
-    density: float
-    threshold: float
-    x_count: int
-    violations: int
-    delta: float
-    c: float
-
-    @property
-    def holds(self) -> bool:
-        """Whether the measured graph met the (delta, c)-sampler bound."""
-        return self.violation_fraction <= self.delta
-
-
 def check_sampler_parameters(c: float, delta: float) -> None:
     """The sampler checks' parameter rule: 0 < c < delta < 1."""
     if not 0.0 < c < delta < 1.0:
@@ -209,13 +165,14 @@ def check_sampler(
     x_samples: int,
     y_samples_per_x: int,
     rng: np.random.Generator,
-) -> SamplerCheck:
+) -> tuple[float, float]:
     """Monte Carlo sampler diagnostic for a dense tuple set.
 
     Estimates the global density (exactly when the tuple domain is small),
     then for x_samples uniform base instances estimates the conditional
     hit rate from y_samples_per_x random embeddings each. An instance
     violates when its conditional rate falls below (1 - c) * density.
+    Returns (violation fraction, density), as violation_fraction_exact does.
     """
     check_sampler_parameters(c, delta)
     if x_samples < 1 or y_samples_per_x < 1:
@@ -242,19 +199,9 @@ def check_sampler(
                 continue
             y = graph.embed_indices(x, slot, co[mask])
             hits += int(np.count_nonzero(dense.indicator(y)))
-        rate = hits / y_samples_per_x
-        if rate < threshold:
-            violations += 1
+        violations += hits / y_samples_per_x < threshold
 
-    return SamplerCheck(
-        violation_fraction=violations / x_samples,
-        density=density,
-        threshold=threshold,
-        x_count=x_samples,
-        violations=violations,
-        delta=delta,
-        c=c,
-    )
+    return violations / x_samples, density
 
 
 # ---------------------------------------------------------------------------

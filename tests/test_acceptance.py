@@ -26,7 +26,6 @@ from mvamp.oracle import (
 )
 from mvamp.reduction import good_fraction_exhaustive
 from mvamp.sampler import (
-    BaseDomain,
     DenseSet,
     QueryGraph,
     check_sampler,
@@ -243,8 +242,7 @@ def test_criterion_4_sampler_violations():
     for size_exp, k in ((1, 8), (1, 16), (2, 8), (2, 16)):
         c, delta, eps = params[k]
         assert lemma_condition(k, c, delta, eps)
-        base = BaseDomain(PrimeField(2), size_exp)  # |X| = 2 or 4
-        graph = QueryGraph(base, k)
+        graph = QueryGraph(PrimeField(2), size_exp, k)  # |X| = 2 or 4
         exact = graph.y_size <= 2**26
         rng = np.random.default_rng(4000 + 10 * size_exp + k)
         passed = 0
@@ -254,13 +252,13 @@ def test_criterion_4_sampler_violations():
                 frac, _ = violation_fraction_exact(graph, dense, c)
                 passed += frac <= delta
             else:
-                chk = check_sampler(
+                frac, _ = check_sampler(
                     graph, dense, c=c, delta=delta, x_samples=32, y_samples_per_x=2000, rng=rng
                 )
-                allowance = 3.0 * math.sqrt(delta * (1 - delta) / chk.x_count)
-                passed += chk.violation_fraction <= delta + allowance
-        results.append((base.size, k, passed, exact))
-        assert passed >= 19, (base.size, k, passed)
+                allowance = 3.0 * math.sqrt(delta * (1 - delta) / 32)
+                passed += frac <= delta + allowance
+        results.append((graph.x_size, k, passed, exact))
+        assert passed >= 19, (graph.x_size, k, passed)
     detail = ", ".join(
         f"|X|={s} k={k}: {p}/20{'' if e else ' (MC)'}" for s, k, p, e in results
     )

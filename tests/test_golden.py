@@ -5,7 +5,8 @@ what the CSV does not record: each trial's result, its full ledger
 snapshot (the `scratch` source included) and its stage counters
 (`verify_calls` included). The criterion-8 campaign and its baseline twin
 (`pipeline = baseline`, one unamplified call per trial) also pin their
-`summary.json`, and the twin its `trials.csv`. A refactor of the pipeline
+`summary.json`, and the twin its `trials.csv`. Three `sampler-check` runs
+pin their `sampler_check.json`. A refactor of the pipeline
 or the harness must leave every file byte-identical. A per-request
 executor, which builds each stage-1 instance and its product on its own
 from its slice of the wave's draws, must reproduce every file too.
@@ -17,6 +18,7 @@ recorded) with:
 """
 
 import json
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from mvamp import reduction
+from mvamp.cli import main
 from mvamp.field import PrimeField
 from mvamp.harness import (
     _trial_input,
@@ -120,6 +123,18 @@ SUMMARY_CASES = {
 }
 BASELINE = "criterion8_baseline"
 
+# sampler-check runs whose sampler_check.json is pinned
+SAMPLER_CASES = {
+    # the README example: every set passes
+    "readme": ["--modulus", "2", "--dim", "1", "--copies", "8", "--c", "0.95", "--delta", "0.99",
+               "--eps", "0.9", "--sets", "20", "--exact"],
+    # one set's violation fraction is above delta
+    "above_delta": ["--modulus", "3", "--copies", "3", "--c", "0.3", "--delta", "0.5", "--eps", "0.2",
+                    "--sets", "4", "--exact"],
+    # Monte Carlo conditional rates over an exact density
+    "monte_carlo": ["--dim", "3", "--copies", "3", "--c", "0.5", "--delta", "0.6", "--eps", "0.05", "--sets", "4"],
+}
+
 
 def trial_fingerprint(config, trial: int) -> dict:
     """One trial as harness.run_trial runs it, keeping what the CSV drops."""
@@ -175,6 +190,12 @@ def render_summary(name: str, tmp_dir: Path) -> bytes:
     return path.read_bytes()
 
 
+def render_sampler_check(name: str, tmp_dir: Path) -> bytes:
+    out = tmp_dir / f"sampler_check_{name}"
+    assert main(["sampler-check", *SAMPLER_CASES[name], "--out", str(out)]) == 0
+    return (out / "sampler_check.json").read_bytes()
+
+
 def render_ledgers() -> bytes:
     out = {}
     for name, values in CASES.items():
@@ -195,6 +216,11 @@ def test_baseline_trials_csv_matches_golden(tmp_path):
 @pytest.mark.parametrize("name", sorted(SUMMARY_CASES))
 def test_summary_json_matches_golden(name, tmp_path):
     assert render_summary(name, tmp_path) == (GOLDEN / f"{name}_summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
+def test_sampler_check_json_matches_golden(name, tmp_path):
+    assert render_sampler_check(name, tmp_path) == (GOLDEN / f"sampler_check_{name}.json").read_bytes()
 
 
 def test_ledgers_and_stage_counters_match_golden():
@@ -232,3 +258,6 @@ if __name__ == "__main__":
     (GOLDEN / f"{BASELINE}_trials.csv").write_bytes(render_csv(BASELINE, GOLDEN))
     for case in SUMMARY_CASES:
         (GOLDEN / f"{case}_summary.json").write_bytes(render_summary(case, GOLDEN))
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in SAMPLER_CASES:
+            (GOLDEN / f"sampler_check_{case}.json").write_bytes(render_sampler_check(case, Path(tmp)))

@@ -759,6 +759,21 @@ def test_cli_sampler_check_refuses_a_density_outside_the_rule(eps, exact, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_cli_sampler_check_refuses_set_seeds_past_64_bits(exact, tmp_path, capsys):
+    # set s is keyed by --seed + s: at --seed 2^64 - 1, set 1 was seed 0's set 0
+    out = tmp_path / "sc"
+    argv = _SAMPLER_ARGS[:-1] + ["2", "--seed", str(2**64 - 1), "--out", str(out)] + ["--exact"] * exact
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "set seeds must lie in [0, 2^64), got --seed + --sets - 1 = 18446744073709551616" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    argv[argv.index("--sets") + 1] = "1"
+    assert main(argv) == 0
+    assert "set 0: density=" in capsys.readouterr().out
+
+
 def test_cli_verify_bench(tmp_path):
     out = tmp_path / "vb"
     code = main(

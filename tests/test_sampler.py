@@ -11,7 +11,6 @@ import pytest
 
 from mvamp.field import PrimeField
 from mvamp.sampler import (
-    BaseDomain,
     DenseSet,
     QueryGraph,
     check_exhaustive,
@@ -28,7 +27,13 @@ F3 = PrimeField(3)
 
 
 def graph(p, dim, k):
-    return QueryGraph(BaseDomain(PrimeField(p), dim), k)
+    return QueryGraph(PrimeField(p), dim, k)
+
+
+def from_indices(graph, indices):
+    """The dense set of the given tuple indices; an empty one fails the density rule."""
+    members = np.unique(np.asarray(list(indices), dtype=np.int64))
+    return DenseSet(lambda idx: np.isin(idx, members), members.size / graph.y_size)
 
 
 def components_reference(index, s, k):
@@ -41,10 +46,11 @@ def components_reference(index, s, k):
 
 
 def test_base_domain_size_and_validation():
-    assert BaseDomain(F2, 3).size == 8
-    assert BaseDomain(F3, 2).size == 9
-    with pytest.raises(ValueError):
-        BaseDomain(F2, 0)
+    # the base domain F_p^dim has x_size = p^dim instances
+    assert QueryGraph(F2, 3, 1).x_size == 8
+    assert QueryGraph(F3, 2, 2).x_size == 9
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        QueryGraph(F2, 0, 1)
 
 
 def test_query_graph_sizes_and_bounds():
@@ -82,13 +88,13 @@ def test_dense_set_validation():
     with pytest.raises(ValueError):
         DenseSet(lambda idx: idx >= 0, 1.5)
     g = graph(2, 1, 2)
-    with pytest.raises(ValueError):
-        DenseSet.from_indices(g, [])
+    with pytest.raises(ValueError, match="density must lie in"):
+        from_indices(g, [])
 
 
 def test_dense_set_from_indices_membership():
     g = graph(2, 1, 3)
-    d = DenseSet.from_indices(g, [0, 3, 5])
+    d = from_indices(g, [0, 3, 5])
     for idx in range(8):
         assert d.indicator(np.array([idx]))[0] == (idx in {0, 3, 5})
     assert d.density == pytest.approx(3 / 8)
@@ -104,6 +110,13 @@ def test_pseudorandom_set_is_deterministic():
     assert not np.array_equal(a.indicator(idx), c.indicator(idx))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_pseudorandom_set_refuses_a_seed_outside_64_unsigned_bits(seed):
+    # the key was seed mod 2^64: -1 gave 2^64 - 1's set and 2^64 + 5 gave 5's
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        DenseSet.pseudorandom(0.3, seed)
+
+
 def test_pseudorandom_set_hits_target_density():
     d = DenseSet.pseudorandom(0.3, seed=9)
     idx = np.arange(2**16, dtype=np.uint64)
@@ -114,7 +127,7 @@ def test_pseudorandom_set_hits_target_density():
 
 def test_conditional_hit_rate_matches_reference():
     g = graph(2, 1, 3)
-    d = DenseSet.from_indices(g, [1, 2, 4, 7])
+    d = from_indices(g, [1, 2, 4, 7])
     s, k = 2, 3
     for x in range(2):
         hits, total = 0, 0
@@ -128,7 +141,7 @@ def test_conditional_hit_rate_matches_reference():
 
 def test_violation_fraction_matches_reference():
     g = graph(2, 1, 3)
-    d = DenseSet.from_indices(g, [1, 2, 4, 7])
+    d = from_indices(g, [1, 2, 4, 7])
     c = 0.5
     frac, dens = violation_fraction_exact(g, d, c)
     assert dens == pytest.approx(0.5)
@@ -141,7 +154,7 @@ def test_violation_fraction_matches_reference():
 
 def test_violation_fraction_full_set_is_zero():
     g = graph(3, 1, 2)
-    d = DenseSet.from_indices(g, list(range(9)))
+    d = from_indices(g, list(range(9)))
     frac, dens = violation_fraction_exact(g, d, 0.5)
     assert dens == 1.0
     assert frac == 0.0
@@ -168,7 +181,7 @@ def test_violation_fraction_hand_computed_case():
     # the singleton {(1,1)} over F_2, k=2: density 1/4. For x=1 both slots
     # can still reach the set (rate 1/2); for x=0 it is unreachable
     g = graph(2, 1, 2)
-    d = DenseSet.from_indices(g, [3])
+    d = from_indices(g, [3])
     frac, dens = violation_fraction_exact(g, d, 0.5)
     assert dens == pytest.approx(0.25)
     assert conditional_hit_rate_exact(g, d, 1) == pytest.approx(0.5)
@@ -178,30 +191,27 @@ def test_violation_fraction_hand_computed_case():
 
 def test_check_sampler_exact_tiny_graph():
     g = graph(2, 1, 3)
-    d = DenseSet.from_indices(g, [0, 3, 5, 6])
+    d = from_indices(g, [0, 3, 5, 6])
     rng = np.random.default_rng(3)
-    chk = check_sampler(g, d, c=0.5, delta=0.9, x_samples=64, y_samples_per_x=200, rng=rng)
-    assert chk.density == pytest.approx(0.5)  # tiny domain: density is exact
-    assert chk.threshold == pytest.approx(0.25)
-    assert 0.0 <= chk.violation_fraction <= 1.0
-    assert chk.x_count == 64
-    assert chk.holds == (chk.violation_fraction <= chk.delta)
+    violation, density = check_sampler(g, d, c=0.5, delta=0.9, x_samples=64, y_samples_per_x=200, rng=rng)
+    # tiny domain: the density is exact. The even-weight set: every x hits it
+    # at rate 1/2, above the threshold 1/4
+    assert (violation, density) == violation_fraction_exact(g, d, 0.5) == (0.0, 0.5)
 
 
 def test_check_sampler_flags_adversarial_set():
     # the singleton (1,1,1): any x = 0 has conditional rate 0, so about
     # half the x draws are violations and delta = 0.3 must fail
     g = graph(2, 1, 3)
-    d = DenseSet.from_indices(g, [7])
+    d = from_indices(g, [7])
     rng = np.random.default_rng(4)
-    chk = check_sampler(g, d, c=0.2, delta=0.3, x_samples=200, y_samples_per_x=100, rng=rng)
-    assert not chk.holds
-    assert chk.violations > 0
+    violation, _ = check_sampler(g, d, c=0.2, delta=0.3, x_samples=200, y_samples_per_x=100, rng=rng)
+    assert violation > 0.3
 
 
 def test_check_sampler_parameter_validation():
     g = graph(2, 1, 2)
-    d = DenseSet.from_indices(g, [0])
+    d = from_indices(g, [0])
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         check_sampler(g, d, c=0.9, delta=0.5, x_samples=5, y_samples_per_x=5, rng=rng)
