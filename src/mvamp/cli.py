@@ -35,13 +35,13 @@ from .harness import (
 )
 from .linalg import matvec_values, random_matrix, random_vector
 from .sampler import (
-    DenseSet,
     QueryGraph,
     check_density,
     check_exhaustive,
     check_sampler,
     check_sampler_parameters,
     lemma_condition,
+    pseudorandom_set,
     theorem_condition,
     violation_fraction_exact,
 )
@@ -146,11 +146,11 @@ def _cmd_sampler_check(args) -> int:
     results = []
     passes = 0
     for s in range(args.sets):
-        dense = DenseSet.pseudorandom(args.eps, args.seed + s)
+        indicator = pseudorandom_set(args.eps, args.seed + s)
         if args.exact:
-            violation, density = violation_fraction_exact(graph, dense, args.c)
+            violation, density = violation_fraction_exact(graph, indicator, args.c)
         else:
-            violation, density = check_sampler(graph, dense, args.c, args.delta, args.x_samples, args.y_samples, rng)
+            violation, density = check_sampler(graph, indicator, args.c, args.x_samples, args.y_samples, rng)
         ok = violation <= args.delta
         passes += ok
         results.append({"set": s, "violation_fraction": violation, "density": density, "ok": ok})

@@ -9,8 +9,8 @@ base instances whose conditional hit rate falls below (1 - c) times the
 global density; a (delta, c)-sampler keeps that fraction at most delta.
 
 Tuples over the base domain F_p^dim are encoded as integers in mixed radix
-|X| = p^dim (slot 0 least significant), which keeps membership predicates
-vectorizable over raw index arrays.
+|X| = p^dim (slot 0 least significant). A tuple set is its membership
+indicator, vectorized over int64 tuple-index arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ MAX_EXHAUSTIVE_TUPLES = 2**26
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+Indicator = Callable[[np.ndarray], np.ndarray]
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -55,11 +57,12 @@ class QueryGraph:
         if self.y_size > MAX_TUPLE_DOMAIN:
             raise ValueError(f"tuple domain of size {self.y_size} exceeds {MAX_TUPLE_DOMAIN}")
 
-    def embed_indices(self, x: int, slot: int, co_indices: np.ndarray) -> np.ndarray:
+    def embed_indices(self, x: int, slot: int | np.ndarray, co_indices: np.ndarray) -> np.ndarray:
         """Tuple indices that place x at `slot` with the given co-tuples.
 
         co_indices enumerates the k-1 remaining slots packed in the same
-        mixed radix (slots below `slot` in the low digits).
+        mixed radix (slots below `slot` in the low digits). `slot` is one
+        slot for every co-tuple or an array of slots, one per co-tuple.
         """
         s = self.x_size
         lo_mod = s**slot
@@ -74,35 +77,21 @@ def check_density(density: float) -> None:
         raise ValueError(f"density must lie in (0, 1], got {density}")
 
 
-class DenseSet:
-    """A subset of the tuple domain with positive density.
+def pseudorandom_set(density: float, seed: int) -> Indicator:
+    """The indicator of a stable pseudorandom tuple set: a keyed hash threshold."""
+    check_density(density)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    if density >= 1.0:
+        return lambda idx: np.ones(len(idx), dtype=bool)
+    threshold = np.uint64(int(density * 2.0**64))
+    seed_u = np.uint64(seed)
 
-    The membership indicator is vectorized over int64 tuple-index arrays.
-    `density` is the nominal measure used for reporting; measured density
-    comes from density_exact / the Monte Carlo estimate in check_sampler.
-    """
+    def indicator(idx: np.ndarray) -> np.ndarray:
+        h = _splitmix64(idx.astype(np.uint64) * _GOLDEN + seed_u)
+        return h < threshold
 
-    def __init__(self, indicator: Callable[[np.ndarray], np.ndarray], density: float):
-        check_density(density)
-        self.indicator = indicator
-        self.density = float(density)
-
-    @classmethod
-    def pseudorandom(cls, density: float, seed: int) -> "DenseSet":
-        """Membership by keyed hash threshold: a stable pseudorandom set."""
-        check_density(density)
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-        if density >= 1.0:
-            return cls(lambda idx: np.ones(len(idx), dtype=bool), 1.0)
-        threshold = np.uint64(int(density * 2.0**64))
-        seed_u = np.uint64(seed)
-
-        def indicator(idx: np.ndarray) -> np.ndarray:
-            h = _splitmix64(idx.astype(np.uint64) * _GOLDEN + seed_u)
-            return h < threshold
-
-        return cls(indicator, density)
+    return indicator
 
 
 def check_exhaustive(graph: QueryGraph) -> None:
@@ -113,15 +102,15 @@ def check_exhaustive(graph: QueryGraph) -> None:
         raise ValueError("co-tuple domain too large for enumeration")
 
 
-def density_exact(graph: QueryGraph, dense: DenseSet) -> float:
+def density_exact(graph: QueryGraph, indicator: Indicator) -> float:
     """Exact measure of the set under the uniform tuple distribution."""
     if graph.y_size > MAX_EXHAUSTIVE_TUPLES:
         raise ValueError(f"tuple domain of size {graph.y_size} too large for enumeration")
     idx = np.arange(graph.y_size, dtype=np.int64)
-    return float(np.mean(dense.indicator(idx)))
+    return float(np.mean(indicator(idx)))
 
 
-def conditional_hit_rate_exact(graph: QueryGraph, dense: DenseSet, x: int) -> float:
+def conditional_hit_rate_exact(graph: QueryGraph, indicator: Indicator, x: int) -> float:
     """Exact Pr[tuple in U | instance x], averaging over slots and co-tuples."""
     if not 0 <= x < graph.x_size:
         raise ValueError(f"instance {x} out of range")
@@ -131,12 +120,12 @@ def conditional_hit_rate_exact(graph: QueryGraph, dense: DenseSet, x: int) -> fl
     co = np.arange(co_count, dtype=np.int64)
     total = 0.0
     for slot in range(graph.k):
-        members = dense.indicator(graph.embed_indices(x, slot, co))
+        members = indicator(graph.embed_indices(x, slot, co))
         total += float(np.mean(members))
     return total / graph.k
 
 
-def violation_fraction_exact(graph: QueryGraph, dense: DenseSet, c: float) -> tuple[float, float]:
+def violation_fraction_exact(graph: QueryGraph, indicator: Indicator, c: float) -> tuple[float, float]:
     """Exact sampler check over every base instance.
 
     Returns (violation fraction, exact density): the fraction of x whose
@@ -145,23 +134,22 @@ def violation_fraction_exact(graph: QueryGraph, dense: DenseSet, c: float) -> tu
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie in (0, 1), got {c}")
     check_exhaustive(graph)
-    density = density_exact(graph, dense)
+    density = density_exact(graph, indicator)
     threshold = (1.0 - c) * density
-    violations = sum(conditional_hit_rate_exact(graph, dense, x) < threshold for x in range(graph.x_size))
+    violations = sum(conditional_hit_rate_exact(graph, indicator, x) < threshold for x in range(graph.x_size))
     return violations / graph.x_size, density
 
 
 def check_sampler_parameters(c: float, delta: float) -> None:
-    """The sampler checks' parameter rule: 0 < c < delta < 1."""
+    """sampler-check's parameter rule: 0 < c < delta < 1."""
     if not 0.0 < c < delta < 1.0:
         raise ValueError(f"parameters must satisfy 0 < c < delta < 1, got c={c}, delta={delta}")
 
 
 def check_sampler(
     graph: QueryGraph,
-    dense: DenseSet,
+    indicator: Indicator,
     c: float,
-    delta: float,
     x_samples: int,
     y_samples_per_x: int,
     rng: np.random.Generator,
@@ -174,16 +162,17 @@ def check_sampler(
     violates when its conditional rate falls below (1 - c) * density.
     Returns (violation fraction, density), as violation_fraction_exact does.
     """
-    check_sampler_parameters(c, delta)
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"c must lie in (0, 1), got {c}")
     if x_samples < 1 or y_samples_per_x < 1:
         raise ValueError("sample counts must be positive")
 
     if graph.y_size <= MAX_EXHAUSTIVE_TUPLES:
-        density = density_exact(graph, dense)
+        density = density_exact(graph, indicator)
     else:
         draws = max(x_samples * y_samples_per_x, 10000)
         idx = rng.integers(0, graph.y_size, size=draws, dtype=np.int64)
-        density = float(np.mean(dense.indicator(idx)))
+        density = float(np.mean(indicator(idx)))
     threshold = (1.0 - c) * density
 
     violations = 0
@@ -191,14 +180,7 @@ def check_sampler(
         x = int(rng.integers(graph.x_size))
         slots = rng.integers(0, graph.k, size=y_samples_per_x)
         co = rng.integers(0, graph.x_size ** (graph.k - 1), size=y_samples_per_x, dtype=np.int64)
-        hits = 0
-        # group draws by slot so each group embeds with one radix split
-        for slot in range(graph.k):
-            mask = slots == slot
-            if not mask.any():
-                continue
-            y = graph.embed_indices(x, slot, co[mask])
-            hits += int(np.count_nonzero(dense.indicator(y)))
+        hits = int(np.count_nonzero(indicator(graph.embed_indices(x, slots, co))))
         violations += hits / y_samples_per_x < threshold
 
     return violations / x_samples, density

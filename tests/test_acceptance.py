@@ -26,10 +26,10 @@ from mvamp.oracle import (
 )
 from mvamp.reduction import good_fraction_exhaustive
 from mvamp.sampler import (
-    DenseSet,
     QueryGraph,
     check_sampler,
     lemma_condition,
+    pseudorandom_set,
     violation_fraction_exact,
 )
 from mvamp.solver import (
@@ -247,14 +247,12 @@ def test_criterion_4_sampler_violations():
         rng = np.random.default_rng(4000 + 10 * size_exp + k)
         passed = 0
         for s in range(20):
-            dense = DenseSet.pseudorandom(eps, seed=1000 * size_exp + 100 * k + s)
+            indicator = pseudorandom_set(eps, seed=1000 * size_exp + 100 * k + s)
             if exact:
-                frac, _ = violation_fraction_exact(graph, dense, c)
+                frac, _ = violation_fraction_exact(graph, indicator, c)
                 passed += frac <= delta
             else:
-                frac, _ = check_sampler(
-                    graph, dense, c=c, delta=delta, x_samples=32, y_samples_per_x=2000, rng=rng
-                )
+                frac, _ = check_sampler(graph, indicator, c=c, x_samples=32, y_samples_per_x=2000, rng=rng)
                 allowance = 3.0 * math.sqrt(delta * (1 - delta) / 32)
                 passed += frac <= delta + allowance
         results.append((graph.x_size, k, passed, exact))

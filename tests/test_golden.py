@@ -5,7 +5,7 @@ what the CSV does not record: each trial's result, its full ledger
 snapshot (the `scratch` source included) and its stage counters
 (`verify_calls` included). The criterion-8 campaign and its baseline twin
 (`pipeline = baseline`, one unamplified call per trial) also pin their
-`summary.json`, and the twin its `trials.csv`. Three `sampler-check` runs
+`summary.json`, and the twin its `trials.csv`. Four `sampler-check` runs
 pin their `sampler_check.json`. A refactor of the pipeline
 or the harness must leave every file byte-identical. A per-request
 executor, which builds each stage-1 instance and its product on its own
@@ -133,6 +133,9 @@ SAMPLER_CASES = {
                     "--sets", "4", "--exact"],
     # Monte Carlo conditional rates over an exact density
     "monte_carlo": ["--dim", "3", "--copies", "3", "--c", "0.5", "--delta", "0.6", "--eps", "0.05", "--sets", "4"],
+    # 2^30 tuples: Monte Carlo conditional rates over a sampled density
+    "sampled_density": ["--modulus", "2", "--dim", "1", "--copies", "30", "--c", "0.2", "--delta", "0.4",
+                        "--eps", "0.1", "--sets", "3", "--x-samples", "50", "--y-samples", "400"],
 }
 
 
