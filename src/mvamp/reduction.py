@@ -31,7 +31,10 @@ request per wave, with one M v per instance for solver and verifier, counts
 each attempt on the run's stats, and resumes the stage once, with the
 accepted block or None when the budget is spent. An attempt's randomness
 reaches invoke and verify_product as values: its coin and its challenge
-rows (verify.draw_challenges), drawn for the whole wave at once.
+rows (verify.draw_challenges), drawn for the whole wave at once. The bulk
+uniform draws, the wave's co-strips and the stages' blocks (_BlockDraws),
+all come from _uniform, which takes Generator.integers below MASKED_FROM and
+masked rejection on raw 64-bit words from there up (draw layout v4).
 
 Vector "goodness" (the solver succeeding on an above-half-of-alpha share
 of matrices for that vector) is an analysis device: the pipeline never
@@ -193,19 +196,53 @@ def good_fraction_exhaustive(
 # pipeline stages
 # ---------------------------------------------------------------------------
 
+# Ranges from MASKED_FROM up to 2^31 are drawn by masked rejection (draw layout
+# v4): a masked half is kept with probability at least 3/4 there, while below
+# it masking is slower than Generator.integers.
+MASKED_FROM = 3 << 29
+
+# Bit generators whose random_raw word holds 64 random bits (MT19937's holds 32).
+_RAW64 = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+
+
+def _uniform(rng: np.random.Generator, high: int, count: int, dtype) -> np.ndarray:
+    """count uniform draws from [0, high) as a flat array of dtype: the pipeline's bulk draws.
+
+    Below MASKED_FROM (or above 2^31, or over a bit generator without 64-bit raw
+    words) this is rng.integers(0, high, size=count, dtype=dtype), whose bounded
+    draw divides on about high/2^32 of its values. From MASKED_FROM up it splits
+    raw 64-bit words into their low, then high, 32-bit halves, masks each to 31
+    bits and keeps, in order, those below high: exact rejection sampling. Each
+    round takes max(ceil(need/2), floor(need*2^31/(2*high))) words, ceil(count/2)
+    at high = 2^31-1, and leaves the generator's buffered 32-bit half alone.
+    """
+    if not MASKED_FROM <= high <= 1 << 31 or not isinstance(rng.bit_generator, _RAW64):
+        return rng.integers(0, high, size=count, dtype=dtype)
+    out = np.empty(count, dtype=dtype)
+    done = 0
+    while done < count:
+        need = count - done
+        words = rng.bit_generator.random_raw(max(-(-need // 2), need * 2**31 // (2 * high)))
+        halves = words.astype("<u8", copy=False).view("<u4") & 0x7FFFFFFF  # low half first on any machine
+        kept = halves[halves < high][:need]
+        out[done : done + kept.size] = kept
+        done += kept.size
+    return out
+
+
 # Draws per block of _BlockDraws: 128 KiB of int64 per (low, high) range.
 DRAW_BLOCK = 2**14
 
 
 class _BlockDraws:
-    """The stages' integers() calls, served from blocks (draw layouts v2 and v3).
+    """The stages' integers() calls, served from blocks (draw layouts v2 to v4).
 
     Each (low, high) range keeps its own block of DRAW_BLOCK uniform draws,
-    taken from rng in one call, and serves each request as the next unused
-    slice, shaped to size: fresh i.i.d. draws no other request has seen. A
-    request that does not fit discards the rest and draws a fresh block; one
-    larger than DRAW_BLOCK goes straight to rng. Blocks are read-only, so an
-    in-place write to a handed-out draw raises.
+    taken from rng in one _uniform call, and serves each request as the next
+    unused slice, shaped to size: fresh i.i.d. draws no other request has seen.
+    A request that does not fit discards the rest and draws a fresh block; one
+    larger than DRAW_BLOCK goes straight to _uniform. Blocks are read-only, so
+    an in-place write to a handed-out draw raises.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -219,10 +256,10 @@ class _BlockDraws:
             low, high = 0, low
         count = 1 if size is None else math.prod(size) if isinstance(size, tuple) else size
         if count > DRAW_BLOCK:
-            return self._rng.integers(low, high, size=size, dtype=np.int64)
+            return (low + _uniform(self._rng, high - low, count, np.int64)).reshape(size)
         entry = self._blocks.get((low, high))
         if entry is None or entry[1] + count > DRAW_BLOCK:
-            block = self._rng.integers(low, high, size=DRAW_BLOCK, dtype=np.int64)
+            block = low + _uniform(self._rng, high - low, DRAW_BLOCK, np.int64)
             block.flags.writeable = False
             entry = self._blocks[low, high] = [block, 0]
         block, start = entry
@@ -383,26 +420,25 @@ def _plant_wave(strips: np.ndarray, vectors: np.ndarray, slots: np.ndarray, co: 
 
 
 def run_waves(tasks, solver, run: ReductionRun, wave_size: int = 1) -> Optional[list]:
-    """Run stage generators to their ends, serving their requests in waves (draw layout v3).
+    """Run stage generators to their ends, serving their requests in waves (draw layout v4).
 
     A task yields one request (strip, vector) per strip solve and is resumed
     once, with its answer. run_waves owns the retries: at most wave_size tasks
     are in flight, admitted in order as others end, and a pending request gets
     one attempt per wave, up to the run's budget ceil(c1/alpha). A wave takes
     every pending request in task order and draws for all of them from the
-    run's stream, one call each, the slots, co-strips, coins and challenge rows
-    (draw_challenges with count; none in exact mode). Each attempt makes one
-    invoke call, passed its coin and the run's block draws for a wrong output,
-    and one verify_product call, passed its challenge rows, and counts one
-    stage1_iters and one verify_calls on run.stats. The task is sent a copy of
-    its strip's block of the first accepted output, read as d scratch queries,
-    or None once the budget is spent. Returns the results in order, or None
-    once one is.
+    run's stream, one call each, the slots, co-strips (_uniform), coins and
+    challenge rows (draw_challenges with count; none in exact mode). Each
+    attempt makes one invoke call, passed its coin and the run's block draws
+    for a wrong output, and one verify_product call, passed its challenge
+    rows, and counts one stage1_iters and one verify_calls on run.stats. The
+    task is sent a copy of its strip's block of the first accepted output,
+    read as d scratch queries, or None once the budget is spent. Returns the
+    results in order, or None once one is.
     """
     ledger, field, config, stream, stats = run.ledger, run.field, run.config, run.stream, run.stats
     p = field.modulus
     budget = config.stage1_budget()
-    co_dtype = np.uint16 if p <= 1 << 16 else np.int64  # draws faster; _plant_wave widens it
     results: list = []
     live: dict = {}  # task index -> [task, strip, vector, attempts left] of its pending request, in task order
 
@@ -428,7 +464,7 @@ def run_waves(tasks, solver, run: ReductionRun, wave_size: int = 1) -> Optional[
         strips = np.concatenate(strips).reshape(s, d, n)
         vectors = np.concatenate(vectors).reshape(s, n)
         slots = stream.integers(0, n // d, size=s)
-        co = stream.integers(0, p, size=s * (n - d) * n, dtype=co_dtype)
+        co = _uniform(stream, p, s * (n - d) * n, np.uint16 if p <= 1 << 16 else np.int64)  # _plant_wave widens uint16
         instances, truths = _plant_wave(strips, vectors, slots, co, p)
         del co
         coins = stream.random(s).tolist()

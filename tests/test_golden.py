@@ -101,6 +101,20 @@ CASES = {
         "accounting": "actual",
         "seed": 7,
     },
+    # planted at p = 2^31 - 1: the profile hashes each planted instance, so the
+    # rows read the co-strip values of draw layout v4's masked draws
+    "planted_large_modulus": {
+        "modulus": 2147483647,
+        "n": 8,
+        "trials": 6,
+        "alpha": 0.25,
+        "profile": "planted",
+        "bad_fraction": 0.5,
+        "input_mode": "planted-bad",
+        "pipeline": "full",
+        "k": 2,
+        "seed": 3,
+    },
     # the exact verifier: strict recomputation of M v, no challenges drawn
     "verifier_exact": {
         "modulus": 5,

@@ -5,13 +5,14 @@ most checks here are exhaustive over tiny fields. Budget arithmetic is
 checked against independently computed formulas.
 """
 
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from mvamp.field import PrimeField
+from mvamp.field import PrimeField, is_prime
 from mvamp.linalg import (
     FpMatrix,
     enumerate_matrices,
@@ -37,6 +38,7 @@ from mvamp.oracle import (
 )
 from mvamp.reduction import (
     DRAW_BLOCK,
+    MASKED_FROM,
     ReductionConfig,
     ReductionReport,
     ReductionRun,
@@ -50,6 +52,7 @@ from mvamp.reduction import (
     solve_strip,
     solve_strip_any_matrix,
     _BlockDraws,
+    _uniform,
     run_waves,
     worst_case_matvec,
 )
@@ -784,6 +787,134 @@ def test_reduction_run_resolves_k_once_and_draws_over_its_stream():
     assert run.stats == fresh_stats() and run.stream is stream and run.config is cfg
     block = philox().integers(0, 5, size=DRAW_BLOCK, dtype=np.int64)
     assert np.array_equal(run.draws.integers(0, 5, size=3, dtype=np.int64), block[:3])
+
+
+# ---------------------------------------------------------- uniform draws
+
+MERSENNE31 = 2**31 - 1
+ABOVE_BOUND = next(q for q in range(MASKED_FROM + 1, MASKED_FROM + 100) if is_prime(q))  # 3*2^29 + 5
+
+
+def state_of(rng):
+    """A generator's full state as comparable text (Philox and MT19937 keep arrays)."""
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+@pytest.mark.parametrize("high, dtype", [(5, np.uint16), (5, np.int64), (65537, np.int64),
+                                         (2**24 + 43, np.int64), (MASKED_FROM - 1, np.int64)])
+def test_uniform_below_the_bound_is_generator_integers(high, dtype):
+    # draw layout v3: the same values and the same stream position, an odd
+    # count leaving numpy's buffered 32-bit half behind on both sides
+    ours, ref = philox(), philox()
+    for count in (1001, 6, DRAW_BLOCK):
+        got = _uniform(ours, high, count, dtype)
+        want = ref.integers(0, high, size=count, dtype=dtype)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert state_of(ours) == state_of(ref)
+
+
+@pytest.mark.parametrize("bits", [np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64])
+@pytest.mark.parametrize("high", [MERSENNE31, ABOVE_BOUND, MASKED_FROM])
+def test_uniform_above_the_bound_is_exact_in_range_and_seeded(bits, high):
+    first = _uniform(np.random.Generator(bits(5)), high, 4001, np.int64)
+    again = _uniform(np.random.Generator(bits(5)), high, 4001, np.int64)
+    assert first.shape == (4001,) and first.dtype == np.int64
+    assert 0 <= first.min() and first.max() < high
+    assert np.array_equal(first, again)
+    assert np.count_nonzero(first == 0) <= 1  # every half carries random bits
+    assert not np.array_equal(first, np.random.Generator(bits(5)).integers(0, high, size=4001, dtype=np.int64))
+
+
+class ScriptedPhilox(np.random.Philox):
+    """A Philox whose raw words come from a script, recording each request's size."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words, self.requests = np.asarray(words, dtype=np.uint64), []
+
+    def random_raw(self, size=None, output=True):
+        self.requests.append(size)
+        start = sum(self.requests[:-1])
+        assert start + size <= self.words.size, "script ran out of words"
+        return self.words[start : start + size]
+
+
+def word(low, high):
+    return (high << 32) | low
+
+
+def test_uniform_skips_out_of_range_halves_in_order_low_half_first():
+    # at 2^31-1 a masked half is refused only when it reads 0x7FFFFFFF; the
+    # top bit of each half is masked away
+    script = ScriptedPhilox([word(5, 0x7FFFFFFF), word(0xFFFFFFFF, 0x80000009), word(2, 1)])
+    got = _uniform(np.random.Generator(script), MERSENNE31, 4, np.int64)
+    assert got.tolist() == [5, 9, 2, 1]
+    assert script.requests == [2, 1]  # ceil(need/2) words a round at 2^31-1
+
+
+def test_uniform_rounds_at_a_prime_just_above_the_bound():
+    # about a quarter of the masked halves lie at or above 3*2^29 + 5, and
+    # every third low half reads 0x7FFFFFFF, so the first round falls short
+    raw = philox().bit_generator.random_raw(4000)
+    raw[::3] |= np.uint64(0x7FFFFFFF)
+    script = ScriptedPhilox(raw)
+    count = 3000
+    got = _uniform(np.random.Generator(script), ABOVE_BOUND, count, np.int64)
+    halves = [h & 0x7FFFFFFF for w in raw.tolist() for h in (w & 0xFFFFFFFF, w >> 32)]
+    want, need, start = [], count, 0
+    for size in script.requests:  # each round keeps its in-range halves, in order
+        assert size == max(-(-need // 2), need * 2**31 // (2 * ABOVE_BOUND))
+        kept = [h for h in halves[2 * start : 2 * (start + size)] if h < ABOVE_BOUND][:need]
+        want += kept
+        need, start = need - len(kept), start + size
+    assert len(script.requests) > 1 and need == 0
+    assert sum(h >= ABOVE_BOUND for h in halves[: 2 * start]) > 500
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("count", [1, 2, 1001, DRAW_BLOCK])
+def test_uniform_without_rejection_takes_ceil_half_count_words(count):
+    # at 2^31-1 the draw is numpy's length, and Philox's buffered half is untouched
+    rng, twin = philox(), philox()
+    rng.integers(0, 5, size=1, dtype=np.int32)  # leaves a buffered 32-bit half
+    twin.integers(0, 5, size=1, dtype=np.int32)
+    got = _uniform(rng, MERSENNE31, count, np.int64)
+    words = twin.bit_generator.random_raw(-(-count // 2))
+    halves = words.astype("<u8").view("<u4") & 0x7FFFFFFF
+    assert not np.count_nonzero(halves == MERSENNE31)  # no rejection in this stream
+    assert np.array_equal(got, halves[:count])
+    assert state_of(rng) == state_of(twin)
+    assert np.array_equal(rng.integers(0, 5, size=9), twin.integers(0, 5, size=9))
+
+
+def test_block_draws_take_uniform_draws_for_blocks_and_oversized_requests():
+    draws = _BlockDraws(philox())
+    head = draws.integers(0, MERSENNE31, size=3, dtype=np.int64)
+    big = draws.integers(0, MERSENNE31, size=(2, DRAW_BLOCK // 2 + 1), dtype=np.int64)
+    ref = philox()
+    block = _uniform(ref, MERSENNE31, DRAW_BLOCK, np.int64)
+    assert np.array_equal(head, block[:3])
+    assert np.array_equal(big, _uniform(ref, MERSENNE31, DRAW_BLOCK + 2, np.int64).reshape(2, -1))
+
+
+def test_uniform_buckets_pass_a_chi_square_check_near_the_bound():
+    # fixed seed: 200,000 draws at 3*2^29 + 5 in 64 buckets of exact size;
+    # 103.4 is the 0.999 quantile of chi-square with 63 degrees of freedom
+    draws = _uniform(philox([3, 1]), ABOVE_BOUND, 200_000, np.int64)
+    buckets = np.bincount(draws * 64 // ABOVE_BOUND, minlength=64)
+    edges = [-(-b * ABOVE_BOUND // 64) for b in range(65)]
+    expected = np.diff(edges) / ABOVE_BOUND * draws.size
+    assert buckets.size == 64
+    assert ((buckets - expected) ** 2 / expected).sum() < 103.4
+
+
+def test_uniform_keeps_32_bit_raw_generators_on_generator_integers():
+    # MT19937's raw word holds 32 random bits, so its halves path would draw
+    # a zero every other value
+    ours, ref = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+    got = _uniform(ours, MERSENNE31, 1001, np.int64)
+    assert np.array_equal(got, ref.integers(0, MERSENNE31, size=1001, dtype=np.int64))
+    assert state_of(ours) == state_of(ref)
 
 
 class CountingRng:
