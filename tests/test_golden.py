@@ -6,7 +6,8 @@ snapshot (the `scratch` source included) and its stage counters
 (`verify_calls` included). The criterion-8 campaign and its baseline twin
 (`pipeline = baseline`, one unamplified call per trial) also pin their
 `summary.json`, and the twin its `trials.csv`. Four `sampler-check` runs
-pin their `sampler_check.json`. A refactor of the pipeline
+pin their `sampler_check.json` and three `verify-bench` runs their
+`verify_bench.json`. A refactor of the pipeline
 or the harness must leave every file byte-identical. A per-request
 executor, which builds each stage-1 instance and its product on its own
 from its slice of the wave's draws, must reproduce every file too.
@@ -152,6 +153,18 @@ SAMPLER_CASES = {
                         "--eps", "0.1", "--sets", "3", "--x-samples", "50", "--y-samples", "400"],
 }
 
+# verify-bench runs whose verify_bench.json is pinned
+VERIFY_CASES = {
+    # square, at the default p = 5 and eps = 1e-4
+    "square": ["--rows", "4", "--cols", "4", "--trials", "3000", "--seed", "0"],
+    # eps = 0.1 takes t = 2 rounds, so about 1 in 25 wrong outputs is accepted
+    # and the rates pin the order of the draws
+    "false_accepts": ["--rows", "4", "--cols", "4", "--trials", "3000", "--seed", "0", "--eps", "0.1"],
+    # a non-square completeness check at p = 2^31 - 1
+    "large_modulus": ["--rows", "6", "--cols", "3", "--trials", "2000", "--seed", "5", "--modulus", "2147483647",
+                      "--eps", "0.001"],
+}
+
 
 def trial_fingerprint(config, trial: int) -> dict:
     """One trial as harness.run_trial runs it, keeping what the CSV drops."""
@@ -213,6 +226,12 @@ def render_sampler_check(name: str, tmp_dir: Path) -> bytes:
     return (out / "sampler_check.json").read_bytes()
 
 
+def render_verify_bench(name: str, tmp_dir: Path) -> bytes:
+    out = tmp_dir / f"verify_bench_{name}"
+    assert main(["verify-bench", *VERIFY_CASES[name], "--out", str(out)]) == 0
+    return (out / "verify_bench.json").read_bytes()
+
+
 def render_ledgers() -> bytes:
     out = {}
     for name, values in CASES.items():
@@ -238,6 +257,11 @@ def test_summary_json_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
 def test_sampler_check_json_matches_golden(name, tmp_path):
     assert render_sampler_check(name, tmp_path) == (GOLDEN / f"sampler_check_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_bench_json_matches_golden(name, tmp_path):
+    assert render_verify_bench(name, tmp_path) == (GOLDEN / f"verify_bench_{name}.json").read_bytes()
 
 
 def test_ledgers_and_stage_counters_match_golden():
@@ -278,3 +302,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in SAMPLER_CASES:
             (GOLDEN / f"sampler_check_{case}.json").write_bytes(render_sampler_check(case, Path(tmp)))
+        for case in VERIFY_CASES:
+            (GOLDEN / f"verify_bench_{case}.json").write_bytes(render_verify_bench(case, Path(tmp)))
