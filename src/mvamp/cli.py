@@ -19,8 +19,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .field import PrimeField
 from .harness import (
     ConfigError,
@@ -33,7 +31,6 @@ from .harness import (
     write_summary_json,
     write_trials_csv,
 )
-from .linalg import matvec_values, random_matrix, random_vector
 from .sampler import (
     QueryGraph,
     check_density,
@@ -45,9 +42,7 @@ from .sampler import (
     theorem_condition,
     violation_fraction_exact,
 )
-from .oracle import QueryLedger
-from .solver import FAILURE_MODES, NoisySolver, UniformProfile, invoke
-from .verify import VerifierConfig, charged_queries, draw_challenges, verify_product
+from .verify import VerifierConfig, charged_queries, completeness_failures, false_accept_rates
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -174,48 +169,18 @@ def _cmd_sampler_check(args) -> int:
     return _finish(args, "sampler_check.json", summary, ok, gate)
 
 
-def _int_product(m_vals, v_vals, modulus: int):
-    """M v mod p in Python integers, on a path independent of matvec_values."""
-    vec = v_vals.tolist()
-    rows = [sum(a * b for a, b in zip(row, vec)) % modulus for row in m_vals.tolist()]
-    return np.array(rows, dtype=np.int64)
-
-
 def _cmd_verify_bench(args) -> int:
     field = PrimeField(args.modulus)
     config = VerifierConfig(epsilon=args.eps)
     rng = trial_rng(args.seed, 0)
-    ledger = QueryLedger()  # the calls' charges are not reported
     print(
         f"verify-bench: {args.rows}x{args.cols} mod {args.modulus} eps={args.eps} "
         f"trials={args.trials}"
     )
-
-    completeness_failures = 0
-    for _ in range(args.trials):
-        m = random_matrix(args.rows, args.cols, field, rng)
-        v = random_vector(args.cols, field, rng)
-        w = _int_product(m.values, v.values, args.modulus)
-        mv = matvec_values(m.values, v.values, args.modulus)
-        if not verify_product(ledger, field, mv, w, config, draw_challenges(config, args.modulus, args.rows, rng)):
-            completeness_failures += 1
-
-    false_accepts = {}
-    for mode in FAILURE_MODES:
-        # a never-succeeding solver produces wrong outputs in the chosen mode
-        wrong_solver = NoisySolver(UniformProfile(0.0), failure_mode=mode)
-        accepted = 0
-        for _ in range(args.trials):
-            m = random_matrix(args.rows, args.rows, field, rng)
-            v = random_vector(args.rows, field, rng)
-            truth = matvec_values(m.values, v.values, args.modulus)
-            w = invoke(wrong_solver, ledger, field, m.values, v.values, truth, rng.random(), rng)
-            if verify_product(ledger, field, truth, w, config, draw_challenges(config, args.modulus, args.rows, rng)):
-                accepted += 1
-        false_accepts[mode] = accepted / args.trials
-
+    failures = completeness_failures(field, args.rows, args.cols, config, args.trials, rng)
+    false_accepts = false_accept_rates(field, args.rows, config, args.trials, rng)
     charged = charged_queries(args.rows, args.eps)
-    print(f"completeness failures: {completeness_failures}/{args.trials}")
+    print(f"completeness failures: {failures}/{args.trials}")
     for mode, rate in false_accepts.items():
         print(f"false-accept rate ({mode} wrong outputs): {rate:.5f} (bound eps={args.eps})")
     print(f"charged cost per call at {args.rows} rows: {charged}")
@@ -225,13 +190,13 @@ def _cmd_verify_bench(args) -> int:
         "modulus": args.modulus,
         "eps": args.eps,
         "trials": args.trials,
-        "completeness_failures": completeness_failures,
+        "completeness_failures": failures,
         "false_accept_rates": false_accepts,
         "charged_queries_per_call": charged,
     }
     bound = args.eps + 3.0 * math.sqrt(args.eps * (1.0 - args.eps) / args.trials)
-    ok = completeness_failures == 0 and all(r <= bound for r in false_accepts.values())
-    gate = f"completeness_failures={completeness_failures}, false accepts vs bound {bound:.5f}: {false_accepts}"
+    ok = failures == 0 and all(r <= bound for r in false_accepts.values())
+    gate = f"completeness_failures={failures}, false accepts vs bound {bound:.5f}: {false_accepts}"
     return _finish(args, "verify_bench.json", summary, ok, gate)
 
 

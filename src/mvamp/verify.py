@@ -21,6 +21,10 @@ passes once (r*c matrix entries plus c vector entries per call): a handle
 charges its own sources, an array the pipeline drew charges scratch. The
 verifier's read is the only read of an input handle a verified call makes;
 the simulated solver is handed the arrays the caller holds.
+
+completeness_failures and false_accept_rates measure this contract for
+criterion 3 and `mvamp verify-bench`; their correct products come from
+int_product, the reference M.v in Python integers.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .field import PrimeField
-from .linalg import FpMatrix, FpVector, matvec_values
+from .linalg import FpMatrix, FpVector, matvec_values, random_matrix, random_vector
 from .oracle import SOURCE_SCRATCH, SOURCE_VERIFIER, QueryLedger, wrap_matrix, wrap_vector
-from .solver import NoisySolver, invoke
+from .solver import FAILURE_MODES, NoisySolver, UniformProfile, invoke
 
 ACCOUNTING_MODES = ("paper", "actual")
 VERIFY_MODES = ("probabilistic", "exact")
@@ -182,3 +186,37 @@ def verified_call(
     if verify_product(ledger, field, truth, w, config, challenges, operands):
         return FpVector._trusted(field, w)
     return None
+
+
+def int_product(m_vals: np.ndarray, v_vals: np.ndarray, modulus: int) -> np.ndarray:
+    """M v mod p in Python integers: the reference product, independent of matvec_values."""
+    vec = v_vals.tolist()
+    return np.array([sum(a * b for a, b in zip(row, vec)) % modulus for row in m_vals.tolist()], dtype=np.int64)
+
+
+def completeness_failures(field: PrimeField, rows: int, cols: int, config: VerifierConfig, trials: int, rng) -> int:
+    """Correct products rejected in trials uniform rows x cols pairs (the contract says 0).
+    Each trial draws random_matrix, random_vector, then the challenges from rng."""
+    ledger, p, failures = QueryLedger(), field.modulus, 0  # the charges are not reported
+    for _ in range(trials):
+        m, v = random_matrix(rows, cols, field, rng).values, random_vector(cols, field, rng).values
+        claim, mv = int_product(m, v, p), matvec_values(m, v, p)
+        failures += not verify_product(ledger, field, mv, claim, config, draw_challenges(config, p, rows, rng))
+    return failures
+
+
+def false_accept_rates(field: PrimeField, rows: int, config: VerifierConfig, trials: int, rng) -> dict:
+    """Accepted share of trials wrong outputs on uniform square pairs, per failure mode in
+    FAILURE_MODES order (the contract bounds each by epsilon). Each trial draws
+    random_matrix, random_vector, a never-succeeding invoke's coin and wrong
+    output, then the challenges from rng."""
+    ledger, p, rates = QueryLedger(), field.modulus, {}  # the charges are not reported
+    for mode in FAILURE_MODES:
+        solver, accepted = NoisySolver(UniformProfile(0.0), failure_mode=mode), 0
+        for _ in range(trials):
+            m, v = random_matrix(rows, rows, field, rng).values, random_vector(rows, field, rng).values
+            truth = matvec_values(m, v, p)
+            w = invoke(solver, ledger, field, m, v, truth, rng.random(), rng)
+            accepted += verify_product(ledger, field, truth, w, config, draw_challenges(config, p, rows, rng))
+        rates[mode] = accepted / trials
+    return rates

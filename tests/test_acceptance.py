@@ -38,9 +38,15 @@ from mvamp.solver import (
     PlantedAdversarialProfile,
     UniformProfile,
     exact_average_success,
-    invoke,
 )
-from mvamp.verify import VerifierConfig, charged_queries, draw_challenges, verify_product
+from mvamp.verify import (
+    VerifierConfig,
+    charged_queries,
+    completeness_failures,
+    draw_challenges,
+    false_accept_rates,
+    verify_product,
+)
 from mvamp.harness import (
     experiment_config_from_values,
     run_campaign,
@@ -171,44 +177,20 @@ def test_criterion_2_good_vector_fraction():
     report(2, "good-vector fraction", True, f"{cases} profiles, min slack {worst:.3f}")
 
 
-def int_product(m_vals, v_vals, p):
-    """M v mod p in Python integers, independent of the verifier's matvec_values."""
-    vec = v_vals.tolist()
-    return np.array([sum(a * b for a, b in zip(row, vec)) % p for row in m_vals.tolist()], dtype=np.int64)
-
-
 def test_criterion_3_verifier_contract():
     f5 = PrimeField(5)
     rng = np.random.default_rng(300)
-    led = QueryLedger()
     # completeness: zero rejections over 1e5 correct pairs, each product
     # claimed in Python integers and checked against the verifier's own M v
-    cfg = VerifierConfig(epsilon=1e-3)
-    completeness_failures = 0
-    for _ in range(100000):
-        m = random_matrix(4, 4, f5, rng)
-        v = random_vector(4, f5, rng)
-        mv = matvec_values(m.values, v.values, 5)
-        if not verify_product(led, f5, mv, int_product(m.values, v.values, 5), cfg, draw_challenges(cfg, 5, 4, rng)):
-            completeness_failures += 1
-    assert completeness_failures == 0
+    assert completeness_failures(f5, 4, 4, VerifierConfig(epsilon=1e-3), 100000, rng) == 0
     # soundness: false-accept rate <= eps + 3 sigma, both failure modes
     trials = 10000
-    rates = {}
+    worst = 0.0
     for eps in (0.1, 1e-3):
-        vcfg = VerifierConfig(epsilon=eps)
         bound = eps + 3.0 * math.sqrt(eps * (1 - eps) / trials)
-        for mode in ("uniform", "perturb"):
-            solver = NoisySolver(UniformProfile(0.0), failure_mode=mode)
-            accepts = 0
-            for _ in range(trials):
-                m = random_matrix(4, 4, f5, rng)
-                v = random_vector(4, f5, rng)
-                truth = matvec_values(m.values, v.values, 5)
-                w = invoke(solver, led, f5, m.values, v.values, truth, rng.random(), rng)
-                accepts += verify_product(led, f5, truth, w, vcfg, draw_challenges(vcfg, 5, 4, rng))
-            rates[(eps, mode)] = accepts / trials
-            assert rates[(eps, mode)] <= bound, (eps, mode, rates[(eps, mode)], bound)
+        for mode, rate in false_accept_rates(f5, 4, VerifierConfig(epsilon=eps), trials, rng).items():
+            assert rate <= bound, (eps, mode, rate, bound)
+            worst = max(worst, rate)
     # charged cost: exactly ceil(r^(3/2) * ceil(log2(1/eps))) per call
     for rows in (2, 4, 8, 16, 100):
         for eps in (0.1, 1e-3, 1e-4):
@@ -225,13 +207,8 @@ def test_criterion_3_verifier_contract():
             mv = matvec_values(mm.values, vv.values, 5)
             verify_product(probe, f5, mv, matvec(mm, vv).values, paper, draw_challenges(paper, 5, rows, rng), operands)
             assert probe.snapshot() == {SOURCE_VERIFIER: expect}
-    worst = max(rates.values())
-    report(
-        3,
-        "verifier contract",
-        True,
-        f"0 completeness failures in 1e5, max false-accept {worst:.4f}, cost formula exact",
-    )
+    detail = f"0 completeness failures in 1e5, max false-accept {worst:.4f}, cost formula exact"
+    report(3, "verifier contract", True, detail)
 
 
 def test_criterion_4_sampler_violations():

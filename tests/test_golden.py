@@ -7,8 +7,8 @@ snapshot (the `scratch` source included) and its stage counters
 (`pipeline = baseline`, one unamplified call per trial) also pin their
 `summary.json`, and the twin its `trials.csv`. Four `sampler-check` runs
 pin their `sampler_check.json` and three `verify-bench` runs their
-`verify_bench.json`. A refactor of the pipeline
-or the harness must leave every file byte-identical. A per-request
+`verify_bench.json`. A refactor of the pipeline or the harness must leave
+every file byte-identical. A per-request
 executor, which builds each stage-1 instance and its product on its own
 from its slice of the wave's draws, must reproduce every file too.
 
@@ -153,12 +153,11 @@ SAMPLER_CASES = {
                         "--eps", "0.1", "--sets", "3", "--x-samples", "50", "--y-samples", "400"],
 }
 
-# verify-bench runs whose verify_bench.json is pinned
+# verify-bench runs whose verify_bench.json is pinned; under --assert each exits 0 only within its bounds
 VERIFY_CASES = {
     # square, at the default p = 5 and eps = 1e-4
     "square": ["--rows", "4", "--cols", "4", "--trials", "3000", "--seed", "0"],
-    # eps = 0.1 takes t = 2 rounds, so about 1 in 25 wrong outputs is accepted
-    # and the rates pin the order of the draws
+    # eps = 0.1: t = 2 rounds accept about 1 in 25 wrong outputs, so the rates pin the draws
     "false_accepts": ["--rows", "4", "--cols", "4", "--trials", "3000", "--seed", "0", "--eps", "0.1"],
     # a non-square completeness check at p = 2^31 - 1
     "large_modulus": ["--rows", "6", "--cols", "3", "--trials", "2000", "--seed", "5", "--modulus", "2147483647",
@@ -220,16 +219,11 @@ def render_summary(name: str, tmp_dir: Path) -> bytes:
     return path.read_bytes()
 
 
-def render_sampler_check(name: str, tmp_dir: Path) -> bytes:
-    out = tmp_dir / f"sampler_check_{name}"
-    assert main(["sampler-check", *SAMPLER_CASES[name], "--out", str(out)]) == 0
-    return (out / "sampler_check.json").read_bytes()
-
-
-def render_verify_bench(name: str, tmp_dir: Path) -> bytes:
-    out = tmp_dir / f"verify_bench_{name}"
-    assert main(["verify-bench", *VERIFY_CASES[name], "--out", str(out)]) == 0
-    return (out / "verify_bench.json").read_bytes()
+def render_cli(command: str, args: list, tmp_dir: Path) -> bytes:
+    """The JSON summary that `mvamp command *args --out DIR` writes; the run must exit 0."""
+    out = tmp_dir / command
+    assert main([command, *args, "--out", str(out)]) == 0
+    return (out / f"{command.replace('-', '_')}.json").read_bytes()
 
 
 def render_ledgers() -> bytes:
@@ -256,12 +250,14 @@ def test_summary_json_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
 def test_sampler_check_json_matches_golden(name, tmp_path):
-    assert render_sampler_check(name, tmp_path) == (GOLDEN / f"sampler_check_{name}.json").read_bytes()
+    got = render_cli("sampler-check", SAMPLER_CASES[name], tmp_path)
+    assert got == (GOLDEN / f"sampler_check_{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_CASES))
 def test_verify_bench_json_matches_golden(name, tmp_path):
-    assert render_verify_bench(name, tmp_path) == (GOLDEN / f"verify_bench_{name}.json").read_bytes()
+    got = render_cli("verify-bench", [*VERIFY_CASES[name], "--assert"], tmp_path)
+    assert got == (GOLDEN / f"verify_bench_{name}.json").read_bytes()
 
 
 def test_ledgers_and_stage_counters_match_golden():
@@ -300,7 +296,7 @@ if __name__ == "__main__":
     for case in SUMMARY_CASES:
         (GOLDEN / f"{case}_summary.json").write_bytes(render_summary(case, GOLDEN))
     with tempfile.TemporaryDirectory() as tmp:
-        for case in SAMPLER_CASES:
-            (GOLDEN / f"sampler_check_{case}.json").write_bytes(render_sampler_check(case, Path(tmp)))
-        for case in VERIFY_CASES:
-            (GOLDEN / f"verify_bench_{case}.json").write_bytes(render_verify_bench(case, Path(tmp)))
+        for case, args in SAMPLER_CASES.items():
+            (GOLDEN / f"sampler_check_{case}.json").write_bytes(render_cli("sampler-check", args, Path(tmp)))
+        for case, args in VERIFY_CASES.items():
+            (GOLDEN / f"verify_bench_{case}.json").write_bytes(render_cli("verify-bench", args, Path(tmp)))

@@ -12,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mvamp import reduction
 from mvamp.field import PrimeField, is_prime
 from mvamp.linalg import (
     FpMatrix,
@@ -421,6 +422,28 @@ def test_solve_block_any_input_perfect():
         assert np.array_equal(out, matvec(m, v).values)
         # v = r1 + r2 split reads the input vector once in full
         assert led.get(SOURCE_VECTOR) >= d
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_additive_splits_are_canonical_and_recompose(p, monkeypatch):
+    # the halves of solve_strip_any_matrix's M = R1 + R2 and solve_block_any_input's v = r1 + r2, as
+    # the half stages get them: canonical residues (masked draws at 2^31 - 1) summing to the input mod p
+    halves = {"solve_strip": [], "solve_block": []}
+    for name, at in (("solve_strip", 0), ("solve_block", 1)):
+        def spy(run, *operands, name=name, at=at, stage=getattr(reduction, name)):
+            halves[name].append(operands[at])
+            return (yield from stage(run, *operands))
+        monkeypatch.setattr(reduction, name, spy)
+    field = PrimeField(p)
+    rng = np.random.default_rng(12)
+    m, v = random_matrix(4, 4, field, rng), random_vector(4, field, rng)
+    run = ReductionRun(QueryLedger(), field, ReductionConfig(alpha=1.0, k=2), rng)
+    run_stage(solve_strip_any_matrix, run, m.values[:2], v.values, solver=PERFECT)
+    run_stage(solve_block_any_input, run, wrap_matrix(m, run.ledger), wrap_vector(v, run.ledger), solver=PERFECT)
+    for name, x in (("solve_strip", m.values[:2]), ("solve_block", v.values)):
+        r1, r2 = halves[name][:2]  # the strip split's halves precede the block stage's strip solves
+        assert all(h.dtype == np.int64 and h.min() >= 0 and h.max() < p for h in (r1, r2))
+        assert np.array_equal((r1 + r2) % p, x)
 
 
 # ------------------------------------- live input handles outside the pipeline

@@ -42,6 +42,7 @@ from mvamp.verify import (
     challenge_rounds,
     charged_queries,
     draw_challenges,
+    int_product,
     verified_call,
     verify_product,
 )
@@ -57,12 +58,6 @@ def mv_of(m, v):
 def check(led, f, mv, w, cfg, rng, operands=()):
     """verify_product on challenges drawn from rng, as its callers draw them."""
     return verify_product(led, f, mv, w, cfg, draw_challenges(cfg, f.modulus, mv.shape[0], rng), operands)
-
-
-def int_product(m, v):
-    """M v mod p in Python integers, independent of matvec_values."""
-    p, vec = m.field.modulus, v.to_list()
-    return np.array([sum(a * b for a, b in zip(row, vec)) % p for row in m.values.tolist()], dtype=np.int64)
 
 
 def rounds_reference(p, eps):
@@ -152,7 +147,7 @@ def test_completeness_exhaustive_tiny():
     led = QueryLedger()
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
-            assert check(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
+            assert check(led, f, mv_of(m, v), int_product(m.values, v.values, f.modulus), cfg, rng)
 
 
 def test_exact_mode_is_deterministic():
@@ -163,7 +158,7 @@ def test_exact_mode_is_deterministic():
     for m in enumerate_matrices(f, 2, 2):
         for v in enumerate_vectors(f, 2):
             truth = matvec(m, v)
-            assert check(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
+            assert check(led, f, mv_of(m, v), int_product(m.values, v.values, f.modulus), cfg, rng)
             for w in enumerate_vectors(f, 2):
                 if w != truth:
                     assert not check(led, f, mv_of(m, v), w.values, cfg, rng)
@@ -314,7 +309,7 @@ def test_large_modulus_verification_falls_back_exactly():
     led = QueryLedger()
     cfg = VerifierConfig(epsilon=0.5)
     truth = matvec(m, v)
-    assert check(led, f, mv_of(m, v), int_product(m, v), cfg, rng)
+    assert check(led, f, mv_of(m, v), int_product(m.values, v.values, f.modulus), cfg, rng)
     wrong = np.array([(truth.values[0] + 1) % p, truth.values[1]], dtype=np.int64)
     rejections = sum(not check(led, f, mv_of(m, v), wrong, cfg, rng) for _ in range(30))
     # per-round false accept is 1/p ~ 5e-10, all 30 must reject
